@@ -20,6 +20,7 @@ from .numcore import (
     as_operator,
     fundamental_subspaces,
     opnorm,
+    opnorm_leq,
     _svd,
 )
 
@@ -57,10 +58,9 @@ class Subspace:
         P = as_operator(P)
         if P.shape[0] != P.shape[1]:
             raise DimensionMismatch("projection matrix must be square")
-        scale = max(opnorm(P), 1.0)
-        if opnorm(P - P.conj().T) > tol.eq_rel * scale:
+        if not opnorm_leq(P - P.conj().T, tol.eq_rel, P):
             raise ValueError("projection matrix is not Hermitian")
-        if opnorm(P @ P - P) > tol.eq_rel * scale:
+        if not opnorm_leq(P @ P - P, tol.eq_rel, P):
             raise ValueError("projection matrix is not idempotent")
         return cls.from_spanning(P, tol)
 
@@ -108,13 +108,13 @@ class Subspace:
         V = as_operator(vectors)
         if V.shape[0] != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        return opnorm(V - self.projection @ V) <= tol.eq_rel * max(opnorm(V), 1.0)
+        return opnorm_leq(V - self.projection @ V, tol.eq_rel, V)
 
     def equals(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         """Same subspace, decided by comparing orthogonal projections."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
-        return opnorm(self.projection - other.projection) <= 100 * tol.eq_rel
+        return opnorm_leq(self.projection - other.projection, 100 * tol.eq_rel)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ All rank and range decisions inside a comparison share one singular-value
 cutoff anchored at max(||B||, ||C||): the difference B - C of two nearby
 operators is "zero at the comparison's scale", and thresholding it against
 its own largest singular value would promote rounding noise to full rank.
+One SVD per operand serves its rank, its range and its corange.
 """
 
 from __future__ import annotations
@@ -18,10 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .douglas import range_leq
+from .douglas import _in_span
 from .errors import DimensionMismatch, NotComplementary
 from .geometry import Subspace, angles, oblique_projection, subspace_join
-from .numcore import DEFAULT_TOL, Tolerance, as_operator, opnorm, _svd
+from .numcore import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_operator,
+    opnorm_leq,
+    _rank_cutoff,
+    _svd,
+)
 
 
 @dataclass(frozen=True)
@@ -38,13 +46,6 @@ class MinusVerdict:
     projection_route: bool
     Q: np.ndarray | None = None
     P: np.ndarray | None = None
-
-
-def _range_at_scale(M: np.ndarray, scale: float, tol: Tolerance):
-    """Range basis of M with the rank cutoff taken at the given scale."""
-    U, s, _ = _svd(M)
-    r = int(np.sum(s > tol.rank_rel * max(M.shape) * scale))
-    return Subspace(M.shape[0], U[:, :r]), r
 
 
 def _splitting_projection(RC: Subspace, RD: Subspace, tol: Tolerance):
@@ -67,31 +68,34 @@ def minus_leq(C, B, tol: Tolerance = DEFAULT_TOL) -> MinusVerdict:
     if C.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {C.shape} vs {B.shape}")
     m, n = B.shape
-    scale = max(opnorm(B), opnorm(C))
+    Ub, sb, Vhb = _svd(B)
+    Uc, sc, Vhc = _svd(C)
+    scale = float(max(sb[0], sc[0])) if len(sb) else 0.0
     if scale == 0.0:
         zero_q = np.zeros((m, m), dtype=np.complex128)
         zero_p = np.zeros((n, n), dtype=np.complex128)
         return MinusVerdict(True, True, True, Q=zero_q, P=zero_p)
     D = B - C
-    RC, rc = _range_at_scale(C, scale, tol)
-    RD, rd = _range_at_scale(D, scale, tol)
-    _, rb = _range_at_scale(B, scale, tol)
+    Ud, sd, Vhd = _svd(D)
+    cutoff = tol.rank_rel * max(m, n) * scale
+    rb, rc, rd = (int(np.sum(s > cutoff)) for s in (sb, sc, sd))
     rank_route = rc + rd == rb
 
-    Q = _splitting_projection(RC, RD, tol)
+    Q = _splitting_projection(Subspace(m, Uc[:, :rc]), Subspace(m, Ud[:, :rd]), tol)
     P = None
     projection_route = False
     if Q is not None:
-        RCs, _ = _range_at_scale(C.conj().T, scale, tol)
-        RDs, _ = _range_at_scale(D.conj().T, scale, tol)
-        Padj = _splitting_projection(RCs, RDs, tol)
+        Padj = _splitting_projection(Subspace(n, Vhc[:rc].conj().T),
+                                     Subspace(n, Vhd[:rd].conj().T), tol)
         if Padj is not None:
             P = Padj.conj().T
+            # range_leq(C, B) and its adjoint, on B's own rank cutoff
+            own = int(np.sum(sb > _rank_cutoff(B.shape, sb, tol)))
             projection_route = (
-                opnorm(Q @ B - C) <= tol.eq_rel * scale
-                and opnorm(B @ P - C) <= tol.eq_rel * scale
-                and range_leq(C, B, tol)
-                and range_leq(C.conj().T, B.conj().T, tol)
+                opnorm_leq(Q @ B - C, tol.eq_rel * scale)
+                and opnorm_leq(B @ P - C, tol.eq_rel * scale)
+                and _in_span(C, Ub[:, :own], tol)
+                and _in_span(C.conj().T, Vhb[:own].conj().T, tol)
             )
     if not projection_route:
         Q = P = None
@@ -116,7 +120,9 @@ def in_minus_set(C, A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -
         raise DimensionMismatch(f"shapes differ: {C.shape} vs {A.shape}")
     if T.ambient_dim != C.shape[0] or S.ambient_dim != C.shape[1]:
         raise DimensionMismatch("subspace ambient dimensions do not match C")
-    scale = max(opnorm(C), 1.0)
-    inside_T = opnorm(C - T.projection @ C) <= tol.eq_rel * scale
-    inside_S = opnorm(C.conj().T - S.projection @ C.conj().T) <= tol.eq_rel * scale
-    return inside_T and inside_S and minus_leq(C, A, tol).holds
+    Cs = C.conj().T
+    return (
+        opnorm_leq(C - T.projection @ C, tol.eq_rel, C)
+        and opnorm_leq(Cs - S.projection @ Cs, tol.eq_rel, C)
+        and minus_leq(C, A, tol).holds
+    )

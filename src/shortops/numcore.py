@@ -7,6 +7,7 @@ range tests, pseudoinverses and subspace extractions stay mutually consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,75 @@ def opnorm(a) -> float:
     if m == 1 or n == 1:
         return float(np.sqrt((arr.conj() * arr).real.sum()))
     if min(m, n) == 2:
+        # kept by measurement: it saves 4 of shorted's 10 SVDs at 2x2; small-ops speed is equal
         G = arr @ arr.conj().T if m <= n else arr.conj().T @ arr
         tr = G[0, 0].real + G[1, 1].real
         det = (G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]).real
         disc = max(tr * tr - 4.0 * det, 0.0)
         return float(np.sqrt(0.5 * (tr + np.sqrt(disc))))
     return float(np.linalg.svd(arr, compute_uv=False)[0])
+
+
+# Relative margin kept between a Frobenius bound and the threshold before the
+# bound may decide; it lies far above the rounding of either norm, so every
+# near-tie goes to the exact spectral norm.
+_BOUND_SLACK = 1e-10
+
+
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm; np.vdot is about three times cheaper than
+    np.linalg.norm on the small matrices where per-call overhead dominates."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _short_side(a: np.ndarray) -> int:
+    return max(min(a.shape), 1) if a.ndim == 2 else 1
+
+
+def opnorm_leq(X, rel: float, anchor=None) -> bool:
+    """Decide ``opnorm(X) <= rel * max(opnorm(anchor), 1)``.
+
+    ``anchor`` is a matrix, a norm the caller already knows, or None (norm
+    0).  With k the smaller side, ||Y||_2 <= ||Y||_F <= sqrt(k) ||Y||_2
+    (Golub & Van Loan, Matrix Computations, 2.3) settles the comparison from
+    Frobenius norms; only inside the band between the two bounds are the
+    exact spectral norms computed, so the verdict is that of the exact test.
+    """
+    X = np.asarray(X)
+    x_hi = _fro(X) * (1.0 + _BOUND_SLACK)
+    if isinstance(anchor, np.ndarray):
+        a_hi = _fro(anchor)
+        a_lo = a_hi / math.sqrt(_short_side(anchor))
+    else:
+        a_lo = a_hi = float(anchor or 0.0)
+    low = rel * max(a_lo * (1.0 - _BOUND_SLACK), 1.0)
+    if x_hi <= low:
+        return True
+    high = rel * max(a_hi * (1.0 + _BOUND_SLACK), 1.0)
+    if x_hi * (1.0 - 2.0 * _BOUND_SLACK) / math.sqrt(_short_side(X)) > high:
+        return False
+    x = opnorm(X)
+    if x <= low or x > high:
+        return x <= low
+    if isinstance(anchor, np.ndarray):
+        a_lo = opnorm(anchor)
+    return x <= rel * max(a_lo, 1.0)
+
+
+def max_opnorm(mats) -> float:
+    """Largest spectral norm among ``mats``.
+
+    Exact spectral norms are taken in decreasing order of Frobenius norm and
+    stop at the first matrix whose Frobenius norm, an upper bound of its
+    spectral norm, cannot exceed the maximum found so far.
+    """
+    fros = sorted(((_fro(m), i) for i, m in enumerate(mats)), reverse=True)
+    best = 0.0
+    for fro, i in fros:
+        if fro * (1.0 + _BOUND_SLACK) <= best:
+            break
+        best = max(best, opnorm(mats[i]))
+    return best
 
 
 def _svd(A: np.ndarray):
@@ -148,14 +212,13 @@ def sqrt_psd(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     A = as_operator(A)
     if A.shape[0] != A.shape[1]:
         raise NotPSD(f"square matrix required, got shape {A.shape}")
-    scale = opnorm(A)
-    if opnorm(A - A.conj().T) > tol.eq_rel * max(scale, 1.0):
+    if not opnorm_leq(A - A.conj().T, tol.eq_rel, A):
         raise NotPSD("matrix is not Hermitian")
     if A.shape[0] == 0:
         return A.copy()
     H = 0.5 * (A + A.conj().T)
     evals, vecs = np.linalg.eigh(H)
-    if evals[0] < -tol.psd_slack * max(scale, 1.0):
+    if evals[0] < 0.0 and not opnorm_leq(evals[:1], tol.psd_slack, A):
         raise NotPSD(f"eigenvalue {evals[0]:.3e} below PSD slack")
     evals = np.clip(evals, 0.0, None)
     return (vecs * np.sqrt(evals)) @ vecs.conj().T

@@ -13,12 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .douglas import range_leq, _reduced_D
+from .douglas import range_leq, _in_span, _range_factors, _reduced_D
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
     EscalationExhausted,
-    NotComplementable,
     NotInDA,
     NotSummable,
 )
@@ -27,11 +26,13 @@ from .numcore import (
     DEFAULT_TOL,
     Tolerance,
     as_operator,
+    max_opnorm,
     opnorm,
+    opnorm_leq,
     _rank_cutoff,
     _svd,
 )
-from .shorting import complementability, shorted_matrix
+from .shorting import shorted_matrix, _complementable_blocks
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
 
@@ -94,9 +95,28 @@ def _sum_factors(total: np.ndarray, tol: Tolerance):
     return W[:, :r], s[:r], Vh[:r]
 
 
-def _summability_with_factors(A, B, tol: Tolerance):
-    total = A + B
-    W, s, Vh = _sum_factors(total, tol)
+def _weakly_summable(A, factors, tol: Tolerance) -> bool:
+    """The weak notion, literally: R(A) and R(A*) against the ranges of the
+    square roots of |(A+B)*| and |A+B|."""
+    W, s, Vh = factors
+    roots = np.sqrt(s)
+    root_left = (W * roots) @ W.conj().T
+    root_right = (Vh.conj().T * roots) @ Vh
+    return range_leq(A, root_left, tol) and range_leq(A.conj().T, root_right, tol)
+
+
+def _strongly_summable(A, factors, tol: Tolerance) -> bool:
+    """R(A) ⊆ R(A+B) and R(A*) ⊆ R((A+B)*), the verdict of the a_range and
+    a_corange defects without their exact norms."""
+    W, _, Vh = factors
+    As = A.conj().T
+    return (opnorm_leq(A - W @ (W.conj().T @ A), tol.eq_rel, A)
+            and opnorm_leq(As - Vh.conj().T @ (Vh @ As), tol.eq_rel, As))
+
+
+def _summability_report(A, B, factors, tol: Tolerance, weakly=None) -> SummabilityReport:
+    """The full report, with exact defects; ``weakly`` when already known."""
+    W, _, Vh = factors
     V = Vh.conj().T
     As, Bs = A.conj().T, B.conj().T
     na = max(opnorm(A), 1.0)
@@ -108,22 +128,23 @@ def _summability_with_factors(A, B, tol: Tolerance):
         b_corange=opnorm(Bs - V @ (Vh @ Bs)) / nb,
     )
     strongly = defects.a_range <= tol.eq_rel and defects.a_corange <= tol.eq_rel
-    # the weak notion, literally: ranges of the square roots of |(A+B)*|, |A+B|
-    roots = np.sqrt(s)
-    root_left = (W * roots) @ W.conj().T
-    root_right = (V * roots) @ Vh
-    weakly = range_leq(A, root_left, tol) and range_leq(As, root_right, tol)
-    report = SummabilityReport(weakly=weakly, strongly=strongly, defects=defects)
-    return report, total, (W, s, Vh)
+    if weakly is None:
+        weakly = _weakly_summable(A, factors, tol)
+    return SummabilityReport(weakly=weakly, strongly=strongly, defects=defects)
 
 
-def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
-    """Test weak and strong parallel summability of (A, B)."""
+def _checked_pair(A, B):
     A = as_operator(A)
     B = as_operator(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    return _summability_with_factors(A, B, tol)[0]
+    return A, B
+
+
+def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
+    """Test weak and strong parallel summability of (A, B)."""
+    A, B = _checked_pair(A, B)
+    return _summability_report(A, B, _sum_factors(A + B, tol), tol)
 
 
 @lru_cache(maxsize=64)
@@ -150,13 +171,16 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     largest deviation is recorded.  Raises NotSummable (carrying the report)
     when the pair is not weakly summable.
     """
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    report, total, (W, s, Vh) = _summability_with_factors(A, B, tol)
-    if not report.weakly:
-        raise NotSummable(report)
+    A, B = _checked_pair(A, B)
+    total = A + B
+    return _parallel_sum(A, B, total, _sum_factors(total, tol), tol)
+
+
+def _parallel_sum(A, B, total, factors, tol: Tolerance) -> ParallelSumResult:
+    """parallel_sum on checked operands and the factors of their sum."""
+    if not _weakly_summable(A, factors, tol):
+        raise NotSummable(_summability_report(A, B, factors, tol, weakly=False))
+    W, s, Vh = factors
     total_pinv = (Vh.conj().T / s) @ W.conj().T if len(s) else \
         np.zeros((total.shape[1], total.shape[0]), dtype=np.complex128)
     route_pinv = A - A @ total_pinv @ A
@@ -173,15 +197,14 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     route_block = _block_device(A, B, tol)
 
     routes = (route_pinv, route_reduced, route_block, route_pinv_swapped)
-    disagreement = max(
-        opnorm(x - y) for i, x in enumerate(routes) for y in routes[i + 1:]
-    )
     return ParallelSumResult(
         sum=route_block,
         route_pinv=route_pinv,
         route_reduced=route_reduced,
         route_block=route_block,
-        max_route_disagreement=disagreement,
+        max_route_disagreement=max_opnorm(
+            [x - y for i, x in enumerate(routes) for y in routes[i + 1:]]
+        ),
     )
 
 
@@ -191,16 +214,17 @@ def in_da(C, A, tol: Tolerance = DEFAULT_TOL) -> bool:
     This class is exactly where the equation A ∥ X = C has the distinguished
     solution C ∥ (-A).
     """
-    C = as_operator(C)
-    A = as_operator(A)
-    if C.shape != A.shape:
-        raise DimensionMismatch(f"shapes differ: {C.shape} vs {A.shape}")
+    C, A = _checked_pair(C, A)
     D = C - A
+    # one SVD per operand gives both its range and its corange
+    Ua, _, Vha = _range_factors(A, tol)
+    if not _in_span(D, Ua, tol):
+        return False
+    Ud, _, Vhd = _range_factors(D, tol)
     return (
-        range_leq(D, A, tol)
-        and range_leq(A, D, tol)
-        and range_leq(D.conj().T, A.conj().T, tol)
-        and range_leq(A.conj().T, D.conj().T, tol)
+        _in_span(A, Ud, tol)
+        and _in_span(D.conj().T, Vha.conj().T, tol)
+        and _in_span(A.conj().T, Vhd.conj().T, tol)
     )
 
 
@@ -231,10 +255,7 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     The record reports the error at each usable schedule point and the
     log-log slope fitted on the last 8 of them.
     """
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
+    A, B = _checked_pair(A, B)
     target = shorted_matrix(A, S, T, tol)  # raises NotComplementable if unfit
     if not (_matches_subspace(B, T, tol) and _matches_subspace(B.conj().T, S, tol)):
         raise BadAuxiliary("auxiliary operator must satisfy R(B) = T and R(B*) = S")
@@ -245,12 +266,15 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     for n in sorted(int(k) for k in schedule):
         if n < 1:
             raise ValueError("schedule entries must be positive integers")
+        scaled = n * B
+        total = A + scaled
+        factors = _sum_factors(total, tol)
         if not started:
-            if not summability(A, n * B, tol).strongly:
+            if not _strongly_summable(A, factors, tol):
                 continue
             started = True
         used.append(n)
-        errors.append(opnorm(parallel_sum(A, n * B, tol).sum - target))
+        errors.append(opnorm(_parallel_sum(A, scaled, total, factors, tol).sum - target))
     if not used:
         raise EscalationExhausted("no schedule entry made the pair summable")
     return ConvergenceRecord(
@@ -279,9 +303,7 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     L = as_operator(L)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    report = complementability(A, S, T, tol)
-    if not report.weakly:
-        raise NotComplementable(report)
+    _complementable_blocks(A, S, T, tol)
     if not (_matches_subspace(L, T, tol) and _matches_subspace(L.conj().T, S, tol)):
         raise BadAuxiliary("auxiliary operator must satisfy R(L) = T and R(L*) = S")
 
@@ -289,10 +311,13 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     current = n
     while current <= bound:
         scaled = current * L
-        if summability(A, scaled, tol).strongly:
-            blend = parallel_sum(A, scaled, tol).sum
+        total = A + scaled
+        factors = _sum_factors(total, tol)
+        if _strongly_summable(A, factors, tol):
+            blend = _parallel_sum(A, scaled, total, factors, tol).sum
             if in_da(blend, scaled, tol):
-                return parallel_subtract(blend, scaled, tol)
+                # parallel_subtract(blend, scaled) without repeating in_da
+                return parallel_sum(blend, -scaled, tol).sum
         current *= 2
     raise EscalationExhausted(
         f"no usable scale found between n={n} and n={bound}"

@@ -21,8 +21,8 @@ from .numcore import (
     Tolerance,
     as_operator,
     opnorm,
-    pinv,
-    _rank_cutoff,
+    opnorm_leq,
+    _fro,
     _svd,
 )
 
@@ -171,9 +171,14 @@ class _CornerAnalysis:
             np.zeros((self.Vh.shape[1], self.W.shape[0]), dtype=np.complex128)
 
 
-def _corner_analysis(A22: np.ndarray, tol: Tolerance) -> _CornerAnalysis:
+def _corner_analysis(A22: np.ndarray, scale: float, tol: Tolerance) -> _CornerAnalysis:
+    """Factor the corner with its rank cutoff anchored at ``scale``, the
+    Frobenius norm of the whole operator (an upper bound of its spectral
+    norm): a corner that is rounding noise next to A has rank 0, whereas a
+    cutoff taken from the corner's own largest singular value would count
+    that noise as full rank."""
     W, s, Vh = _svd(A22)
-    r = int(np.sum(s > _rank_cutoff(A22.shape, s, tol)))
+    r = int(np.sum(s > tol.rank_rel * max(A22.shape) * scale))
     W, s, Vh = W[:, :r], s[:r], Vh[:r]
     roots = np.sqrt(s)
     return _CornerAnalysis(
@@ -197,7 +202,21 @@ def complementability(A, S: Subspace, T: Subspace,
     """
     A = as_operator(A)
     blocks = block_decompose(A, S, T, tol)
-    return _report_for(A, S, T, blocks, _corner_analysis(blocks.A22, tol), tol)
+    return _report_for(A, S, T, blocks, _corner_analysis(blocks.A22, _fro(A), tol), tol)
+
+
+def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
+    """Blocks and corner analysis of a weakly complementable triple.
+
+    Raises NotComplementable otherwise; its report, with the angle
+    cross-check, is built only then.
+    """
+    blocks = block_decompose(A, S, T, tol)
+    corner = _corner_analysis(blocks.A22, _fro(A), tol)
+    weakly, _ = _gate(blocks, corner, tol)
+    if not weakly:
+        raise NotComplementable(_report_for(A, S, T, blocks, corner, tol))
+    return blocks, corner
 
 
 def _gate(blocks: BlockDecomposition, corner: _CornerAnalysis,
@@ -211,11 +230,10 @@ def _gate(blocks: BlockDecomposition, corner: _CornerAnalysis,
     """
     A12s = blocks.A12.conj().T
     V = corner.Vh.conj().T
-    n21 = max(opnorm(blocks.A21), 1.0)
-    n12 = max(opnorm(A12s), 1.0)
     strongly = (
-        opnorm(blocks.A21 - corner.W @ (corner.W.conj().T @ blocks.A21)) <= tol.eq_rel * n21
-        and opnorm(A12s - V @ (corner.Vh @ A12s)) <= tol.eq_rel * n12
+        opnorm_leq(blocks.A21 - corner.W @ (corner.W.conj().T @ blocks.A21), tol.eq_rel,
+                   blocks.A21)
+        and opnorm_leq(A12s - V @ (corner.Vh @ A12s), tol.eq_rel, A12s)
     )
     weakly = range_leq(blocks.A21, corner.root_left, tol) and range_leq(
         A12s, corner.root_right, tol
@@ -274,6 +292,13 @@ def _shorted_blocks(blocks: BlockDecomposition, corner: _CornerAnalysis, tol: To
     return sigma, sigma_alt, E_strong, F_strong_adj, E_weak, F_weak
 
 
+def _disagreement_error(disagreement: float) -> ConsistencyError:
+    return ConsistencyError(
+        f"shorting routes disagree by {disagreement:.3e} (relative); "
+        "the input is likely at the edge of complementability"
+    )
+
+
 def shorted_matrix(A, S: Subspace, T: Subspace,
                    tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The shorted operator alone, without witness projections or diagnostics.
@@ -283,18 +308,10 @@ def shorted_matrix(A, S: Subspace, T: Subspace,
     parallel-sum block device calls this in a loop).
     """
     A = as_operator(A)
-    blocks = block_decompose(A, S, T, tol)
-    corner = _corner_analysis(blocks.A22, tol)
-    weakly, _ = _gate(blocks, corner, tol)
-    if not weakly:
-        raise NotComplementable(_report_for(A, S, T, blocks, corner, tol))
+    blocks, corner = _complementable_blocks(A, S, T, tol)
     sigma, sigma_alt, *_ = _shorted_blocks(blocks, corner, tol)
-    disagreement = opnorm(sigma - sigma_alt) / max(opnorm(A), 1.0)
-    if disagreement > 10.0 * tol.eq_rel:
-        raise ConsistencyError(
-            f"shorting routes disagree by {disagreement:.3e} (relative); "
-            "the input is likely at the edge of complementability"
-        )
+    if not opnorm_leq(sigma - sigma_alt, 10.0 * tol.eq_rel, A):
+        raise _disagreement_error(opnorm(sigma - sigma_alt) / max(opnorm(A), 1.0))
     return blocks.t_basis @ sigma @ blocks.s_basis.conj().T
 
 
@@ -308,11 +325,7 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     report) when the triple is not weakly complementable.
     """
     A = as_operator(A)
-    blocks = block_decompose(A, S, T, tol)
-    corner = _corner_analysis(blocks.A22, tol)
-    weakly, _ = _gate(blocks, corner, tol)
-    if not weakly:
-        raise NotComplementable(_report_for(A, S, T, blocks, corner, tol))
+    blocks, corner = _complementable_blocks(A, S, T, tol)
     scale = max(opnorm(A), 1.0)
 
     sigma, sigma_alt, E_strong, F_strong_adj, E_weak, F_weak = _shorted_blocks(
@@ -320,10 +333,7 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     )
     disagreement = opnorm(sigma - sigma_alt) / scale
     if disagreement > 10.0 * tol.eq_rel:
-        raise ConsistencyError(
-            f"shorting routes disagree by {disagreement:.3e} (relative); "
-            "the input is likely at the edge of complementability"
-        )
+        raise _disagreement_error(disagreement)
 
     shorted_full = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
     s, t = S.dim, T.dim
@@ -373,11 +383,8 @@ def solve_shorting_direction(A, S: Subspace, T: Subspace, x,
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != S.ambient_dim:
         raise DimensionMismatch("x length differs from the ambient dimension of S")
-    if opnorm(x - S.projection @ x) > tol.eq_rel * max(opnorm(x), 1.0):
+    if not opnorm_leq(x - S.projection @ x, tol.eq_rel, x):
         raise ValueError("x does not lie in S")
-    report = complementability(A, S, T, tol)
-    if not report.weakly:
-        raise NotComplementable(report)
-    blocks = block_decompose(A, S, T, tol)
-    E_strong = pinv(blocks.A22, tol) @ blocks.A21
+    blocks, corner = _complementable_blocks(A, S, T, tol)
+    E_strong = corner.pinv() @ blocks.A21
     return -blocks.s_perp_basis @ (E_strong @ (blocks.s_basis.conj().T @ x))

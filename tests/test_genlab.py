@@ -127,3 +127,12 @@ def test_failures_carry_reproduction_entropy():
     r1 = trial_rng(13, 4, 1).standard_normal(5)
     r2 = trial_rng(13, 4, 1).standard_normal(5)
     assert np.allclose(r1, r2)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the reverse subtraction round trip misses its fixed 1e-8 relative bound "
+    "(error 4.5e-8) on an ill-conditioned draw; bounds relative to the "
+    "operands' conditioning are open work"))
+def test_replayed_parallel_subtract_round_trip():
+    report = run_suite(GenConfig(seed=7703226341779245175, trials=1))
+    assert report.outcomes["parallel-subtract-round-trip"].failed == 0

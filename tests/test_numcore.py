@@ -14,6 +14,7 @@ from shortops import (
     sqrt_abs_adjoint,
     sqrt_psd,
 )
+from shortops.numcore import max_opnorm, opnorm_leq
 
 
 def _random_complex(rng, m, n):
@@ -164,3 +165,73 @@ def test_fundamental_subspaces_counts_and_orthogonality():
         # projection onto the range equals A pinv(A)
         proj = fs.range_basis @ fs.range_basis.conj().T
         assert opnorm(proj - A @ pinv(A)) <= 1e-9
+
+
+def _exact_leq(X, rel, anchor):
+    """The comparison opnorm_leq decides, computed from exact spectral norms."""
+    if anchor is None:
+        a = 0.0
+    elif np.ndim(anchor) == 0:
+        a = float(anchor)
+    else:
+        a = opnorm(anchor)
+    return opnorm(X) <= rel * max(a, 1.0)
+
+
+def test_opnorm_leq_matches_exact_comparison():
+    rng = np.random.default_rng(31)
+    rel = 1e-3
+    undecided = 0
+    for trial in range(1500):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        X = _random_complex(rng, m, n)
+        if trial % 5 == 0:
+            X = X[0]  # a vector
+        kind = trial % 3
+        if kind == 0:
+            anchor = None
+        elif kind == 1:
+            anchor = float(10 ** rng.uniform(-2, 4))  # a norm the caller knows
+        else:
+            p, q = (int(v) for v in rng.integers(1, 9, size=2))
+            anchor = _random_complex(rng, p, q) * 10 ** rng.uniform(-2, 4)
+        threshold = rel * max(0.0 if anchor is None else
+                              (anchor if np.ndim(anchor) == 0 else opnorm(anchor)), 1.0)
+        if trial % 4:
+            # into the band between the Frobenius bounds, and around the threshold
+            X = X * (threshold * rng.uniform(0.2, 3.0) / opnorm(X))
+        fro = np.linalg.norm(X)
+        k = min(X.shape) if X.ndim == 2 else 1
+        undecided += fro / np.sqrt(k) <= threshold < fro
+        assert opnorm_leq(X, rel, anchor) == _exact_leq(X, rel, anchor), trial
+    assert undecided > 100  # the exact fallback was exercised
+
+
+def test_opnorm_leq_edge_cases():
+    rel = 1e-9
+    assert opnorm_leq(np.zeros((0, 3)), rel)
+    assert opnorm_leq(np.zeros((0, 3)), rel, np.zeros((2, 0)))
+    assert opnorm_leq(np.zeros((2, 2)), rel, 0.0)
+    assert opnorm_leq(np.full((2, 2), 1e-10), rel)
+    assert not opnorm_leq(np.full((2, 2), 1e-9), rel)
+    # the anchor scales the threshold, floored at 1
+    assert opnorm_leq(np.full((3, 3), 1e-8), rel, 100.0)
+    assert not opnorm_leq(np.full((3, 3), 1e-8), rel, 0.01)
+    # exactly at the threshold: rank-one X has ||X||_2 = ||X||_F
+    X = np.outer([3.0, 4.0], [1.0, 0.0]) * 1e-9 / 5.0
+    assert opnorm_leq(X, rel) == (opnorm(X) <= rel)
+    # a vector X and a vector anchor
+    assert opnorm_leq(np.array([3e-9, 4e-9]), rel, np.array([3.0, 4.0]))
+    assert not opnorm_leq(np.array([3e-9, 4e-9]), rel, np.array([0.3, 0.4]))
+
+
+def test_max_opnorm_is_exact_maximum():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        mats = [_random_complex(rng, m, n) * 10 ** rng.uniform(-3, 0)
+                for _ in range(int(rng.integers(1, 7)))]
+        if rng.integers(0, 2):
+            mats.append(np.outer(_random_complex(rng, m, 1), _random_complex(rng, 1, n)))
+        assert max_opnorm(mats) == max(opnorm(M) for M in mats)
+    assert max_opnorm([np.zeros((2, 2))]) == 0.0

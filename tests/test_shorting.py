@@ -127,6 +127,29 @@ def test_shorted_matrix_agrees_with_full_result():
         assert np.allclose(shorted_matrix(A, S, T), shorted(A, S, T).shorted)
 
 
+def _random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def test_zero_corner_not_complementable_in_any_frame():
+    # A22 = 0 while A21 != 0: R(A21) is not inside R(A22) = {0}.  In a
+    # random frame the corner is rounding noise, which must count as rank 0.
+    A0 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    e1 = np.eye(3)[:, :1]
+    rng = np.random.default_rng(0)
+    frames = [(np.eye(3), np.eye(3))] + [
+        (_random_unitary(rng, 3), _random_unitary(rng, 3)) for _ in range(20)
+    ]
+    for U, V in frames:
+        A = U @ A0 @ V.conj().T
+        S, T = Subspace(3, V @ e1), Subspace(3, U @ e1)
+        report = complementability(A, S, T)
+        assert not report.weakly and not report.strongly
+        with pytest.raises(NotComplementable):
+            shorted(A, S, T)
+
+
 def test_not_complementable_error_carries_report():
     S = T = e1_subspace(2)
     with pytest.raises(NotComplementable) as info:
