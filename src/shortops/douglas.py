@@ -16,12 +16,12 @@ import numpy as np
 from .errors import DimensionMismatch, RangeNotIncluded
 from .numcore import (
     DEFAULT_TOL,
+    FundamentalSubspaces,
     Tolerance,
     as_operator,
     opnorm,
     opnorm_leq,
-    _rank_cutoff,
-    _svd,
+    _spectrum,
 )
 
 
@@ -40,13 +40,6 @@ class ReducedSolution:
     corange_defect: float
 
 
-def _range_factors(A: np.ndarray, tol: Tolerance):
-    """Rank-truncated SVD factors of A, shared by the tests below."""
-    U, s, Vh = _svd(A)
-    r = int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
-    return U[:, :r], s[:r], Vh[:r]
-
-
 def _checked_pair(B, A):
     B = as_operator(B)
     A = as_operator(A)
@@ -60,7 +53,7 @@ def _checked_pair(B, A):
 def range_residual(B, A, tol: Tolerance = DEFAULT_TOL) -> float:
     """Relative size of the part of B sticking out of R(A)."""
     B, A = _checked_pair(B, A)
-    Ur, _, _ = _range_factors(A, tol)
+    Ur = _spectrum(A, tol).range_basis
     leftover = B - Ur @ (Ur.conj().T @ B)
     return opnorm(leftover) / max(opnorm(B), 1.0)
 
@@ -74,7 +67,7 @@ def _in_span(B: np.ndarray, Ur: np.ndarray, tol: Tolerance) -> bool:
 def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff R(B) ⊆ R(A), tested through the orthogonal projection onto R(A)."""
     B, A = _checked_pair(B, A)
-    return _in_span(B, _range_factors(A, tol)[0], tol)
+    return _in_span(B, _spectrum(A, tol).range_basis, tol)
 
 
 def _require_inclusion(leftover: np.ndarray, B: np.ndarray, tol: Tolerance) -> None:
@@ -84,13 +77,13 @@ def _require_inclusion(leftover: np.ndarray, B: np.ndarray, tol: Tolerance) -> N
         raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
 
 
-def _reduced_D(A, B, tol: Tolerance) -> np.ndarray:
-    """The reduced solution matrix alone (same gate as reduced_solution,
-    none of the diagnostic norms); for internal cross-check routes."""
-    Ur, sr, Vhr = _range_factors(A, tol)
+def _reduced_D(spectrum: FundamentalSubspaces, B: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The reduced solution matrix of A X = B from the factors of A; raises
+    RangeNotIncluded when R(B) ⊄ R(A)."""
+    Ur = spectrum.range_basis
     coeffs = Ur.conj().T @ B
     _require_inclusion(B - Ur @ coeffs, B, tol)
-    return Vhr.conj().T @ (coeffs / sr[:, None])
+    return spectrum.corange_basis @ (coeffs / spectrum.s[:spectrum.rank, None])
 
 
 def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
@@ -100,15 +93,12 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     and flags it as borderline when it lies within a decade of eq_rel.
     """
     B, A = _checked_pair(B, A)
-    Ur, sr, Vhr = _range_factors(A, tol)
-    coeffs = Ur.conj().T @ B
-    _require_inclusion(B - Ur @ coeffs, B, tol)
-    nb = max(opnorm(B), 1.0)
-    D = Vhr.conj().T @ (coeffs / sr[:, None])
-    corange_defect = opnorm(D - Vhr.conj().T @ (Vhr @ D))
+    spectrum = _spectrum(A, tol)
+    D = _reduced_D(spectrum, B, tol)
+    Vr = spectrum.corange_basis
     return ReducedSolution(
         D=D,
-        residual=opnorm(A @ D - B) / nb,
+        residual=opnorm(A @ D - B) / max(opnorm(B), 1.0),
         norm_sq=opnorm(D) ** 2,
-        corange_defect=corange_defect,
+        corange_defect=opnorm(D - Vr @ (Vr.conj().T @ D)),
     )

@@ -29,6 +29,7 @@ from .numcore import (
     fundamental_subspaces,
     opnorm,
     rank,
+    _rank_rule,
 )
 from .parallel import (
     in_da,
@@ -192,7 +193,7 @@ def _cond_ok(M, cap: float, tol: Tolerance = DEFAULT_TOL) -> bool:
     s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return True
-    r = int(np.sum(s > tol.rank_rel * max(M.shape) * s[0]))
+    r = _rank_rule(s, M.shape, s[0], tol)
     return r == 0 or s[0] / s[r - 1] <= cap
 
 
@@ -203,7 +204,7 @@ def _rank_at_scale(M, scale: float, tol: Tolerance) -> int:
     if scale == 0.0:
         return 0
     s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
-    return int(np.sum(s > tol.rank_rel * max(M.shape) * scale))
+    return _rank_rule(s, M.shape, scale, tol)
 
 
 def _draw_complementable(rng, cfg: GenConfig, tol: Tolerance):

@@ -21,7 +21,7 @@ from .numcore import (
     fundamental_subspaces,
     opnorm,
     opnorm_leq,
-    _svd,
+    _spectrum,
 )
 
 
@@ -150,16 +150,13 @@ def oblique_projection(range_sub: Subspace, nullsp: Subspace,
     return range_sub.basis @ np.linalg.inv(M)[:r, :]
 
 
-def _split_at_unit_scale(A: np.ndarray, tol: Tolerance):
-    """Row-space basis and nullspace basis of A, with the rank cutoff anchored
-    at scale 1.  Appropriate when A is built from projections or orthonormal
-    bases, whose meaningful singular values are O(1); a cutoff relative to
-    sigma_max would promote pure rounding noise to full rank when A ~ 0."""
-    _, s, Vh = _svd(A)
-    cutoff = tol.rank_rel * max(A.shape) * max(1.0, float(s[0]) if len(s) else 1.0)
-    r = int(np.sum(s > cutoff))
-    V = Vh.conj().T
-    return V[:, :r], V[:, r:]
+def _at_unit_scale(A: np.ndarray, tol: Tolerance):
+    """Factors of A with the rank cutoff anchored at max(1, sigma_max).
+    Appropriate when A is built from projections or orthonormal bases, whose
+    meaningful singular values are O(1); a cutoff relative to sigma_max would
+    promote pure rounding noise to full rank when A ~ 0."""
+    spectrum = _spectrum(A, tol)
+    return spectrum.at_scale(spectrum.s.max(initial=1.0), tol)
 
 
 def subspace_meet(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -169,8 +166,7 @@ def subspace_meet(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Sub
     n = M.ambient_dim
     eye = np.eye(n)
     stacked = np.vstack([eye - M.projection, eye - N.projection])
-    _, null_basis = _split_at_unit_scale(stacked, tol)
-    return Subspace(n, null_basis)
+    return Subspace(n, _at_unit_scale(stacked, tol).null_basis)
 
 
 def subspace_join(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -195,12 +191,9 @@ def _deflate(S: Subspace, K: Subspace, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis of the part of S orthogonal to K (K assumed inside S)."""
     if K.dim == 0:
         return S.basis
-    reduced = S.basis - K.projection @ S.basis
     # unit-scale cutoff: when K = S the residual is rounding noise and must
     # come out empty, not as a normalized junk direction
-    U, s, _ = _svd(reduced)
-    cutoff = tol.rank_rel * max(reduced.shape) * max(1.0, float(s[0]) if len(s) else 1.0)
-    return U[:, : int(np.sum(s > cutoff))]
+    return _at_unit_scale(S.basis - K.projection @ S.basis, tol).range_basis
 
 
 def angles(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> AnglePair:

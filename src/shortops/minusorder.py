@@ -27,8 +27,7 @@ from .numcore import (
     Tolerance,
     as_operator,
     opnorm_leq,
-    _rank_cutoff,
-    _svd,
+    _spectrum,
 )
 
 
@@ -68,34 +67,31 @@ def minus_leq(C, B, tol: Tolerance = DEFAULT_TOL) -> MinusVerdict:
     if C.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {C.shape} vs {B.shape}")
     m, n = B.shape
-    Ub, sb, Vhb = _svd(B)
-    Uc, sc, Vhc = _svd(C)
-    scale = float(max(sb[0], sc[0])) if len(sb) else 0.0
+    b = _spectrum(B, tol)
+    c = _spectrum(C, tol)
+    scale = float(max(b.s[0], c.s[0])) if len(b.s) else 0.0
     if scale == 0.0:
         zero_q = np.zeros((m, m), dtype=np.complex128)
         zero_p = np.zeros((n, n), dtype=np.complex128)
         return MinusVerdict(True, True, True, Q=zero_q, P=zero_p)
-    D = B - C
-    Ud, sd, Vhd = _svd(D)
-    cutoff = tol.rank_rel * max(m, n) * scale
-    rb, rc, rd = (int(np.sum(s > cutoff)) for s in (sb, sc, sd))
-    rank_route = rc + rd == rb
+    c = c.at_scale(scale, tol)
+    d = _spectrum(B - C, tol, scale)
+    rank_route = c.rank + d.rank == b.at_scale(scale, tol).rank
 
-    Q = _splitting_projection(Subspace(m, Uc[:, :rc]), Subspace(m, Ud[:, :rd]), tol)
+    Q = _splitting_projection(Subspace(m, c.range_basis), Subspace(m, d.range_basis), tol)
     P = None
     projection_route = False
     if Q is not None:
-        Padj = _splitting_projection(Subspace(n, Vhc[:rc].conj().T),
-                                     Subspace(n, Vhd[:rd].conj().T), tol)
+        Padj = _splitting_projection(Subspace(n, c.corange_basis),
+                                     Subspace(n, d.corange_basis), tol)
         if Padj is not None:
             P = Padj.conj().T
             # range_leq(C, B) and its adjoint, on B's own rank cutoff
-            own = int(np.sum(sb > _rank_cutoff(B.shape, sb, tol)))
             projection_route = (
                 opnorm_leq(Q @ B - C, tol.eq_rel * scale)
                 and opnorm_leq(B @ P - C, tol.eq_rel * scale)
-                and _in_span(C, Ub[:, :own], tol)
-                and _in_span(C.conj().T, Vhb[:own].conj().T, tol)
+                and _in_span(C, b.range_basis, tol)
+                and _in_span(C.conj().T, b.corange_basis, tol)
             )
     if not projection_route:
         Q = P = None

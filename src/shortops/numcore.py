@@ -1,14 +1,16 @@
 """Dense-matrix primitives: rank, pseudoinverse, polar decomposition, PSD roots.
 
 Operators are plain 2-D ``numpy`` arrays promoted to complex128.  Every rank
-decision in the toolkit flows through the same singular-value cutoff so that
-range tests, pseudoinverses and subspace extractions stay mutually consistent.
+decision in the toolkit is made here, by one rule applied to one factorization
+value (``FundamentalSubspaces``), so that range tests, pseudoinverses, roots
+and subspace extractions stay mutually consistent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +22,11 @@ class Tolerance:
     """Relative thresholds for rank decisions, equality tests and PSD slack.
 
     rank_rel
-        Singular values below ``rank_rel * max(rows, cols) * sigma_max`` are
-        treated as zero.
+        Singular values at or below ``rank_rel * max(rows, cols) * scale``
+        are treated as zero.  The scale is sigma_max of the factored matrix
+        by default; the complementability corner A22 uses ||A||_F of the
+        whole operator, a minus-order comparison max(||B||, ||C||), and
+        subspace meets and deflation max(1, sigma_max).
     eq_rel
         Relative threshold for equality and residual assertions.
     psd_slack
@@ -45,16 +50,60 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class FundamentalSubspaces:
-    """Orthonormal bases of the four fundamental subspaces of an operator."""
+    """Full SVD ``A = U diag(s) Vh`` and the numerical rank, with orthonormal
+    bases of the four fundamental subspaces and the formulas built on them.
 
-    range_basis: np.ndarray
-    null_basis: np.ndarray
-    corange_basis: np.ndarray
-    conull_basis: np.ndarray
+    ``rank`` counts the singular values above the one cutoff,
+    ``rank_rel * max(rows, cols) * scale``; ``at_scale`` re-truncates the
+    same factors at another scale.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    rank: int
 
     @property
-    def rank(self) -> int:
-        return self.range_basis.shape[1]
+    def range_basis(self) -> np.ndarray:
+        return self.U[:, :self.rank]
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        return self.Vh[self.rank:].conj().T
+
+    @property
+    def corange_basis(self) -> np.ndarray:
+        return self.Vh[:self.rank].conj().T
+
+    @property
+    def conull_basis(self) -> np.ndarray:
+        return self.U[:, self.rank:]
+
+    def at_scale(self, scale: float, tol: Tolerance = DEFAULT_TOL) -> "FundamentalSubspaces":
+        """The same factors, truncated with the cutoff anchored at ``scale``."""
+        shape = (self.U.shape[0], self.Vh.shape[0])
+        return FundamentalSubspaces(self.U, self.s, self.Vh,
+                                    _rank_rule(self.s, shape, scale, tol))
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of the truncated factors."""
+        return (self.corange_basis / self.s[:self.rank]) @ self.range_basis.conj().T
+
+    @cached_property
+    def root_left(self) -> np.ndarray:
+        """|A*|^(1/2) = (A A*)^(1/4), of rank exactly ``rank``."""
+        W = self.range_basis
+        return (W * np.sqrt(self.s[:self.rank])) @ W.conj().T
+
+    @cached_property
+    def root_right(self) -> np.ndarray:
+        """|A|^(1/2) = (A* A)^(1/4), of rank exactly ``rank``."""
+        V = self.corange_basis
+        return (V * np.sqrt(self.s[:self.rank])) @ V.conj().T
+
+    def polar_root(self) -> np.ndarray:
+        """|A*|^(1/2) times the polar partial isometry: W s^(1/2) Vh."""
+        return (self.range_basis * np.sqrt(self.s[:self.rank])) @ self.Vh[:self.rank]
 
 
 def as_operator(a) -> np.ndarray:
@@ -156,35 +205,33 @@ def max_opnorm(mats) -> float:
     return best
 
 
-def _svd(A: np.ndarray):
-    """Full SVD handling empty shapes; returns (U, s, Vh)."""
+def _rank_rule(s: np.ndarray, shape, scale: float, tol: Tolerance) -> int:
+    """The one rank rule: singular values above rank_rel * max(shape) * scale."""
+    return int(np.count_nonzero(s > tol.rank_rel * max(shape) * scale))
+
+
+def _spectrum(A: np.ndarray, tol: Tolerance,
+              scale: float | None = None) -> FundamentalSubspaces:
+    """Full SVD of A, empty shapes included, truncated at ``scale``
+    (default: sigma_max of A)."""
     m, n = A.shape
     if m == 0 or n == 0:
-        return np.eye(m, dtype=np.complex128), np.zeros(0), np.eye(n, dtype=np.complex128)
-    return np.linalg.svd(A, full_matrices=True)
-
-
-def _rank_cutoff(shape, s, tol: Tolerance) -> float:
-    if len(s) == 0:
-        return 0.0
-    return tol.rank_rel * max(shape) * s[0]
+        U, s, Vh = np.eye(m, dtype=np.complex128), np.zeros(0), np.eye(n, dtype=np.complex128)
+    else:
+        U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    if scale is None:
+        scale = s[0] if len(s) else 0.0
+    return FundamentalSubspaces(U, s, Vh, _rank_rule(s, A.shape, scale, tol))
 
 
 def rank(A, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: count of singular values above the relative cutoff."""
-    A = as_operator(A)
-    _, s, _ = _svd(A)
-    return int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
+    return _spectrum(as_operator(A), tol).rank
 
 
 def pinv(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse by singular-value truncation at the rank cutoff."""
-    A = as_operator(A)
-    U, s, Vh = _svd(A)
-    r = int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
-    if r == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
-    return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
+    return _spectrum(as_operator(A), tol).pinv()
 
 
 def polar(A, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -193,13 +240,9 @@ def polar(A, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     U is the partial isometry supported on the corange: ``U* U`` is the
     orthogonal projection onto R(A*), and ``U U*`` the one onto R(A).
     """
-    A = as_operator(A)
-    W, s, Vh = _svd(A)
-    r = int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
-    V = Vh.conj().T
-    absA = (V[:, :r] * s[:r]) @ V[:, :r].conj().T
-    U = W[:, :r] @ Vh[:r]
-    return U, absA
+    sp = _spectrum(as_operator(A), tol)
+    V = sp.corange_basis
+    return sp.range_basis @ V.conj().T, (V * sp.s[:sp.rank]) @ V.conj().T
 
 
 def sqrt_psd(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -232,30 +275,14 @@ def sqrt_abs(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     eigen-noise of order sqrt(eps) on the zero eigenvalues would otherwise
     leak phantom directions into range tests against this root.
     """
-    A = as_operator(A)
-    _, s, Vh = _svd(A)
-    r = int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
-    V = Vh.conj().T
-    return (V[:, :r] * np.sqrt(s[:r])) @ V[:, :r].conj().T
+    return _spectrum(as_operator(A), tol).root_right
 
 
 def sqrt_abs_adjoint(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """|A*|^(1/2) = (A A*)^(1/4), rank-exact like sqrt_abs."""
-    A = as_operator(A)
-    U, s, _ = _svd(A)
-    r = int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
-    return (U[:, :r] * np.sqrt(s[:r])) @ U[:, :r].conj().T
+    return _spectrum(as_operator(A), tol).root_left
 
 
 def fundamental_subspaces(A, tol: Tolerance = DEFAULT_TOL) -> FundamentalSubspaces:
     """Orthonormal bases for R(A), N(A), R(A*) and N(A*) from one SVD."""
-    A = as_operator(A)
-    U, s, Vh = _svd(A)
-    r = int(np.sum(s > _rank_cutoff(A.shape, s, tol)))
-    V = Vh.conj().T
-    return FundamentalSubspaces(
-        range_basis=U[:, :r],
-        null_basis=V[:, r:],
-        corange_basis=V[:, :r],
-        conull_basis=U[:, r:],
-    )
+    return _spectrum(as_operator(A), tol)

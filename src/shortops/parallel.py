@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .douglas import range_leq, _in_span, _range_factors, _reduced_D
+from .douglas import range_leq, _in_span, _reduced_D
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
@@ -24,13 +24,13 @@ from .errors import (
 from .geometry import Subspace
 from .numcore import (
     DEFAULT_TOL,
+    FundamentalSubspaces,
     Tolerance,
     as_operator,
     max_opnorm,
     opnorm,
     opnorm_leq,
-    _rank_cutoff,
-    _svd,
+    _spectrum,
 )
 from .shorting import shorted_matrix, _complementable_blocks
 
@@ -88,36 +88,26 @@ class ConvergenceRecord:
     fitted_slope: float
 
 
-def _sum_factors(total: np.ndarray, tol: Tolerance):
-    """Rank-truncated SVD of A + B, shared across routes and tests."""
-    W, s, Vh = _svd(total)
-    r = int(np.sum(s > _rank_cutoff(total.shape, s, tol)))
-    return W[:, :r], s[:r], Vh[:r]
-
-
-def _weakly_summable(A, factors, tol: Tolerance) -> bool:
+def _weakly_summable(A, total: FundamentalSubspaces, tol: Tolerance) -> bool:
     """The weak notion, literally: R(A) and R(A*) against the ranges of the
     square roots of |(A+B)*| and |A+B|."""
-    W, s, Vh = factors
-    roots = np.sqrt(s)
-    root_left = (W * roots) @ W.conj().T
-    root_right = (Vh.conj().T * roots) @ Vh
-    return range_leq(A, root_left, tol) and range_leq(A.conj().T, root_right, tol)
+    return range_leq(A, total.root_left, tol) and range_leq(A.conj().T, total.root_right, tol)
 
 
-def _strongly_summable(A, factors, tol: Tolerance) -> bool:
+def _strongly_summable(A, total: FundamentalSubspaces, tol: Tolerance) -> bool:
     """R(A) ⊆ R(A+B) and R(A*) ⊆ R((A+B)*), the verdict of the a_range and
     a_corange defects without their exact norms."""
-    W, _, Vh = factors
+    W, V = total.range_basis, total.corange_basis
     As = A.conj().T
     return (opnorm_leq(A - W @ (W.conj().T @ A), tol.eq_rel, A)
-            and opnorm_leq(As - Vh.conj().T @ (Vh @ As), tol.eq_rel, As))
+            and opnorm_leq(As - V @ (V.conj().T @ As), tol.eq_rel, As))
 
 
-def _summability_report(A, B, factors, tol: Tolerance, weakly=None) -> SummabilityReport:
+def _summability_report(A, B, total: FundamentalSubspaces, tol: Tolerance,
+                        weakly=None) -> SummabilityReport:
     """The full report, with exact defects; ``weakly`` when already known."""
-    W, _, Vh = factors
-    V = Vh.conj().T
+    W, V = total.range_basis, total.corange_basis
+    Vh = V.conj().T
     As, Bs = A.conj().T, B.conj().T
     na = max(opnorm(A), 1.0)
     nb = max(opnorm(B), 1.0)
@@ -129,7 +119,7 @@ def _summability_report(A, B, factors, tol: Tolerance, weakly=None) -> Summabili
     )
     strongly = defects.a_range <= tol.eq_rel and defects.a_corange <= tol.eq_rel
     if weakly is None:
-        weakly = _weakly_summable(A, factors, tol)
+        weakly = _weakly_summable(A, total, tol)
     return SummabilityReport(weakly=weakly, strongly=strongly, defects=defects)
 
 
@@ -144,7 +134,7 @@ def _checked_pair(A, B):
 def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
     """Test weak and strong parallel summability of (A, B)."""
     A, B = _checked_pair(A, B)
-    return _summability_report(A, B, _sum_factors(A + B, tol), tol)
+    return _summability_report(A, B, _spectrum(A + B, tol), tol)
 
 
 @lru_cache(maxsize=64)
@@ -172,26 +162,20 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     when the pair is not weakly summable.
     """
     A, B = _checked_pair(A, B)
-    total = A + B
-    return _parallel_sum(A, B, total, _sum_factors(total, tol), tol)
+    return _parallel_sum(A, B, _spectrum(A + B, tol), tol)
 
 
-def _parallel_sum(A, B, total, factors, tol: Tolerance) -> ParallelSumResult:
+def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> ParallelSumResult:
     """parallel_sum on checked operands and the factors of their sum."""
-    if not _weakly_summable(A, factors, tol):
-        raise NotSummable(_summability_report(A, B, factors, tol, weakly=False))
-    W, s, Vh = factors
-    total_pinv = (Vh.conj().T / s) @ W.conj().T if len(s) else \
-        np.zeros((total.shape[1], total.shape[0]), dtype=np.complex128)
+    if not _weakly_summable(A, total, tol):
+        raise NotSummable(_summability_report(A, B, total, tol, weakly=False))
+    total_pinv = total.pinv()
     route_pinv = A - A @ total_pinv @ A
     route_pinv_swapped = B - B @ total_pinv @ B
 
-    # reduced solutions through the polar factor: |(A+B)*|^(1/2) U = W s^(1/2) Vh
-    roots = np.sqrt(s)
-    left_root = (W * roots) @ Vh
-    right_root = (Vh.conj().T * roots) @ Vh
-    E_B = _reduced_D(left_root, B, tol)
-    F_A = _reduced_D(right_root, A.conj().T, tol)
+    # reduced solutions through the polar factor of A + B
+    E_B = _reduced_D(_spectrum(total.polar_root(), tol), B, tol)
+    F_A = _reduced_D(_spectrum(total.root_right, tol), A.conj().T, tol)
     route_reduced = F_A.conj().T @ E_B
 
     route_block = _block_device(A, B, tol)
@@ -217,14 +201,14 @@ def in_da(C, A, tol: Tolerance = DEFAULT_TOL) -> bool:
     C, A = _checked_pair(C, A)
     D = C - A
     # one SVD per operand gives both its range and its corange
-    Ua, _, Vha = _range_factors(A, tol)
-    if not _in_span(D, Ua, tol):
+    a = _spectrum(A, tol)
+    if not _in_span(D, a.range_basis, tol):
         return False
-    Ud, _, Vhd = _range_factors(D, tol)
+    d = _spectrum(D, tol)
     return (
-        _in_span(A, Ud, tol)
-        and _in_span(D.conj().T, Vha.conj().T, tol)
-        and _in_span(A.conj().T, Vhd.conj().T, tol)
+        _in_span(A, d.range_basis, tol)
+        and _in_span(D.conj().T, a.corange_basis, tol)
+        and _in_span(A.conj().T, d.corange_basis, tol)
     )
 
 
@@ -267,14 +251,13 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
         if n < 1:
             raise ValueError("schedule entries must be positive integers")
         scaled = n * B
-        total = A + scaled
-        factors = _sum_factors(total, tol)
+        total = _spectrum(A + scaled, tol)
         if not started:
-            if not _strongly_summable(A, factors, tol):
+            if not _strongly_summable(A, total, tol):
                 continue
             started = True
         used.append(n)
-        errors.append(opnorm(_parallel_sum(A, scaled, total, factors, tol).sum - target))
+        errors.append(opnorm(_parallel_sum(A, scaled, total, tol).sum - target))
     if not used:
         raise EscalationExhausted("no schedule entry made the pair summable")
     return ConvergenceRecord(
@@ -311,10 +294,9 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     current = n
     while current <= bound:
         scaled = current * L
-        total = A + scaled
-        factors = _sum_factors(total, tol)
-        if _strongly_summable(A, factors, tol):
-            blend = _parallel_sum(A, scaled, total, factors, tol).sum
+        total = _spectrum(A + scaled, tol)
+        if _strongly_summable(A, total, tol):
+            blend = _parallel_sum(A, scaled, total, tol).sum
             if in_da(blend, scaled, tol):
                 # parallel_subtract(blend, scaled) without repeating in_da
                 return parallel_sum(blend, -scaled, tol).sum

@@ -18,12 +18,13 @@ from .errors import DimensionMismatch, NotComplementable, ConsistencyError
 from .geometry import Subspace, angles
 from .numcore import (
     DEFAULT_TOL,
+    FundamentalSubspaces,
     Tolerance,
     as_operator,
     opnorm,
     opnorm_leq,
     _fro,
-    _svd,
+    _spectrum,
 )
 
 
@@ -154,43 +155,6 @@ def block_decompose(A, S: Subspace, T: Subspace,
     )
 
 
-@dataclass(frozen=True)
-class _CornerAnalysis:
-    """Rank-truncated SVD of the corner block plus derived factors: the polar
-    partial isometry and the square roots |A22*|^(1/2), |A22|^(1/2)."""
-
-    W: np.ndarray
-    s: np.ndarray
-    Vh: np.ndarray
-    U: np.ndarray
-    root_left: np.ndarray
-    root_right: np.ndarray
-
-    def pinv(self) -> np.ndarray:
-        return (self.Vh.conj().T / self.s) @ self.W.conj().T if len(self.s) else \
-            np.zeros((self.Vh.shape[1], self.W.shape[0]), dtype=np.complex128)
-
-
-def _corner_analysis(A22: np.ndarray, scale: float, tol: Tolerance) -> _CornerAnalysis:
-    """Factor the corner with its rank cutoff anchored at ``scale``, the
-    Frobenius norm of the whole operator (an upper bound of its spectral
-    norm): a corner that is rounding noise next to A has rank 0, whereas a
-    cutoff taken from the corner's own largest singular value would count
-    that noise as full rank."""
-    W, s, Vh = _svd(A22)
-    r = int(np.sum(s > tol.rank_rel * max(A22.shape) * scale))
-    W, s, Vh = W[:, :r], s[:r], Vh[:r]
-    roots = np.sqrt(s)
-    return _CornerAnalysis(
-        W=W,
-        s=s,
-        Vh=Vh,
-        U=W @ Vh,
-        root_left=(W * roots) @ W.conj().T,
-        root_right=(Vh.conj().T * roots) @ Vh,
-    )
-
-
 def complementability(A, S: Subspace, T: Subspace,
                       tol: Tolerance = DEFAULT_TOL) -> ComplementabilityReport:
     """Test whether (A, S, T) is weakly/strongly complementable.
@@ -202,24 +166,28 @@ def complementability(A, S: Subspace, T: Subspace,
     """
     A = as_operator(A)
     blocks = block_decompose(A, S, T, tol)
-    return _report_for(A, S, T, blocks, _corner_analysis(blocks.A22, _fro(A), tol), tol)
+    return _report_for(A, S, T, blocks, _spectrum(blocks.A22, tol, _fro(A)), tol)
 
 
 def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
-    """Blocks and corner analysis of a weakly complementable triple.
+    """Blocks and corner factors of a weakly complementable triple.
 
-    Raises NotComplementable otherwise; its report, with the angle
-    cross-check, is built only then.
+    The corner's rank cutoff is anchored at ||A||_F, an upper bound of the
+    whole operator's spectral norm: a corner that is rounding noise next to
+    A has rank 0, whereas a cutoff taken from the corner's own largest
+    singular value would count that noise as full rank.  Raises
+    NotComplementable otherwise; its report, with the angle cross-check, is
+    built only then.
     """
     blocks = block_decompose(A, S, T, tol)
-    corner = _corner_analysis(blocks.A22, _fro(A), tol)
+    corner = _spectrum(blocks.A22, tol, _fro(A))
     weakly, _ = _gate(blocks, corner, tol)
     if not weakly:
         raise NotComplementable(_report_for(A, S, T, blocks, corner, tol))
     return blocks, corner
 
 
-def _gate(blocks: BlockDecomposition, corner: _CornerAnalysis,
+def _gate(blocks: BlockDecomposition, corner: FundamentalSubspaces,
           tol: Tolerance) -> tuple[bool, bool]:
     """(weakly, strongly) complementable.
 
@@ -229,11 +197,10 @@ def _gate(blocks: BlockDecomposition, corner: _CornerAnalysis,
     a real test).
     """
     A12s = blocks.A12.conj().T
-    V = corner.Vh.conj().T
+    W, V = corner.range_basis, corner.corange_basis
     strongly = (
-        opnorm_leq(blocks.A21 - corner.W @ (corner.W.conj().T @ blocks.A21), tol.eq_rel,
-                   blocks.A21)
-        and opnorm_leq(A12s - V @ (corner.Vh @ A12s), tol.eq_rel, A12s)
+        opnorm_leq(blocks.A21 - W @ (W.conj().T @ blocks.A21), tol.eq_rel, blocks.A21)
+        and opnorm_leq(A12s - V @ (V.conj().T @ A12s), tol.eq_rel, A12s)
     )
     weakly = range_leq(blocks.A21, corner.root_left, tol) and range_leq(
         A12s, corner.root_right, tol
@@ -241,26 +208,33 @@ def _gate(blocks: BlockDecomposition, corner: _CornerAnalysis,
     return weakly, strongly
 
 
+def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.ndarray):
+    """P_hat and Q_hat, with R(P_hat*) = S and R(Q_hat) = T, from the strong
+    corner solutions E = A22^+ A21 and F_adj = A12 A22^+."""
+    s, t = blocks.s_basis.shape[1], blocks.t_basis.shape[1]
+    p, q = blocks.A22.shape
+    P_hat = blocks.s_frame @ np.block(
+        [[np.eye(s), np.zeros((s, q))], [-E, np.zeros((q, q))]]
+    ) @ blocks.s_frame.conj().T
+    Q_hat = blocks.t_frame @ np.block(
+        [[np.eye(t), -F_adj], [np.zeros((p, t)), np.zeros((p, p))]]
+    ) @ blocks.t_frame.conj().T
+    return P_hat, Q_hat
+
+
 def _report_for(A, S: Subspace, T: Subspace, blocks: BlockDecomposition,
-                corner: _CornerAnalysis, tol: Tolerance) -> ComplementabilityReport:
+                corner: FundamentalSubspaces, tol: Tolerance) -> ComplementabilityReport:
     weakly, strongly = _gate(blocks, corner, tol)
 
     witnesses = None
     if strongly:
         corner_pinv = corner.pinv()
         E = corner_pinv @ blocks.A21
-        F = corner_pinv.conj().T @ blocks.A12.conj().T
-        s, t = S.dim, T.dim
-        p, q = blocks.A22.shape
-        P_hat = blocks.s_frame @ np.block(
-            [[np.eye(s), np.zeros((s, q))], [-E, np.zeros((q, q))]]
-        ) @ blocks.s_frame.conj().T
-        Q_hat = blocks.t_frame @ np.block(
-            [[np.eye(t), -F.conj().T], [np.zeros((p, t)), np.zeros((p, p))]]
-        ) @ blocks.t_frame.conj().T
+        F_adj = blocks.A12 @ corner_pinv
+        P_hat, Q_hat = _witness_projections(blocks, E, F_adj)
         witnesses = ComplementabilityWitnesses(
             E=blocks.s_perp_basis @ E @ blocks.s_basis.conj().T,
-            F=blocks.t_perp_basis @ F @ blocks.t_basis.conj().T,
+            F=blocks.t_perp_basis @ F_adj.conj().T @ blocks.t_basis.conj().T,
             P_hat=P_hat,
             Q_hat=Q_hat,
             M_r=np.eye(S.ambient_dim) - P_hat,
@@ -278,25 +252,30 @@ def _report_for(A, S: Subspace, T: Subspace, blocks: BlockDecomposition,
     )
 
 
-def _shorted_blocks(blocks: BlockDecomposition, corner: _CornerAnalysis, tol: Tolerance):
-    """Schur-complement block via pseudoinverse, cross-checked through the
-    reduced-solution route, plus the strong-form corner solutions."""
+def _shorted_parts(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
+    """Gate, both shorting routes and their mandatory cross-check.
+
+    The Schur-complement block sigma comes from the corner pseudoinverse and
+    is recomputed through the reduced solutions of the corner equations
+    (through the polar factor of A22).  A disagreement beyond 10 * eq_rel
+    raises ConsistencyError.  Returns the blocks, sigma, the route gap, the
+    strong corner solutions E and F_adj, and the reduced solutions.
+    """
+    blocks, corner = _complementable_blocks(A, S, T, tol)
     corner_pinv = corner.pinv()
     E_strong = corner_pinv @ blocks.A21
     F_strong_adj = blocks.A12 @ corner_pinv
     sigma = blocks.A11 - blocks.A12 @ E_strong
 
-    E_weak = _reduced_D(corner.root_left @ corner.U, blocks.A21, tol)
-    F_weak = _reduced_D(corner.root_right, blocks.A12.conj().T, tol)
-    sigma_alt = blocks.A11 - F_weak.conj().T @ E_weak
-    return sigma, sigma_alt, E_strong, F_strong_adj, E_weak, F_weak
-
-
-def _disagreement_error(disagreement: float) -> ConsistencyError:
-    return ConsistencyError(
-        f"shorting routes disagree by {disagreement:.3e} (relative); "
-        "the input is likely at the edge of complementability"
-    )
+    E_weak = _reduced_D(_spectrum(corner.polar_root(), tol), blocks.A21, tol)
+    F_weak = _reduced_D(_spectrum(corner.root_right, tol), blocks.A12.conj().T, tol)
+    gap = sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
+    if not opnorm_leq(gap, 10.0 * tol.eq_rel, A):
+        raise ConsistencyError(
+            f"shorting routes disagree by {opnorm(gap) / max(opnorm(A), 1.0):.3e} "
+            "(relative); the input is likely at the edge of complementability"
+        )
+    return blocks, sigma, gap, E_strong, F_strong_adj, E_weak, F_weak
 
 
 def shorted_matrix(A, S: Subspace, T: Subspace,
@@ -308,10 +287,7 @@ def shorted_matrix(A, S: Subspace, T: Subspace,
     parallel-sum block device calls this in a loop).
     """
     A = as_operator(A)
-    blocks, corner = _complementable_blocks(A, S, T, tol)
-    sigma, sigma_alt, *_ = _shorted_blocks(blocks, corner, tol)
-    if not opnorm_leq(sigma - sigma_alt, 10.0 * tol.eq_rel, A):
-        raise _disagreement_error(opnorm(sigma - sigma_alt) / max(opnorm(A), 1.0))
+    blocks, sigma, *_ = _shorted_parts(A, S, T, tol)
     return blocks.t_basis @ sigma @ blocks.s_basis.conj().T
 
 
@@ -325,30 +301,15 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     report) when the triple is not weakly complementable.
     """
     A = as_operator(A)
-    blocks, corner = _complementable_blocks(A, S, T, tol)
-    scale = max(opnorm(A), 1.0)
-
-    sigma, sigma_alt, E_strong, F_strong_adj, E_weak, F_weak = _shorted_blocks(
-        blocks, corner, tol
-    )
-    disagreement = opnorm(sigma - sigma_alt) / scale
-    if disagreement > 10.0 * tol.eq_rel:
-        raise _disagreement_error(disagreement)
-
+    blocks, sigma, gap, E_strong, F_strong_adj, E_weak, F_weak = _shorted_parts(A, S, T, tol)
     shorted_full = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
-    s, t = S.dim, T.dim
-    p, q = blocks.A22.shape
-    P = blocks.s_frame @ np.block(
-        [[np.eye(s), np.zeros((s, q))], [-E_strong, np.zeros((q, q))]]
-    ) @ blocks.s_frame.conj().T
-    Q = blocks.t_frame @ np.block(
-        [[np.eye(t), -F_strong_adj], [np.zeros((p, t)), np.zeros((p, p))]]
-    ) @ blocks.t_frame.conj().T
+    P, Q = _witness_projections(blocks, E_strong, F_strong_adj)
 
+    scale = max(opnorm(A), 1.0)
     QA = Q @ A
     AP = A @ P
     diagnostics = ShortedDiagnostics(
-        route_disagreement=disagreement,
+        route_disagreement=opnorm(gap) / scale,
         qa_ap_gap=opnorm(QA - AP) / scale,
         qa_residual=opnorm(QA - shorted_full) / scale,
         ap_residual=opnorm(AP - shorted_full) / scale,
@@ -367,7 +328,7 @@ def schur_compression(A, S: Subspace, T: Subspace,
                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A minus its shorted operator; equals A (I - P_hat) for any witness."""
     A = as_operator(A)
-    return A - shorted(A, S, T, tol).shorted
+    return A - shorted_matrix(A, S, T, tol)
 
 
 def solve_shorting_direction(A, S: Subspace, T: Subspace, x,

@@ -2,7 +2,8 @@
 
 Each call is the first of its kind and shape, with the library's caches
 cleared, on fixed inputs: parallel_sum 2x2, shorted 2x2 (the README
-example), minus_leq 3x3 on a singular-triple subset, parallel_sum 64x64.
+example), minus_leq 3x3 on a singular-triple subset, parallel_sum 64x64,
+schur_compression 3x3.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.
 """
@@ -10,7 +11,7 @@ gain to pin here.
 import numpy as np
 import pytest
 
-from shortops import Subspace, minus_leq, parallel_sum, shorted
+from shortops import Subspace, minus_leq, parallel_sum, schur_compression, shorted
 from shortops.parallel import _first_copy_subspace
 
 
@@ -69,3 +70,12 @@ def test_parallel_sum_64x64(svd_calls):
     # the exact route disagreement needs at most one norm per pair of the
     # four routes; how many the Frobenius pruning skips depends on rounding
     assert svd_calls["norm"] <= 6
+
+
+def test_schur_compression_3x3(svd_calls):
+    A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+    S = Subspace(3, np.eye(3)[:, :1])
+    T = Subspace(3, np.eye(3)[:, 1:2])
+    schur_compression(A, S, T)
+    # the matrix-only path: no witness projections, no diagnostic norms
+    assert svd_calls == {"factor": 7, "norm": 0}

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from shortops import (
     sqrt_abs_adjoint,
     sqrt_psd,
 )
-from shortops.numcore import max_opnorm, opnorm_leq
+from shortops import douglas, geometry, minusorder, parallel, shorting
+from shortops.numcore import max_opnorm, opnorm_leq, _spectrum
 
 
 def _random_complex(rng, m, n):
@@ -165,6 +168,56 @@ def test_fundamental_subspaces_counts_and_orthogonality():
         # projection onto the range equals A pinv(A)
         proj = fs.range_basis @ fs.range_basis.conj().T
         assert opnorm(proj - A @ pinv(A)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 3)])
+def test_zero_and_empty_operators(shape):
+    m, n = shape
+    A = np.zeros(shape)
+    assert rank(A) == 0
+    U, absA = polar(A)
+    for got, want in ((pinv(A), (n, m)), (U, (m, n)), (absA, (n, n)),
+                      (sqrt_abs(A), (n, n)), (sqrt_abs_adjoint(A), (m, m))):
+        assert got.shape == want and got.dtype == np.complex128
+        assert not np.any(got)
+    fs = fundamental_subspaces(A)
+    assert fs.range_basis.shape == (m, 0) and fs.corange_basis.shape == (n, 0)
+    assert np.allclose(fs.null_basis @ fs.null_basis.conj().T, np.eye(n))
+    assert np.allclose(fs.conull_basis @ fs.conull_basis.conj().T, np.eye(m))
+
+
+def test_at_scale_matches_fresh_factorization():
+    rng = np.random.default_rng(31)
+    tol = Tolerance()
+    for _ in range(100):
+        m, n = rng.integers(1, 8, size=2)
+        r = int(rng.integers(0, min(m, n) + 1))
+        A = _random_complex(rng, m, r) @ _random_complex(rng, r, n)
+        A = A + 10.0 ** rng.uniform(-14, -8) * _random_complex(rng, m, n)
+        spectrum = _spectrum(A, tol)
+        for scale in (0.0, 1e-6, 1.0, spectrum.s[0], 1e4):
+            want = int(np.count_nonzero(spectrum.s > tol.rank_rel * max(m, n) * scale))
+            assert spectrum.at_scale(scale, tol).rank == want
+            assert _spectrum(A, tol, scale).rank == want
+
+
+def test_roots_have_the_rank_of_the_operator():
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        m, n = rng.integers(1, 8, size=2)
+        r = int(rng.integers(0, min(m, n) + 1))
+        A = _random_complex(rng, m, r) @ _random_complex(rng, r, n)
+        fs = fundamental_subspaces(A)
+        assert fs.rank == r
+        for root in (fs.root_left, fs.root_right, fs.polar_root()):
+            assert rank(root) == r
+
+
+def test_rank_rule_lives_in_numcore():
+    for module in (douglas, geometry, shorting, minusorder, parallel):
+        source = inspect.getsource(module)
+        for banned in ("np.linalg.svd", "_svd(", "rank_rel"):
+            assert banned not in source, f"{module.__name__} uses {banned}"
 
 
 def _exact_leq(X, rel, anchor):
