@@ -28,7 +28,9 @@ from .numcore import (
     Tolerance,
     fundamental_subspaces,
     opnorm,
+    opnorm_leq,
     rank,
+    _fro,
     _rank_rule,
 )
 from .parallel import (
@@ -39,7 +41,7 @@ from .parallel import (
     shorted_via_limit,
     summability,
 )
-from .shorting import complementability, shorted
+from .shorting import block_decompose, complementability, shorted
 
 RNG_NAME = "pcg64"
 
@@ -171,12 +173,11 @@ def gen_da_member(A, rng: np.random.Generator,
     so the perturbation C - A shares A's range and corange by construction.
     """
     A = np.asarray(A, dtype=np.complex128)
-    r = rank(A, tol)
-    if r == 0:
+    fs = fundamental_subspaces(A, tol)
+    if fs.rank == 0:
         raise ZeroOperator("cannot build a range-preserving perturbation of 0")
-    U, s, Vh = np.linalg.svd(A)
-    weights = rng.uniform(0.5, 2.0, size=r)
-    return A + (U[:, :r] * weights) @ Vh[:r]
+    weights = rng.uniform(0.5, 2.0, size=fs.rank)
+    return A + (fs.range_basis * weights) @ fs.Vh[:fs.rank]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +440,12 @@ def _inv_collapse_complementability(rng, cfg, tol):
         S = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
         T = gen_subspace(m, int(rng.integers(0, m + 1)), rng)
     report = complementability(A, S, T, tol)
-    return report.weakly == report.strongly
+    # the weak notion literally, on re-factored roots of the ||A||_F-anchored corner
+    blocks = block_decompose(A, S, T, tol)
+    fs = fundamental_subspaces(blocks.A22, tol).at_scale(_fro(A), tol)
+    weakly = (range_leq(blocks.A21, fs.root_left, tol)
+              and range_leq(blocks.A12.conj().T, fs.root_right, tol))
+    return weakly == report.weakly == report.strongly
 
 
 def _inv_shorted_scalar_homogeneity(rng, cfg, tol):
@@ -450,7 +456,7 @@ def _inv_shorted_scalar_homogeneity(rng, cfg, tol):
     alpha = complex(rng.normal(), rng.normal())
     lhs = shorted(alpha * A, S, T, tol).shorted
     rhs = alpha * shorted(A, S, T, tol).shorted
-    return opnorm(lhs - rhs) <= tol.eq_rel * max(opnorm(A), 1.0) * max(abs(alpha), 1.0)
+    return opnorm_leq(lhs - rhs, tol.eq_rel * max(abs(alpha), 1.0), A)
 
 
 def _inv_shorted_adjoint(rng, cfg, tol):
@@ -460,7 +466,7 @@ def _inv_shorted_adjoint(rng, cfg, tol):
     A, S, T = drawn
     lhs = shorted(A.conj().T, T, S, tol).shorted
     rhs = shorted(A, S, T, tol).shorted.conj().T
-    return opnorm(lhs - rhs) <= tol.eq_rel * max(opnorm(A), 1.0)
+    return opnorm_leq(lhs - rhs, tol.eq_rel, A)
 
 
 def _inv_shorted_idempotent_operation(rng, cfg, tol):
@@ -470,7 +476,7 @@ def _inv_shorted_idempotent_operation(rng, cfg, tol):
     A, S, T = drawn
     once = shorted(A, S, T, tol).shorted
     twice = shorted(once, S, T, tol).shorted
-    return opnorm(twice - once) <= tol.eq_rel * max(opnorm(A), 1.0)
+    return opnorm_leq(twice - once, tol.eq_rel, A)
 
 
 def _inv_shorted_hermitian(rng, cfg, tol):
@@ -492,7 +498,7 @@ def _inv_shorted_hermitian(rng, cfg, tol):
     if not _cond_ok(A, cfg.condition_cap, tol):
         return None
     sig = shorted(A, S, S, tol).shorted
-    return opnorm(sig - sig.conj().T) <= tol.eq_rel * max(opnorm(A), 1.0)
+    return opnorm_leq(sig - sig.conj().T, tol.eq_rel, A)
 
 
 def _shorted_range_nullspace_ok(A, S, T, sig, tol) -> bool:
@@ -556,7 +562,7 @@ def _inv_iterated_shorting(rng, cfg, tol):
         return None
     lhs = shorted(first, S_hat, T_hat, tol).shorted
     rhs = shorted(A, S_meet, T_meet, tol).shorted
-    return opnorm(lhs - rhs) <= 1e-8 * max(opnorm(A), 1.0)
+    return opnorm_leq(lhs - rhs, 1e-8, A)
 
 
 def _inv_projection_shorted(rng, cfg, tol):
@@ -801,7 +807,7 @@ def _inv_parallel_subtract_round_trip(rng, cfg, tol):
     E = parallel_sum(D, A, tol).sum
     if not in_da(E, A, tol):
         return False
-    return opnorm(parallel_subtract(E, A, tol) - D) <= 1e-8 * max(opnorm(D), 1.0)
+    return opnorm_leq(parallel_subtract(E, A, tol) - D, 1e-8, D)
 
 
 def _inv_shorted_parallel_exchange(rng, cfg, tol):
@@ -878,7 +884,10 @@ def _inv_weak_strong_collapse_summability(rng, cfg, tol):
         A = gauss(rng, m, n)
         B = total - A  # sum is rank-deficient; A generically pokes out of it
     report = summability(A, B, tol)
-    return report.weakly == report.strongly
+    # the weak notion literally, on re-factored roots of A + B
+    fs = fundamental_subspaces(A + B, tol)
+    weakly = range_leq(A, fs.root_left, tol) and range_leq(A.conj().T, fs.root_right, tol)
+    return weakly == report.weakly == report.strongly
 
 
 def _inv_recover_shorted_identity(rng, cfg, tol):
@@ -891,7 +900,7 @@ def _inv_recover_shorted_identity(rng, cfg, tol):
         return None
     recovered = recover_shorted(A, S, T, L, 4, tol)
     sig = shorted(A, S, T, tol).shorted
-    return opnorm(recovered - sig) <= 1e-7 * max(opnorm(A), 1.0)
+    return opnorm_leq(recovered - sig, 1e-7, A)
 
 
 # ---------------------------------------------------------------------------

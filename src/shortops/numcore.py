@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +54,8 @@ class FundamentalSubspaces:
 
     ``rank`` counts the singular values above the one cutoff,
     ``rank_rel * max(rows, cols) * scale``; ``at_scale`` re-truncates the
-    same factors at another scale.
+    same factors at another scale.  The root values list only the ``rank``
+    nonzero singular values in ``s``.
     """
 
     U: np.ndarray
@@ -89,21 +89,30 @@ class FundamentalSubspaces:
         """Moore-Penrose pseudoinverse of the truncated factors."""
         return (self.corange_basis / self.s[:self.rank]) @ self.range_basis.conj().T
 
-    @cached_property
+    @property
     def root_left(self) -> np.ndarray:
         """|A*|^(1/2) = (A A*)^(1/4), of rank exactly ``rank``."""
         W = self.range_basis
         return (W * np.sqrt(self.s[:self.rank])) @ W.conj().T
 
-    @cached_property
+    @property
     def root_right(self) -> np.ndarray:
         """|A|^(1/2) = (A* A)^(1/4), of rank exactly ``rank``."""
         V = self.corange_basis
         return (V * np.sqrt(self.s[:self.rank])) @ V.conj().T
 
-    def polar_root(self) -> np.ndarray:
-        """|A*|^(1/2) times the polar partial isometry: W s^(1/2) Vh."""
-        return (self.range_basis * np.sqrt(self.s[:self.rank])) @ self.Vh[:self.rank]
+    @property
+    def root_factors(self) -> "FundamentalSubspaces":
+        """Factors of W s^(1/2) Vh, |A*|^(1/2) times the polar partial isometry,
+        from A's own singular vectors: no factorization, and A's rank and
+        four subspaces."""
+        return FundamentalSubspaces(self.U, np.sqrt(self.s[:self.rank]), self.Vh, self.rank)
+
+    @property
+    def abs_root_factors(self) -> "FundamentalSubspaces":
+        """Factors (V, s^(1/2), V*) of |A|^(1/2), of rank exactly ``rank``."""
+        V = self.Vh.conj().T
+        return FundamentalSubspaces(V, np.sqrt(self.s[:self.rank]), self.Vh, self.rank)
 
 
 def as_operator(a) -> np.ndarray:

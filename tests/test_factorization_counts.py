@@ -3,7 +3,7 @@
 Each call is the first of its kind and shape, with the library's caches
 cleared, on fixed inputs: parallel_sum 2x2, shorted 2x2 (the README
 example), minus_leq 3x3 on a singular-triple subset, parallel_sum 64x64,
-schur_compression 3x3.
+schur_compression 3x3, and genlab's gen_da_member 4x4.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.
 """
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from shortops import Subspace, minus_leq, parallel_sum, schur_compression, shorted
+from shortops.genlab import gen_da_member
 from shortops.parallel import _first_copy_subspace
 
 
@@ -48,13 +49,15 @@ def svd_calls(monkeypatch):
 def test_parallel_sum_2x2(svd_calls):
     rng = np.random.default_rng(0)
     parallel_sum(_gauss(rng, 2, 2), _gauss(rng, 2, 2))
-    assert svd_calls == {"factor": 11, "norm": 0}
+    # A + B, the first-copy complement and the block device's corner; the
+    # reduced routes take their roots from the factors of A + B
+    assert svd_calls == {"factor": 3, "norm": 0}
 
 
 def test_shorted_2x2(svd_calls):
     S = Subspace(2, np.eye(2)[:, :1])
     shorted(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S)
-    assert svd_calls == {"factor": 6, "norm": 0}
+    assert svd_calls == {"factor": 2, "norm": 0}
 
 
 def test_minus_leq_3x3(svd_calls):
@@ -66,7 +69,7 @@ def test_minus_leq_3x3(svd_calls):
 def test_parallel_sum_64x64(svd_calls):
     rng = np.random.default_rng(0)
     parallel_sum(_gauss(rng, 64, 64), _gauss(rng, 64, 64))
-    assert svd_calls["factor"] == 11
+    assert svd_calls["factor"] == 3
     # the exact route disagreement needs at most one norm per pair of the
     # four routes; how many the Frobenius pruning skips depends on rounding
     assert svd_calls["norm"] <= 6
@@ -78,4 +81,11 @@ def test_schur_compression_3x3(svd_calls):
     T = Subspace(3, np.eye(3)[:, 1:2])
     schur_compression(A, S, T)
     # the matrix-only path: no witness projections, no diagnostic norms
-    assert svd_calls == {"factor": 7, "norm": 0}
+    assert svd_calls == {"factor": 3, "norm": 0}
+
+
+def test_gen_da_member_4x4(svd_calls):
+    A = _gauss(np.random.default_rng(0), 4, 4)
+    gen_da_member(A, np.random.default_rng(1))
+    # one factorization gives both the rank and the singular vectors
+    assert svd_calls == {"factor": 1, "norm": 0}

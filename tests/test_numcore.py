@@ -201,22 +201,53 @@ def test_at_scale_matches_fresh_factorization():
             assert _spectrum(A, tol, scale).rank == want
 
 
+def _projectors(fs):
+    W, V = fs.range_basis, fs.corange_basis
+    return W @ W.conj().T, V @ V.conj().T
+
+
+def _check_root_factors(A):
+    """The root factor values rebuild the root matrices, and their rank and
+    subspaces are those of a fresh factorization of each root matrix."""
+    tol = Tolerance()
+    fs = fundamental_subspaces(A)
+    polar_root = (fs.range_basis * np.sqrt(fs.s[:fs.rank])) @ fs.Vh[:fs.rank]
+    root, abs_root = fs.root_factors, fs.abs_root_factors
+
+    def rebuild(U, s, Vh):
+        return (U[:, :len(s)] * s) @ Vh[:len(s)]
+
+    for got, want in ((rebuild(root.U, root.s, root.Vh), polar_root),
+                      (rebuild(root.U, root.s, root.U.conj().T), fs.root_left),
+                      (rebuild(abs_root.U, abs_root.s, abs_root.Vh), fs.root_right)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, opnorm(A)))
+    for value, matrix in ((root, polar_root), (abs_root, fs.root_right)):
+        fresh = fundamental_subspaces(matrix)
+        assert value.rank == fresh.rank == fs.rank
+        for got, want in zip(_projectors(value), _projectors(fresh)):
+            assert opnorm(got - want) <= tol.eq_rel
+    return fs
+
+
 def test_roots_have_the_rank_of_the_operator():
     rng = np.random.default_rng(37)
     for _ in range(100):
         m, n = rng.integers(1, 8, size=2)
         r = int(rng.integers(0, min(m, n) + 1))
         A = _random_complex(rng, m, r) @ _random_complex(rng, r, n)
-        fs = fundamental_subspaces(A)
+        fs = _check_root_factors(A)
         assert fs.rank == r
-        for root in (fs.root_left, fs.root_right, fs.polar_root()):
-            assert rank(root) == r
+        assert rank(fs.root_left) == r
+    for shape in ((2, 3), (0, 3), (3, 0)):
+        assert _check_root_factors(np.zeros(shape)).rank == 0
 
 
 def test_rank_rule_lives_in_numcore():
     for module in (douglas, geometry, shorting, minusorder, parallel):
         source = inspect.getsource(module)
-        for banned in ("np.linalg.svd", "_svd(", "rank_rel"):
+        for banned in ("np.linalg.svd", "_svd(", "rank_rel",
+                       "root_left", "root_right", "polar_root"):
             assert banned not in source, f"{module.__name__} uses {banned}"
 
 
