@@ -70,20 +70,22 @@ def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _in_span(B, _spectrum(A, tol).range_basis, tol)
 
 
-def _require_inclusion(leftover: np.ndarray, B: np.ndarray, tol: Tolerance) -> None:
-    """Raise RangeNotIncluded unless ||leftover|| <= eq_rel * max(||B||, 1)."""
-    if not opnorm_leq(leftover, tol.eq_rel, B):
-        resid = opnorm(leftover) / max(opnorm(B), 1.0)
-        raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
+def _reduced_coeffs(spectrum: FundamentalSubspaces, B: np.ndarray) -> np.ndarray:
+    """A^+ B from the factors of A: the reduced solution of A X = B for a
+    caller that has already decided R(B) ⊆ R(A)."""
+    coeffs = spectrum.range_basis.conj().T @ B
+    return spectrum.corange_basis @ (coeffs / spectrum.s[:spectrum.rank, None])
 
 
 def _reduced_D(spectrum: FundamentalSubspaces, B: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The reduced solution matrix of A X = B from the factors of A; raises
     RangeNotIncluded when R(B) ⊄ R(A)."""
     Ur = spectrum.range_basis
-    coeffs = Ur.conj().T @ B
-    _require_inclusion(B - Ur @ coeffs, B, tol)
-    return spectrum.corange_basis @ (coeffs / spectrum.s[:spectrum.rank, None])
+    leftover = B - Ur @ (Ur.conj().T @ B)
+    if not opnorm_leq(leftover, tol.eq_rel, B):
+        resid = opnorm(leftover) / max(opnorm(B), 1.0)
+        raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
+    return _reduced_coeffs(spectrum, B)
 
 
 def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:

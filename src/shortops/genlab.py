@@ -21,6 +21,7 @@ from .geometry import (
     ortho_projection,
     subspace_join,
     subspace_meet,
+    _largest_cosine,
 )
 from .minusorder import in_minus_set, minus_leq
 from .numcore import (
@@ -267,7 +268,7 @@ def _random_idempotent(rng, n: int, k: int, tol: Tolerance):
     """Random oblique projection of rank k, or None for a hostile draw."""
     R = gen_subspace(n, k, rng)
     N = gen_subspace(n, n - k, rng)
-    if angles(R, N, tol).dixmier_cos >= 1.0 - _AMBIG_HI:
+    if _largest_cosine(R.basis, N.basis) >= 1.0 - _AMBIG_HI:
         return None
     return oblique_projection(R, N, tol)
 
@@ -282,11 +283,10 @@ def _svd_triple_subset(B: np.ndarray, indices, tol: Tolerance) -> np.ndarray:
 
 
 def _ambiguous_minus_angles(C, B, tol: Tolerance) -> bool:
-    D = B - C
-    for X, Y in ((C, D), (C.conj().T, D.conj().T)):
-        gap = 1.0 - angles(Subspace.range_of(X, tol),
-                           Subspace.range_of(Y, tol), tol).dixmier_cos
-        if _AMBIG_LO < gap < _AMBIG_HI:
+    c = fundamental_subspaces(C, tol)
+    d = fundamental_subspaces(B - C, tol)
+    for X, Y in ((c.range_basis, d.range_basis), (c.corange_basis, d.corange_basis)):
+        if _AMBIG_LO < 1.0 - _largest_cosine(X, Y) < _AMBIG_HI:
             return True
     return False
 

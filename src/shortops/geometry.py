@@ -132,22 +132,37 @@ def ortho_projection(S: Subspace) -> np.ndarray:
 
 def oblique_projection(range_sub: Subspace, nullsp: Subspace,
                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The projection Q with R(Q) = range_sub and N(Q) = nullsp.
+    """The projection Q with R(Q) = range_sub and N(Q) = nullsp, from one SVD
+    of the stacked bases, which also decides their overlap (``_split_along``).
 
     Raises NotComplementary unless the two subspaces decompose the ambient
     space as a direct sum.
     """
     if range_sub.ambient_dim != nullsp.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-    n = range_sub.ambient_dim
-    r = range_sub.dim
-    if r + nullsp.dim != n:
+    if range_sub.dim + nullsp.dim != range_sub.ambient_dim:
         raise NotComplementary("dimensions do not sum to the ambient dimension")
-    if angles(range_sub, nullsp, tol).dixmier_cos >= 1.0 - tol.eq_rel:
+    Q = _split_along(range_sub.basis, nullsp.basis, tol)
+    if Q is None:
         raise NotComplementary("subspaces intersect nontrivially")
-    M = np.hstack([range_sub.basis, nullsp.basis])
-    # Q = M diag(I_r, 0) M^{-1}; only the first r rows of M^{-1} are needed.
-    return range_sub.basis @ np.linalg.inv(M)[:r, :]
+    return Q
+
+
+def _split_along(W1: np.ndarray, W2: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    """Projection onto R(W1) along R(W2) ⊕ (R(W1) + R(W2))⊥ for orthonormal
+    W1 (n x a) and W2 (n x b), or None when the ranges overlap: a + b > n, or
+    sigma_min(M)^2 = 1 - (Dixmier cosine) <= eq_rel for M = [W1 W2], since
+    M* M = [[I, G], [G*, I]] with G = W1* W2.  Otherwise M has full column
+    rank and W1 M^+[:a] is the projection (Galántai, Projectors and
+    Projection Methods, 2004).
+    """
+    n, a = W1.shape
+    if a + W2.shape[1] > n:
+        return None
+    spectrum = _spectrum(np.hstack([W1, W2]), tol)
+    if spectrum.s.size and spectrum.s[-1] ** 2 <= tol.eq_rel:
+        return None
+    return W1 @ spectrum.pinv()[:a]
 
 
 def _at_unit_scale(A: np.ndarray, tol: Tolerance):

@@ -10,7 +10,10 @@ All rank and range decisions inside a comparison share one singular-value
 cutoff anchored at max(||B||, ||C||): the difference B - C of two nearby
 operators is "zero at the comparison's scale", and thresholding it against
 its own largest singular value would promote rounding noise to full rank.
-One SVD per operand serves its rank, its range and its corange.
+One SVD per operand serves its rank, its range and its corange.  One SVD
+of the stacked range bases of C and B - C tests their overlap and gives Q,
+and one of the stacked corange bases does the same for P*
+(``geometry._split_along``): five SVDs per comparison and no inverse.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .douglas import _in_span
-from .errors import DimensionMismatch, NotComplementary
-from .geometry import Subspace, angles, oblique_projection, subspace_join
+from .errors import DimensionMismatch
+from .geometry import Subspace, _split_along
 from .numcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -47,52 +50,31 @@ class MinusVerdict:
     P: np.ndarray | None = None
 
 
-def _splitting_projection(RC: Subspace, RD: Subspace, tol: Tolerance):
-    """Projection onto RC along RD ⊕ (RC + RD)⊥, or None if the ranges
-    overlap (Dixmier cosine too close to 1)."""
-    if angles(RC, RD, tol).dixmier_cos >= 1.0 - tol.eq_rel:
-        return None
-    rest = subspace_join(RC, RD, tol).complement()
-    nullsp = Subspace(RC.ambient_dim, np.hstack([RD.basis, rest.basis]))
-    try:
-        return oblique_projection(RC, nullsp, tol)
-    except NotComplementary:
-        return None
-
-
 def minus_leq(C, B, tol: Tolerance = DEFAULT_TOL) -> MinusVerdict:
     """Decide C ≤⁻ B by rank additivity and by projection factorization."""
     C = as_operator(C)
     B = as_operator(B)
     if C.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {C.shape} vs {B.shape}")
-    m, n = B.shape
     b = _spectrum(B, tol)
     c = _spectrum(C, tol)
+    # at scale 0 (B = C = 0) every rank is 0 and both splits are zero matrices
     scale = float(max(b.s[0], c.s[0])) if len(b.s) else 0.0
-    if scale == 0.0:
-        zero_q = np.zeros((m, m), dtype=np.complex128)
-        zero_p = np.zeros((n, n), dtype=np.complex128)
-        return MinusVerdict(True, True, True, Q=zero_q, P=zero_p)
     c = c.at_scale(scale, tol)
     d = _spectrum(B - C, tol, scale)
     rank_route = c.rank + d.rank == b.at_scale(scale, tol).rank
 
-    Q = _splitting_projection(Subspace(m, c.range_basis), Subspace(m, d.range_basis), tol)
-    P = None
-    projection_route = False
-    if Q is not None:
-        Padj = _splitting_projection(Subspace(n, c.corange_basis),
-                                     Subspace(n, d.corange_basis), tol)
-        if Padj is not None:
-            P = Padj.conj().T
-            # range_leq(C, B) and its adjoint, on B's own rank cutoff
-            projection_route = (
-                opnorm_leq(Q @ B - C, tol.eq_rel * scale)
-                and opnorm_leq(B @ P - C, tol.eq_rel * scale)
-                and _in_span(C, b.range_basis, tol)
-                and _in_span(C.conj().T, b.corange_basis, tol)
-            )
+    Q = _split_along(c.range_basis, d.range_basis, tol)
+    Padj = None if Q is None else _split_along(c.corange_basis, d.corange_basis, tol)
+    P = None if Padj is None else Padj.conj().T
+    # range_leq(C, B) and its adjoint, on B's own rank cutoff
+    projection_route = (
+        P is not None
+        and opnorm_leq(Q @ B - C, tol.eq_rel * scale)
+        and opnorm_leq(B @ P - C, tol.eq_rel * scale)
+        and _in_span(C, b.range_basis, tol)
+        and _in_span(C.conj().T, b.corange_basis, tol)
+    )
     if not projection_route:
         Q = P = None
     return MinusVerdict(

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .douglas import _in_span, _reduced_D
+from .douglas import _in_span, _reduced_coeffs, _reduced_D
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
@@ -167,7 +167,7 @@ def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> Parallel
 
     # reduced solutions through the polar factor of A + B
     E_B = _reduced_D(total.root_factors, B, tol)
-    F_A = _reduced_D(total.abs_root_factors, A.conj().T, tol)
+    F_A = _reduced_coeffs(total.abs_root_factors, A.conj().T)  # gated by _summable
     route_reduced = F_A.conj().T @ E_B
 
     route_block = _block_device(A, B, tol)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .douglas import _in_span, _reduced_D
+from .douglas import _in_span, _reduced_coeffs
 from .errors import DimensionMismatch, NotComplementable, ConsistencyError
-from .geometry import Subspace, angles
+from .geometry import Subspace, _largest_cosine
 from .numcore import (
     DEFAULT_TOL,
     FundamentalSubspaces,
@@ -167,7 +167,7 @@ def complementability(A, S: Subspace, T: Subspace,
     """
     A = as_operator(A)
     blocks = block_decompose(A, S, T, tol)
-    return _report_for(A, S, T, blocks, _spectrum(blocks.A22, tol, _fro(A)), tol)
+    return _report_for(A, blocks, _spectrum(blocks.A22, tol, _fro(A)), tol)
 
 
 def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
@@ -183,7 +183,7 @@ def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Toleran
     blocks = block_decompose(A, S, T, tol)
     corner = _spectrum(blocks.A22, tol, _fro(A))
     if not _gate(blocks, corner, tol):
-        raise NotComplementable(_report_for(A, S, T, blocks, corner, tol))
+        raise NotComplementable(_report_for(A, blocks, corner, tol))
     return blocks, corner
 
 
@@ -211,8 +211,8 @@ def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.nd
     return P_hat, Q_hat
 
 
-def _report_for(A, S: Subspace, T: Subspace, blocks: BlockDecomposition,
-                corner: FundamentalSubspaces, tol: Tolerance) -> ComplementabilityReport:
+def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
+                tol: Tolerance) -> ComplementabilityReport:
     included = _gate(blocks, corner, tol)
 
     witnesses = None
@@ -226,16 +226,14 @@ def _report_for(A, S: Subspace, T: Subspace, blocks: BlockDecomposition,
             F=blocks.t_perp_basis @ F_adj.conj().T @ blocks.t_basis.conj().T,
             P_hat=P_hat,
             Q_hat=Q_hat,
-            M_r=np.eye(S.ambient_dim) - P_hat,
-            M_l=np.eye(T.ambient_dim) - Q_hat,
+            M_r=np.eye(A.shape[1]) - P_hat,
+            M_l=np.eye(A.shape[0]) - Q_hat,
         )
 
-    corange_image = Subspace.range_of(A.conj().T @ T.complement().basis, tol)
-    range_image = Subspace.range_of(A @ S.complement().basis, tol)
-    angle_check = (
-        angles(S, corange_image, tol).dixmier_cos,
-        angles(T, range_image, tol).dixmier_cos,
-    )
+    corange_image = _spectrum(A.conj().T @ blocks.t_perp_basis, tol).range_basis
+    range_image = _spectrum(A @ blocks.s_perp_basis, tol).range_basis
+    angle_check = (_largest_cosine(blocks.s_basis, corange_image),
+                   _largest_cosine(blocks.t_basis, range_image))
     return ComplementabilityReport(
         weakly=included, strongly=included, witnesses=witnesses, angle_check=angle_check
     )
@@ -256,8 +254,9 @@ def _shorted_parts(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
     F_strong_adj = blocks.A12 @ corner_pinv
     sigma = blocks.A11 - blocks.A12 @ E_strong
 
-    E_weak = _reduced_D(corner.root_factors, blocks.A21, tol)
-    F_weak = _reduced_D(corner.abs_root_factors, blocks.A12.conj().T, tol)
+    # _gate decided both inclusions on these bases
+    E_weak = _reduced_coeffs(corner.root_factors, blocks.A21)
+    F_weak = _reduced_coeffs(corner.abs_root_factors, blocks.A12.conj().T)
     gap = sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
     if not opnorm_leq(gap, 10.0 * tol.eq_rel, A):
         raise ConsistencyError(

@@ -3,7 +3,8 @@
 Each call is the first of its kind and shape, with the library's caches
 cleared, on fixed inputs: parallel_sum 2x2, shorted 2x2 (the README
 example), minus_leq 3x3 on a singular-triple subset, parallel_sum 64x64,
-schur_compression 3x3, and genlab's gen_da_member 4x4.
+schur_compression 3x3, genlab's gen_da_member 4x4, oblique_projection 4x4
+and complementability on a 4x4 triple that is not complementable.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.
 """
@@ -11,7 +12,15 @@ gain to pin here.
 import numpy as np
 import pytest
 
-from shortops import Subspace, minus_leq, parallel_sum, schur_compression, shorted
+from shortops import (
+    Subspace,
+    complementability,
+    minus_leq,
+    oblique_projection,
+    parallel_sum,
+    schur_compression,
+    shorted,
+)
 from shortops.genlab import gen_da_member
 from shortops.parallel import _first_copy_subspace
 
@@ -46,6 +55,20 @@ def svd_calls(monkeypatch):
     _first_copy_subspace.cache_clear()
 
 
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """Count of np.linalg.inv calls, as a one-item list."""
+    count = [0]
+    real = np.linalg.inv
+
+    def counting(a, *args, **kwargs):
+        count[0] += 1
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return count
+
+
 def test_parallel_sum_2x2(svd_calls):
     rng = np.random.default_rng(0)
     parallel_sum(_gauss(rng, 2, 2), _gauss(rng, 2, 2))
@@ -60,10 +83,38 @@ def test_shorted_2x2(svd_calls):
     assert svd_calls == {"factor": 2, "norm": 0}
 
 
-def test_minus_leq_3x3(svd_calls):
+def test_minus_leq_3x3(svd_calls, inv_calls):
     C, B = _minus_pair(np.random.default_rng(0))
     assert minus_leq(C, B).holds
-    assert svd_calls == {"factor": 11, "norm": 0}
+    # B, C and B - C, then one SVD of the stacked range bases and one of the
+    # stacked corange bases, each giving the overlap test and the projection
+    assert svd_calls == {"factor": 5, "norm": 0}
+    assert inv_calls == [0]
+
+
+def test_oblique_projection_4x4(svd_calls, inv_calls):
+    rng = np.random.default_rng(0)
+    R = Subspace(4, np.linalg.qr(_gauss(rng, 4, 2))[0])
+    N = Subspace(4, np.linalg.qr(_gauss(rng, 4, 2))[0])
+    oblique_projection(R, N)
+    # one SVD of the stacked bases gives the overlap test and the projection
+    assert svd_calls == {"factor": 1, "norm": 0}
+    assert inv_calls == [0]
+
+
+def test_complementability_report_4x4(svd_calls):
+    A = np.zeros((4, 4))
+    A[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
+    A[2, 2] = 1.0
+    A[3, 0] = 1.0  # R(A21) leaves R(A22): not complementable
+    e = np.eye(4)
+    S = Subspace(4, e[:, :2])
+    T = Subspace(4, e[:, :2])
+    report = complementability(A, S, T)
+    assert not report.weakly
+    # the complements of S and T, the corner, and the two images whose
+    # Dixmier cosines against S and T make the angle cross-check
+    assert svd_calls == {"factor": 5, "norm": 0}
 
 
 def test_parallel_sum_64x64(svd_calls):

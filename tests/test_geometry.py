@@ -12,6 +12,8 @@ from shortops import (
     subspace_meet,
 )
 from shortops.genlab import gen_subspace
+from shortops.geometry import _largest_cosine, _split_along
+from shortops.numcore import DEFAULT_TOL
 
 
 def span(*vectors):
@@ -46,6 +48,8 @@ def test_oblique_projection_examples():
     assert np.allclose(oblique_projection(R, N), ortho_projection(R))
     with pytest.raises(NotComplementary):
         oblique_projection(span([1, 0]), span([1, 0]))
+    with pytest.raises(NotComplementary):  # dimensions 1 + 1 in C^3
+        oblique_projection(span([1, 0, 0]), span([0, 1, 0]))
 
 
 def test_meet_join_examples():
@@ -127,3 +131,92 @@ def test_oblique_projection_range_and_nullspace():
         assert np.linalg.norm(Q @ Q - Q) <= 1e-9 * scale
         assert Subspace.range_of(Q).equals(R) or k == 0
         assert np.linalg.norm(Q @ N.basis) <= 1e-9 * scale
+
+
+def _unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(Z)[0]
+
+
+def _frame_inverse_split(W1, W2, tol=DEFAULT_TOL):
+    """Reference: the Dixmier test on W1* W2, then W1 times the first rows
+    of the inverse of the unitary-completed frame [W1 W2 W_rest]."""
+    n, a = W1.shape
+    b = W2.shape[1]
+    if a + b > n:
+        return None
+    if a and b and np.linalg.norm(W1.conj().T @ W2, 2) >= 1.0 - tol.eq_rel:
+        return None
+    U = np.linalg.svd(np.hstack([W1, W2]), full_matrices=True)[0]
+    frame = np.hstack([W1, W2, U[:, a + b:]])
+    return W1 @ np.linalg.inv(frame)[:a]
+
+
+def _pair_draw(rng, n, a, b, gap=None):
+    """Orthonormal W1 (n x a) and W2 (n x b); with ``gap``, the Dixmier
+    cosine between their ranges is 1 - gap (needs a, b >= 1, a + b <= n)."""
+    F = _unitary(rng, n)
+    if gap is None:
+        return F[:, :a], _unitary(rng, n)[:, :b]
+    cos = 1.0 - gap
+    tilted = cos * F[:, :1] + np.sqrt(1.0 - cos * cos) * F[:, a:a + 1]
+    W2 = np.hstack([tilted, F[:, a + 1:a + b]]) @ _unitary(rng, b)
+    return F[:, :a] @ _unitary(rng, a), W2
+
+
+def test_stacked_split_matches_frame_inverse():
+    rng = np.random.default_rng(2024)
+    eq_rel = DEFAULT_TOL.eq_rel
+    near = decided = 0
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        a, b = (int(v) for v in rng.integers(0, n + 1, size=2))
+        gap = None
+        if trial % 3 == 0 and a and b and a + b <= n:
+            # within a decade of the threshold, on either side of it
+            gap = eq_rel * 10.0 ** (rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
+            near += 1
+        W1, W2 = _pair_draw(rng, n, a, b, gap)
+        got = _split_along(W1, W2, DEFAULT_TOL)
+        want = _frame_inverse_split(W1, W2)
+        assert (got is None) == (want is None), (n, a, b, gap)
+        if gap is not None:
+            assert (got is None) == (gap < eq_rel)
+        if want is None:
+            continue
+        decided += 1
+        # both are backward stable; the frame's condition number squared
+        # bounds the forward error of either
+        s = np.linalg.svd(np.hstack([W1, W2]), compute_uv=False)
+        cond = s[0] / s[-1] if s.size else 1.0
+        assert np.linalg.norm(got - want, 2) <= 1e-13 * n * cond ** 2 * max(1.0, np.linalg.norm(want, 2))
+        assert np.linalg.norm(got @ got - got) <= 1e-9 * max(1.0, np.linalg.norm(got, 2)) ** 2
+        assert np.linalg.norm(got @ W2) <= 1e-9 * max(1.0, np.linalg.norm(got, 2))
+    assert near >= 40 and decided >= 200
+
+
+def test_stacked_least_singular_value_is_dixmier_gap():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        a = int(rng.integers(1, n))
+        b = int(rng.integers(1, n - a + 1))
+        W1, W2 = _pair_draw(rng, n, a, b)
+        sigma_min = np.linalg.svd(np.hstack([W1, W2]), compute_uv=False)[-1]
+        assert abs(1.0 - sigma_min ** 2 - _largest_cosine(W1, W2)) <= 1e-12
+
+
+def test_oblique_projection_threshold_and_excess_dimension():
+    rng = np.random.default_rng(5)
+    eq_rel = DEFAULT_TOL.eq_rel
+    for gap, raises in ((eq_rel / 10.0, True), (eq_rel * 10.0, False)):
+        W1, W2 = _pair_draw(rng, 4, 2, 2, gap)
+        R, N = Subspace(4, W1), Subspace(4, W2)
+        if raises:
+            with pytest.raises(NotComplementary):
+                oblique_projection(R, N)
+        else:
+            Q = oblique_projection(R, N)
+            assert np.linalg.norm(Q @ W2) <= 1e-9 * np.linalg.norm(Q, 2)
+    W1, W2 = _pair_draw(rng, 3, 2, 2)
+    assert _split_along(W1, W2, DEFAULT_TOL) is None  # a + b > n: ranges meet

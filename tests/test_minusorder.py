@@ -4,12 +4,17 @@ import pytest
 from shortops import (
     DimensionMismatch,
     Subspace,
+    angles,
+    fundamental_subspaces,
     in_minus_set,
     minus_leq,
     opnorm,
     shorted,
+    subspace_join,
 )
 from shortops.genlab import gauss, gen_complementable, trial_rng
+from shortops.geometry import _split_along
+from shortops.numcore import DEFAULT_TOL
 
 
 def test_minus_leq_examples():
@@ -48,6 +53,9 @@ def test_minus_leq_witness_factorizations():
 def test_minus_leq_zero_and_strict_cases():
     B = np.array([[3.0, 0.0], [0.0, 1.0]])
     assert minus_leq(np.zeros((2, 2)), B).holds
+    v = minus_leq(np.zeros((3, 2)), np.zeros((3, 2)))
+    assert v.holds and v.rank_route and v.projection_route
+    assert np.array_equal(v.Q, np.zeros((3, 3))) and np.array_equal(v.P, np.zeros((2, 2)))
     assert minus_leq(B, B).holds
     # a scalar multiple strictly between 0 and B fails rank additivity
     assert not minus_leq(0.5 * B, B).holds
@@ -84,3 +92,54 @@ def test_route_agreement_on_mixed_pairs():
         C = gauss(rng, m, n) if mode else 0.5 * B
         v = minus_leq(C, B)
         assert v.rank_route == v.projection_route
+
+
+def _frame_inverse_projection(W1, W2, tol):
+    """Reference splitting projection through the subspace API: the Dixmier
+    test from ``angles``, the complement of the join, and the inverse of the
+    frame [W1 W2 rest]."""
+    n = W1.shape[0]
+    R1, R2 = Subspace(n, W1), Subspace(n, W2)
+    if angles(R1, R2, tol).dixmier_cos >= 1.0 - tol.eq_rel:
+        return None
+    rest = subspace_join(R1, R2, tol).complement()
+    frame = np.hstack([W1, W2, rest.basis])
+    if frame.shape[1] != n:
+        return None
+    return W1 @ np.linalg.inv(frame)[:W1.shape[1]]
+
+
+def test_split_matches_frame_inverse_construction():
+    rng = trial_rng(61, 0, 0)
+    tol = DEFAULT_TOL
+    split = holds = 0
+    for trial in range(240):
+        m, n = [int(v) for v in rng.integers(2, 7, size=2)]
+        B = gauss(rng, m, n)
+        if trial % 4 == 3:
+            B = gauss(rng, m, 2) @ gauss(rng, 2, n)
+        mode = trial % 3
+        if mode == 0:
+            U, s, Vh = np.linalg.svd(B)
+            keep = [i for i in range(len(s)) if s[i] > 1e-8 * s[0] and rng.integers(0, 2)]
+            C = (U[:, keep] * s[keep]) @ Vh[keep]
+        else:
+            C = gauss(rng, m, 1) @ gauss(rng, 1, n) if mode == 1 else 0.5 * B
+        scale = max(np.linalg.svd(B, compute_uv=False)[0], np.linalg.svd(C, compute_uv=False)[0])
+        c = fundamental_subspaces(C).at_scale(scale, tol)
+        d = fundamental_subspaces(B - C).at_scale(scale, tol)
+        refs = []
+        for W1, W2 in ((c.range_basis, d.range_basis), (c.corange_basis, d.corange_basis)):
+            got = _split_along(W1, W2, tol)
+            want = _frame_inverse_projection(W1, W2, tol)
+            assert (got is None) == (want is None)
+            if want is not None:
+                split += 1
+                assert opnorm(got - want) <= 1e-9 * max(opnorm(want), 1.0)
+            refs.append(want)
+        v = minus_leq(C, B)
+        if v.projection_route:
+            holds += 1
+            assert opnorm(v.Q - refs[0]) <= 1e-9 * max(opnorm(refs[0]), 1.0)
+            assert opnorm(v.P - refs[1].conj().T) <= 1e-9 * max(opnorm(refs[1]), 1.0)
+    assert holds >= 60 and split > 2 * holds
