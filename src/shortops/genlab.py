@@ -26,6 +26,7 @@ from .geometry import (
 from .minusorder import in_minus_set, minus_leq
 from .numcore import (
     DEFAULT_TOL,
+    FundamentalSubspaces,
     Tolerance,
     fundamental_subspaces,
     opnorm,
@@ -191,11 +192,15 @@ def _dims(rng, cfg: GenConfig) -> tuple[int, int]:
 
 
 def _cond_ok(M, cap: float, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Spread of the nonzero singular values stays below the cap."""
-    s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return True
-    r = _rank_rule(s, M.shape, s[0], tol)
+    """Spread of the nonzero singular values stays below the cap; M is a
+    matrix, or the factors of one that the caller already holds."""
+    if isinstance(M, FundamentalSubspaces):
+        s, r = M.s, M.rank
+    else:
+        s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
+        if len(s) == 0 or s[0] == 0.0:
+            return True
+        r = _rank_rule(s, M.shape, s[0], tol)
     return r == 0 or s[0] / s[r - 1] <= cap
 
 
@@ -273,13 +278,11 @@ def _random_idempotent(rng, n: int, k: int, tol: Tolerance):
     return oblique_projection(R, N, tol)
 
 
-def _svd_triple_subset(B: np.ndarray, indices, tol: Tolerance) -> np.ndarray:
-    """Sum of the selected singular triples of B: a canonical minus-minorant."""
-    U, s, Vh = np.linalg.svd(B)
+def _svd_triple_subset(fs: FundamentalSubspaces, indices) -> np.ndarray:
+    """Sum of the selected singular triples of a factored B (none: zero), a
+    canonical minus-minorant."""
     idx = np.asarray(sorted(indices), dtype=int)
-    if len(idx) == 0:
-        return np.zeros_like(B)
-    return (U[:, idx] * s[idx]) @ Vh[idx]
+    return (fs.U[:, idx] * fs.s[idx]) @ fs.Vh[idx]
 
 
 def _ambiguous_minus_angles(C, B, tol: Tolerance) -> bool:
@@ -662,14 +665,15 @@ def _inv_minus_axioms(rng, cfg, tol):
     m, n = _dims(rng, cfg)
     r_total = int(rng.integers(0, min(m, n) + 1))
     B = gauss(rng, m, r_total) @ gauss(rng, r_total, n)
-    if not _cond_ok(B, cfg.condition_cap, tol):
+    fs = fundamental_subspaces(B, tol)
+    if not _cond_ok(fs, cfg.condition_cap):
         return None
-    r = rank(B, tol)
+    r = fs.rank
     perm = rng.permutation(r)
     k1 = int(rng.integers(0, r + 1))
     k2 = int(rng.integers(0, k1 + 1))
-    C1 = _svd_triple_subset(B, perm[:k1], tol)
-    C2 = _svd_triple_subset(B, perm[:k2], tol)
+    C1 = _svd_triple_subset(fs, perm[:k1])
+    C2 = _svd_triple_subset(fs, perm[:k2])
     if not minus_leq(B, B, tol).holds:
         return False
     if not (minus_leq(C1, B, tol).holds and minus_leq(C2, C1, tol).holds
@@ -686,8 +690,8 @@ def _inv_minus_axioms(rng, cfg, tol):
 def _inv_minus_range_inclusion(rng, cfg, tol):
     m, n = _dims(rng, cfg)
     B = gauss(rng, m, n)
-    r = rank(B, tol)
-    C = _svd_triple_subset(B, rng.permutation(r)[: int(rng.integers(0, r + 1))], tol)
+    fs = fundamental_subspaces(B, tol)
+    C = _svd_triple_subset(fs, rng.permutation(fs.rank)[: int(rng.integers(0, fs.rank + 1))])
     if not minus_leq(C, B, tol).holds:
         return False
     return range_leq(C, B, tol) and range_leq(C.conj().T, B.conj().T, tol)
@@ -699,8 +703,8 @@ def _inv_minus_projection_inheritance(rng, cfg, tol):
     B = _random_idempotent(rng, n, k, tol)
     if B is None or opnorm(B) > 1e2:
         return None
-    r = rank(B, tol)
-    C = _svd_triple_subset(B, rng.permutation(r)[: int(rng.integers(0, r + 1))], tol)
+    fs = fundamental_subspaces(B, tol)
+    C = _svd_triple_subset(fs, rng.permutation(fs.rank)[: int(rng.integers(0, fs.rank + 1))])
     if not minus_leq(C, B, tol).holds:
         return False
     return opnorm(C @ C - C) <= 1e-8
@@ -711,8 +715,8 @@ def _inv_minus_route_agreement(rng, cfg, tol):
     mode = int(rng.integers(0, 3))
     if mode == 0:
         B = gauss(rng, m, n)
-        r = rank(B, tol)
-        C = _svd_triple_subset(B, rng.permutation(r)[: int(rng.integers(0, r + 1))], tol)
+        fs = fundamental_subspaces(B, tol)
+        C = _svd_triple_subset(fs, rng.permutation(fs.rank)[: int(rng.integers(0, fs.rank + 1))])
     elif mode == 1:
         B = gauss(rng, m, n)
         C = gauss(rng, m, n)
@@ -733,14 +737,14 @@ def _inv_mitra_maximality(rng, cfg, tol):
     sig = shorted(A, S, T, tol).shorted
     if not in_minus_set(sig, A, S, T, tol):
         return False
-    U, s, Vh = np.linalg.svd(sig)
-    r = _rank_at_scale(sig, max(opnorm(A), opnorm(sig)), tol)
+    fs = fundamental_subspaces(sig, tol)
+    r = fs.at_scale(max(opnorm(A), fs.s[0]), tol).rank
     if r == 0:
         return True  # the minorant set degenerates to {0}; membership was the test
     for _ in range(4):
         if rng.integers(0, 2) == 0 and r > 0:
             J = rng.permutation(r)[: int(rng.integers(0, r + 1))]
-            E = U[:, sorted(J)] @ U[:, sorted(J)].conj().T
+            E = fs.U[:, sorted(J)] @ fs.U[:, sorted(J)].conj().T
         else:
             E = _random_idempotent(rng, A.shape[0], int(rng.integers(0, A.shape[0] + 1)), tol)
             if E is None:
@@ -801,10 +805,10 @@ def _inv_parallel_subtract_round_trip(rng, cfg, tol):
     scale = max(opnorm(C), 1.0)
     if not in_da(D, -A, tol):
         return False
-    if opnorm(parallel_sum(D, A, tol).sum - C) > 1e-8 * scale:
+    E = parallel_sum(D, A, tol).sum
+    if opnorm(E - C) > 1e-8 * scale:
         return False
     # reverse direction of the bijection
-    E = parallel_sum(D, A, tol).sum
     if not in_da(E, A, tol):
         return False
     return opnorm_leq(parallel_subtract(E, A, tol) - D, 1e-8, D)

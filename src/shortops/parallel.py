@@ -2,18 +2,20 @@
 
 The parallel sum of two summable operators is defined through the shorted
 operator of the doubled block matrix [[A, A], [A, A+B]] with respect to the
-first-copy subspaces; for closed ranges it collapses to A - A (A+B)^+ A.
-Three computation routes are kept alive and compared on every call.
+first copies.  In the first-copy frames its blocks are A, A, A and the corner
+A + B, so the shorted block is read by slicing: the Schur complement
+A - A (A+B)^+ A, computed by the same core as ``shorted`` on the one
+factorization of A + B that also decides summability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+import math
 
 import numpy as np
 
-from .douglas import _in_span, _reduced_coeffs, _reduced_D
+from .douglas import _in_span, _reduced_D
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
@@ -29,9 +31,10 @@ from .numcore import (
     as_operator,
     max_opnorm,
     opnorm,
+    _fro,
     _spectrum,
 )
-from .shorting import shorted_matrix, _complementable_blocks
+from .shorting import shorted_matrix, _complementable_blocks, _schur_complement
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
 
@@ -65,13 +68,14 @@ class SummabilityReport:
 
 @dataclass(frozen=True)
 class ParallelSumResult:
-    """Parallel sum with all three computation routes retained.
+    """Parallel sum with its computation routes retained.
 
-    route_pinv is A - A (A+B)^+ A; route_reduced is F_A* E_B from the reduced
-    solutions through the polar factor of A + B; route_block extracts the
-    shorted block of [[A, A], [A, A+B]].  max_route_disagreement is the
-    largest pairwise gap (in operator norm, including the arguments-swapped
-    pseudoinverse formula, which checks commutativity).
+    route_block is the shorted block of [[A, A], [A, A+B]] read by slicing,
+    A - A (A+B)^+ A, and is returned as ``sum``; route_pinv is the same
+    matrix.  route_reduced is A (A+B)^+ B, F_A* E_B from the reduced
+    solutions through the polar factor of A + B.  max_route_disagreement is
+    the largest gap in operator norm among route_pinv, route_reduced and the
+    arguments-swapped B - B (A+B)^+ B, which checks commutativity.
     """
 
     sum: np.ndarray
@@ -129,29 +133,15 @@ def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
     return _summability_report(A, B, _spectrum(A + B, tol), tol)
 
 
-@lru_cache(maxsize=64)
-def _first_copy_subspace(double_dim: int) -> Subspace:
-    """H ⊕ {0} inside H ⊕ H, reused (with its cached complement) across calls."""
-    half = double_dim // 2
-    return Subspace(double_dim, np.eye(double_dim, dtype=np.complex128)[:, :half])
-
-
-def _block_device(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Shorted operator of [[A, A], [A, A+B]] w.r.t. the first copies."""
-    m, n = A.shape
-    doubled = np.block([[A, A], [A, A + B]])
-    S = _first_copy_subspace(2 * n)
-    T = _first_copy_subspace(2 * m)
-    return shorted_matrix(doubled, S, T, tol)[:m, :n]
-
-
 def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
-    """Parallel sum A ∥ B of a summable pair, by three concurrent routes.
+    """Parallel sum A ∥ B of a summable pair, from one SVD of A + B.
 
-    The block-device route is the defining one and is returned as ``sum``;
-    the pseudoinverse and reduced-solution routes are cross-checks whose
-    largest deviation is recorded.  Raises NotSummable (carrying the report)
-    when the pair is not weakly summable.
+    The shorted block of the doubled matrix is the defining route and is
+    returned as ``sum``; its reduced-solution cross-check raises
+    ConsistencyError beyond 10 * eq_rel of the doubled matrix's Frobenius
+    norm, and the gaps to A (A+B)^+ B and to B - B (A+B)^+ B are recorded.
+    Raises NotSummable (carrying the report) when the pair is not weakly
+    summable.
     """
     A, B = _checked_pair(A, B)
     return _parallel_sum(A, B, _spectrum(A + B, tol), tol)
@@ -161,25 +151,20 @@ def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> Parallel
     """parallel_sum on checked operands and the factors of their sum."""
     if not _summable(A, total, tol):
         raise NotSummable(_summability_report(A, B, total, tol))
-    total_pinv = total.pinv()
-    route_pinv = A - A @ total_pinv @ A
-    route_pinv_swapped = B - B @ total_pinv @ B
-
-    # reduced solutions through the polar factor of A + B
-    E_B = _reduced_D(total.root_factors, B, tol)
-    F_A = _reduced_coeffs(total.abs_root_factors, A.conj().T)  # gated by _summable
-    route_reduced = F_A.conj().T @ E_B
-
-    route_block = _block_device(A, B, tol)
-
-    routes = (route_pinv, route_reduced, route_block, route_pinv_swapped)
+    # The doubled matrix's blocks in the first-copy frames are A, A, A and
+    # A + B; its Frobenius norm anchors the check without forming it.
+    doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
+    block, _, _, _, _, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
+    # F_A is A's reduced solution through |A+B|^(1/2), gated by _summable
+    route_reduced = F_A.conj().T @ _reduced_D(total.root_factors, B, tol)
+    route_swapped = B - B @ total.pinv() @ B
     return ParallelSumResult(
-        sum=route_block,
-        route_pinv=route_pinv,
+        sum=block,
+        route_pinv=block,
         route_reduced=route_reduced,
-        route_block=route_block,
+        route_block=block,
         max_route_disagreement=max_opnorm(
-            [x - y for i, x in enumerate(routes) for y in routes[i + 1:]]
+            [block - route_reduced, block - route_swapped, route_reduced - route_swapped]
         ),
     )
 

@@ -102,8 +102,11 @@ class ShortedDiagnostics:
 
     All entries are operator norms relative to max(||A||, 1).
     route_disagreement compares the pseudoinverse formula against the
-    reduced-solution route; qa_ap_gap is ||Q A - A P||; qa_residual and
-    ap_residual compare both products against the shorted operator.
+    reduced-solution route.  Both multiply out to A12 V diag(1/s) W* A21 on
+    the corner's own factors, in two association orders, so it is a
+    conditioning check, not an independent computation.  qa_ap_gap is
+    ||Q A - A P||; qa_residual and ap_residual compare both products against
+    the shorted operator.
     """
 
     route_disagreement: float
@@ -239,31 +242,34 @@ def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
     )
 
 
-def _shorted_parts(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
-    """Gate, both shorting routes and their mandatory cross-check.
+def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
+                      corner: FundamentalSubspaces, anchor, tol: Tolerance):
+    """A11 - A12 A22^+ A21 from the corner's factors, with its mandatory
+    cross-check.
 
-    The Schur-complement block sigma comes from the corner pseudoinverse and
-    is recomputed through the reduced solutions of the corner equations
-    (through the polar factor of A22).  A disagreement beyond 10 * eq_rel
-    raises ConsistencyError.  Returns the blocks, sigma, the route gap, the
-    strong corner solutions E and F_adj, and the reduced solutions.
+    The caller has decided R(A21) ⊆ R(A22) and R(A12*) ⊆ R(A22*) on the
+    corner's bases.  sigma comes from the corner pseudoinverse and is
+    recomputed through the reduced solutions of the corner equations
+    (through the polar factor of A22); a disagreement beyond
+    10 * eq_rel * max(||anchor||, 1) raises ConsistencyError.  Returns sigma,
+    the route gap, the strong corner solutions E = A22^+ A21 and
+    F_adj = A12 A22^+, and the reduced solutions.
     """
-    blocks, corner = _complementable_blocks(A, S, T, tol)
     corner_pinv = corner.pinv()
-    E_strong = corner_pinv @ blocks.A21
-    F_strong_adj = blocks.A12 @ corner_pinv
-    sigma = blocks.A11 - blocks.A12 @ E_strong
+    E_strong = corner_pinv @ A21
+    F_strong_adj = A12 @ corner_pinv
+    sigma = A11 - A12 @ E_strong
 
-    # _gate decided both inclusions on these bases
-    E_weak = _reduced_coeffs(corner.root_factors, blocks.A21)
-    F_weak = _reduced_coeffs(corner.abs_root_factors, blocks.A12.conj().T)
-    gap = sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
-    if not opnorm_leq(gap, 10.0 * tol.eq_rel, A):
+    E_weak = _reduced_coeffs(corner.root_factors, A21)
+    F_weak = _reduced_coeffs(corner.abs_root_factors, A12.conj().T)
+    gap = sigma - (A11 - F_weak.conj().T @ E_weak)
+    if not opnorm_leq(gap, 10.0 * tol.eq_rel, anchor):
+        scale = opnorm(anchor) if isinstance(anchor, np.ndarray) else anchor
         raise ConsistencyError(
-            f"shorting routes disagree by {opnorm(gap) / max(opnorm(A), 1.0):.3e} "
-            "(relative); the input is likely at the edge of complementability"
+            f"Schur-complement routes disagree by {opnorm(gap) / max(scale, 1.0):.3e} "
+            "(relative); the corner is likely at the edge of its rank cutoff"
         )
-    return blocks, sigma, gap, E_strong, F_strong_adj, E_weak, F_weak
+    return sigma, gap, E_strong, F_strong_adj, E_weak, F_weak
 
 
 def shorted_matrix(A, S: Subspace, T: Subspace,
@@ -271,11 +277,11 @@ def shorted_matrix(A, S: Subspace, T: Subspace,
     """The shorted operator alone, without witness projections or diagnostics.
 
     Same gate, same primary formula and the same mandatory reduced-solution
-    cross-check as ``shorted``; use it where only the matrix is needed (the
-    parallel-sum block device calls this in a loop).
+    cross-check as ``shorted``; use it where only the matrix is needed.
     """
     A = as_operator(A)
-    blocks, sigma, *_ = _shorted_parts(A, S, T, tol)
+    blocks, corner = _complementable_blocks(A, S, T, tol)
+    sigma, *_ = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
     return blocks.t_basis @ sigma @ blocks.s_basis.conj().T
 
 
@@ -289,7 +295,9 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     report) when the triple is not weakly complementable.
     """
     A = as_operator(A)
-    blocks, sigma, gap, E_strong, F_strong_adj, E_weak, F_weak = _shorted_parts(A, S, T, tol)
+    blocks, corner = _complementable_blocks(A, S, T, tol)
+    sigma, gap, E_strong, F_strong_adj, E_weak, F_weak = _schur_complement(
+        blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
     shorted_full = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
     P, Q = _witness_projections(blocks, E_strong, F_strong_adj)
 

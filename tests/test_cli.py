@@ -71,6 +71,17 @@ def test_cmd_psum(tmp_path, capsys):
     assert main(["psum", a, e]) == 1
 
 
+def test_cmd_psum_near_singular_sum(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.json", np.eye(2))
+    b = write_matrix(tmp_path / "b.json", np.diag([-1 + 1e-3, -1 + 1e-11]))
+    assert main(["psum", a, b]) in (0, 2)
+    assert json.loads(capsys.readouterr().out).get("error") != "not-complementable"
+
+    c = write_matrix(tmp_path / "c.json", np.diag([-1 + 1e-3, -1 + 1e-9]))
+    assert main(["psum", a, c]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ConsistencyError"
+
+
 def test_cmd_psub(tmp_path, capsys):
     c = write_matrix(tmp_path / "c.json", [[1.0]])
     a = write_matrix(tmp_path / "a.json", [[2.0]])

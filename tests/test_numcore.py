@@ -249,6 +249,8 @@ def test_rank_rule_lives_in_numcore():
         for banned in ("np.linalg.svd", "np.linalg.inv", "_svd(", "rank_rel",
                        "root_left", "root_right", "polar_root"):
             assert banned not in source, f"{module.__name__} uses {banned}"
+    # the parallel sum reads the doubled matrix's blocks by slicing
+    assert "np.block(" not in inspect.getsource(parallel)
 
 
 def _exact_leq(X, rel, anchor):

@@ -3,6 +3,7 @@ import pytest
 
 from shortops import (
     BadAuxiliary,
+    ConsistencyError,
     DimensionMismatch,
     NotInDA,
     NotSummable,
@@ -59,6 +60,30 @@ def test_parallel_sum_not_summable():
     with pytest.raises(NotSummable) as info:
         parallel_sum(np.diag([1.0, 0.0]), np.diag([-1.0, 0.0]))
     assert info.value.report.defects.a_range > 0.1
+
+
+def test_parallel_sum_raises_no_complementability_error():
+    # A + B is summable but near-singular; the doubled matrix's corner is a
+    # detail of the definition and must not surface as NotComplementable
+    pairs = [(np.eye(2), np.diag([-1 + 1e-3, -1 + 1e-11]))]
+    rng = np.random.default_rng(43)
+    for eps in (1e-8, 1e-9):
+        for _ in range(20):
+            A = gauss(rng, 4, 4)
+            U, V = (np.linalg.qr(gauss(rng, 4, 4))[0] for _ in range(2))
+            pairs.append((A, -A + (U * [1, 1, 1, eps]) @ V.conj().T))
+    for A, B in pairs:
+        try:
+            parallel_sum(A, B)
+        except (NotSummable, ConsistencyError):
+            pass
+
+
+def test_parallel_sum_consistency_error():
+    # summable, but 1 / sigma_min(A + B) = 1e9 puts the Schur-complement
+    # routes 1.2e-7 apart, past 10 * eq_rel of the doubled matrix's norm
+    with pytest.raises(ConsistencyError):
+        parallel_sum(np.eye(2), np.diag([-1 + 1e-3, -1 + 1e-9]))
 
 
 def test_in_da_examples():
