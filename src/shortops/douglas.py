@@ -9,7 +9,8 @@ lambda with B B* ≤ lambda A A*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,28 @@ class ReducedSolution:
 
     residual is ||A D - B|| / max(||B||, 1); corange_defect measures how far
     the columns of D stray from N(A)-perp.  norm_sq is ||D||^2, which equals
-    the least lambda with B B* ≤ lambda A A*.
+    the least lambda with B B* ≤ lambda A A*.  The three norms decide
+    nothing and are each computed on first read, from the residual matrices
+    and copies of B and D taken at the call.
     """
 
     D: np.ndarray
-    residual: float
-    norm_sq: float
-    corange_defect: float
+    # A D - B and D minus its projection onto N(A)-perp
+    _residuals: tuple = field(repr=False, compare=False)
+    # B (the residual's anchor) and D
+    _operands: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        return opnorm(self._residuals[0]) / max(opnorm(self._operands[0]), 1.0)
+
+    @cached_property
+    def norm_sq(self) -> float:
+        return opnorm(self._operands[1]) ** 2
+
+    @cached_property
+    def corange_defect(self) -> float:
+        return opnorm(self._residuals[1])
 
 
 def _checked_pair(B, A):
@@ -100,7 +116,6 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     Vr = spectrum.corange_basis
     return ReducedSolution(
         D=D,
-        residual=opnorm(A @ D - B) / max(opnorm(B), 1.0),
-        norm_sq=opnorm(D) ** 2,
-        corange_defect=opnorm(D - Vr @ (Vr.conj().T @ D)),
+        _residuals=(A @ D - B, D - Vr @ (Vr.conj().T @ D)),
+        _operands=(B.copy(), D.copy()),
     )

@@ -10,7 +10,8 @@ factorization of A + B that also decides summability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -58,12 +59,25 @@ class SummabilityReport:
     from the factors of A + B and share its ranges, so in finite dimensions
     one residual per inclusion gives both verdicts; the randomized suite
     checks it against a re-factored root.  The inclusions for B follow from
-    those for A and are reported as defects.
+    those for A and are reported as defects.  The defects decide nothing and
+    are computed on their first read, from the residual matrices and copies
+    of A and B taken at the call.
     """
 
     weakly: bool
     strongly: bool
-    defects: SummabilityDefects
+    # A, A*, B and B* minus their projections onto R(A+B) and R((A+B)*)
+    _residuals: tuple = field(repr=False, compare=False)
+    _operands: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def defects(self) -> SummabilityDefects:
+        A, B = self._operands
+        na = max(opnorm(A), 1.0)
+        nb = max(opnorm(B), 1.0)
+        a_range, a_corange, b_range, b_corange = (opnorm(r) for r in self._residuals)
+        return SummabilityDefects(a_range=a_range / na, a_corange=a_corange / na,
+                                  b_range=b_range / nb, b_corange=b_corange / nb)
 
 
 @dataclass(frozen=True)
@@ -75,14 +89,20 @@ class ParallelSumResult:
     matrix.  route_reduced is A (A+B)^+ B, F_A* E_B from the reduced
     solutions through the polar factor of A + B.  max_route_disagreement is
     the largest gap in operator norm among route_pinv, route_reduced and the
-    arguments-swapped B - B (A+B)^+ B, which checks commutativity.
+    arguments-swapped B - B (A+B)^+ B, which checks commutativity.  It
+    decides nothing and is computed on its first read; the three gaps are
+    taken at the call, so changing the returned matrices leaves it as it was.
     """
 
     sum: np.ndarray
     route_pinv: np.ndarray
     route_reduced: np.ndarray
     route_block: np.ndarray
-    max_route_disagreement: float
+    _route_gaps: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def max_route_disagreement(self) -> float:
+        return max_opnorm(self._route_gaps)
 
 
 @dataclass(frozen=True)
@@ -102,21 +122,16 @@ def _summable(A, total: FundamentalSubspaces, tol: Tolerance) -> bool:
 
 
 def _summability_report(A, B, total: FundamentalSubspaces,
-                        tol: Tolerance) -> SummabilityReport:
-    """The full report, with exact defects."""
+                        summable: bool) -> SummabilityReport:
+    """The report on the verdict ``summable`` of ``_summable``, which the
+    caller has decided, with the residuals behind its exact defects."""
     W, V = total.range_basis, total.corange_basis
-    Vh = V.conj().T
+    Wh, Vh = W.conj().T, V.conj().T
     As, Bs = A.conj().T, B.conj().T
-    na = max(opnorm(A), 1.0)
-    nb = max(opnorm(B), 1.0)
-    defects = SummabilityDefects(
-        a_range=opnorm(A - W @ (W.conj().T @ A)) / na,
-        a_corange=opnorm(As - V @ (Vh @ As)) / na,
-        b_range=opnorm(B - W @ (W.conj().T @ B)) / nb,
-        b_corange=opnorm(Bs - V @ (Vh @ Bs)) / nb,
-    )
-    summable = defects.a_range <= tol.eq_rel and defects.a_corange <= tol.eq_rel
-    return SummabilityReport(weakly=summable, strongly=summable, defects=defects)
+    residuals = (A - W @ (Wh @ A), As - V @ (Vh @ As),
+                 B - W @ (Wh @ B), Bs - V @ (Vh @ Bs))
+    return SummabilityReport(weakly=summable, strongly=summable,
+                             _residuals=residuals, _operands=(A.copy(), B.copy()))
 
 
 def _checked_pair(A, B):
@@ -130,7 +145,8 @@ def _checked_pair(A, B):
 def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
     """Test weak and strong parallel summability of (A, B)."""
     A, B = _checked_pair(A, B)
-    return _summability_report(A, B, _spectrum(A + B, tol), tol)
+    total = _spectrum(A + B, tol)
+    return _summability_report(A, B, total, _summable(A, total, tol))
 
 
 def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
@@ -150,7 +166,7 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
 def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> ParallelSumResult:
     """parallel_sum on checked operands and the factors of their sum."""
     if not _summable(A, total, tol):
-        raise NotSummable(_summability_report(A, B, total, tol))
+        raise NotSummable(_summability_report(A, B, total, False))
     # The doubled matrix's blocks in the first-copy frames are A, A, A and
     # A + B; its Frobenius norm anchors the check without forming it.
     doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
@@ -163,9 +179,8 @@ def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> Parallel
         route_pinv=block,
         route_reduced=route_reduced,
         route_block=block,
-        max_route_disagreement=max_opnorm(
-            [block - route_reduced, block - route_swapped, route_reduced - route_swapped]
-        ),
+        _route_gaps=(block - route_reduced, block - route_swapped,
+                     route_reduced - route_swapped),
     )
 
 

@@ -9,7 +9,8 @@ bilateral shorted operator, which kills S-perp and lands inside T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,20 +88,30 @@ class ComplementabilityReport:
 
     angle_check carries the Dixmier cosines of (S, closure of A*(T-perp)) and
     (T, closure of A(S-perp)); both below 1 is an equivalent criterion and is
-    reported for cross-validation.
+    reported for cross-validation.  It decides nothing, so the two image
+    factorizations behind it are made on its first read, from the images
+    A*(T-perp) and A(S-perp) and copies of the bases of S and T that the
+    report keeps.
     """
 
     weakly: bool
     strongly: bool
     witnesses: ComplementabilityWitnesses | None
-    angle_check: tuple[float, float]
+    # (basis of S, A* T-perp) and (basis of T, A S-perp)
+    _angle_pairs: tuple = field(repr=False, compare=False)
+    _tol: Tolerance = field(repr=False, compare=False)
+
+    @cached_property
+    def angle_check(self) -> tuple[float, float]:
+        return tuple(_largest_cosine(basis, _spectrum(image, self._tol).range_basis)
+                     for basis, image in self._angle_pairs)
 
 
 @dataclass(frozen=True)
 class ShortedDiagnostics:
     """Residual record for a shorted-operator computation.
 
-    All entries are operator norms relative to max(||A||, 1).
+    All entries are exact operator norms relative to max(||A||, 1).
     route_disagreement compares the pseudoinverse formula against the
     reduced-solution route.  Both multiply out to A12 V diag(1/s) W* A21 on
     the corner's own factors, in two association orders, so it is a
@@ -122,6 +133,10 @@ class ShortedResult:
     E and F are the reduced solutions of the defining corner equations
     (through the polar factor of A22); P and Q are projections satisfying
     Q A = A P = shorted.  All fields live in the original coordinates.
+    diagnostics decides nothing and is computed on its first read: the
+    residual matrices behind it and a copy of A are taken at the call, so
+    changing the inputs or the returned matrices afterwards leaves it as it
+    was.
     """
 
     shorted: np.ndarray
@@ -129,7 +144,14 @@ class ShortedResult:
     F: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-    diagnostics: ShortedDiagnostics
+    # route gap, QA - AP, QA - shorted, AP - shorted
+    _residuals: tuple = field(repr=False, compare=False)
+    _operand: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def diagnostics(self) -> ShortedDiagnostics:
+        scale = max(opnorm(self._operand), 1.0)
+        return ShortedDiagnostics(*(opnorm(r) / scale for r in self._residuals))
 
 
 def block_decompose(A, S: Subspace, T: Subspace,
@@ -170,7 +192,8 @@ def complementability(A, S: Subspace, T: Subspace,
     """
     A = as_operator(A)
     blocks = block_decompose(A, S, T, tol)
-    return _report_for(A, blocks, _spectrum(blocks.A22, tol, _fro(A)), tol)
+    corner = _spectrum(blocks.A22, tol, _fro(A))
+    return _report_for(A, blocks, corner, _gate(blocks, corner, tol), tol)
 
 
 def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
@@ -186,7 +209,7 @@ def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Toleran
     blocks = block_decompose(A, S, T, tol)
     corner = _spectrum(blocks.A22, tol, _fro(A))
     if not _gate(blocks, corner, tol):
-        raise NotComplementable(_report_for(A, blocks, corner, tol))
+        raise NotComplementable(_report_for(A, blocks, corner, False, tol))
     return blocks, corner
 
 
@@ -215,9 +238,9 @@ def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.nd
 
 
 def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
-                tol: Tolerance) -> ComplementabilityReport:
-    included = _gate(blocks, corner, tol)
-
+                included: bool, tol: Tolerance) -> ComplementabilityReport:
+    """The report on the verdict ``included`` of ``_gate``, which the caller
+    has decided."""
     witnesses = None
     if included:
         corner_pinv = corner.pinv()
@@ -233,12 +256,11 @@ def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
             M_l=np.eye(A.shape[0]) - Q_hat,
         )
 
-    corange_image = _spectrum(A.conj().T @ blocks.t_perp_basis, tol).range_basis
-    range_image = _spectrum(A @ blocks.s_perp_basis, tol).range_basis
-    angle_check = (_largest_cosine(blocks.s_basis, corange_image),
-                   _largest_cosine(blocks.t_basis, range_image))
     return ComplementabilityReport(
-        weakly=included, strongly=included, witnesses=witnesses, angle_check=angle_check
+        weakly=included, strongly=included, witnesses=witnesses,
+        _angle_pairs=((blocks.s_basis.copy(), A.conj().T @ blocks.t_perp_basis),
+                      (blocks.t_basis.copy(), A @ blocks.s_perp_basis)),
+        _tol=tol,
     )
 
 
@@ -300,23 +322,16 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
         blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
     shorted_full = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
     P, Q = _witness_projections(blocks, E_strong, F_strong_adj)
-
-    scale = max(opnorm(A), 1.0)
     QA = Q @ A
     AP = A @ P
-    diagnostics = ShortedDiagnostics(
-        route_disagreement=opnorm(gap) / scale,
-        qa_ap_gap=opnorm(QA - AP) / scale,
-        qa_residual=opnorm(QA - shorted_full) / scale,
-        ap_residual=opnorm(AP - shorted_full) / scale,
-    )
     return ShortedResult(
         shorted=shorted_full,
         E=blocks.s_perp_basis @ E_weak @ blocks.s_basis.conj().T,
         F=blocks.s_perp_basis @ F_weak @ blocks.t_basis.conj().T,
         P=P,
         Q=Q,
-        diagnostics=diagnostics,
+        _residuals=(gap, QA - AP, QA - shorted_full, AP - shorted_full),
+        _operand=A.copy(),
     )
 
 

@@ -2,17 +2,21 @@
 
 Each call is the first of its kind and shape, on fresh Subspace objects
 (whose complements are cached per object) and fixed inputs: parallel_sum
-2x2, shorted 2x2 (the README example), minus_leq 3x3 on a singular-triple
-subset, parallel_sum 64x64, schur_compression 3x3, genlab's gen_da_member
-4x4, oblique_projection 4x4 and complementability on a 4x4 triple that is
-not complementable.
+2x2, shorted 2x2 (the README example) and 64x64, minus_leq 3x3 on a
+singular-triple subset, parallel_sum 64x64, summability 8x8,
+schur_compression 3x3, genlab's gen_da_member 4x4, oblique_projection 4x4
+and complementability on a 4x4 triple that is not complementable.
 A count that rises means a factorization came back; one that falls is a
-gain to pin here.
+gain to pin here.  Reported norms that decide nothing (shorted's
+diagnostics, summability defects, the route disagreement, the
+complementability angle check) are computed on first read, so each of
+those calls is counted before and after that read.
 """
 
 import numpy as np
 import pytest
 
+import shortops
 from shortops import (
     Subspace,
     complementability,
@@ -21,6 +25,7 @@ from shortops import (
     parallel_sum,
     schur_compression,
     shorted,
+    summability,
 )
 from shortops.genlab import gen_da_member
 
@@ -54,6 +59,23 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def opnorm_calls(monkeypatch):
+    """Count of exact spectral norms (opnorm calls, closed-form 2x2 ones
+    included) in the library modules, as a one-item list."""
+    count = [0]
+    real = shortops.numcore.opnorm
+
+    def counting(a):
+        count[0] += 1
+        return real(a)
+
+    for module in (shortops.numcore, shortops.douglas, shortops.geometry,
+                   shortops.shorting, shortops.parallel):
+        monkeypatch.setattr(module, "opnorm", counting)
+    return count
+
+
+@pytest.fixture
 def inv_calls(monkeypatch):
     """Count of np.linalg.inv calls, as a one-item list."""
     count = [0]
@@ -75,10 +97,27 @@ def test_parallel_sum_2x2(svd_calls):
     assert svd_calls == {"factor": 1, "norm": 0}
 
 
-def test_shorted_2x2(svd_calls):
+def test_shorted_2x2(svd_calls, opnorm_calls):
     S = Subspace(2, np.eye(2)[:, :1])
-    shorted(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S)
+    res = shorted(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S)
     assert svd_calls == {"factor": 2, "norm": 0}
+    assert opnorm_calls == [0]
+    res.diagnostics
+    # ||A|| and the four residuals, in closed form at 2x2; read once
+    res.diagnostics
+    assert opnorm_calls == [5]
+    assert svd_calls == {"factor": 2, "norm": 0}
+
+
+def test_shorted_64x64(svd_calls):
+    rng = np.random.default_rng(0)
+    S = Subspace(64, np.linalg.qr(_gauss(rng, 64, 40))[0])
+    T = Subspace(64, np.linalg.qr(_gauss(rng, 64, 40))[0])
+    res = shorted(_gauss(rng, 64, 64), S, T)
+    # the complements of S and T and the corner
+    assert svd_calls == {"factor": 3, "norm": 0}
+    res.diagnostics
+    assert svd_calls == {"factor": 3, "norm": 5}
 
 
 def test_minus_leq_3x3(svd_calls, inv_calls):
@@ -110,19 +149,37 @@ def test_complementability_report_4x4(svd_calls):
     T = Subspace(4, e[:, :2])
     report = complementability(A, S, T)
     assert not report.weakly
-    # the complements of S and T, the corner, and the two images whose
-    # Dixmier cosines against S and T make the angle cross-check
+    # the complements of S and T and the corner
+    assert svd_calls == {"factor": 3, "norm": 0}
+    # the two images whose Dixmier cosines against S and T make the angle
+    # cross-check, factored once
+    report.angle_check
+    report.angle_check
     assert svd_calls == {"factor": 5, "norm": 0}
 
 
 def test_parallel_sum_64x64(svd_calls):
     rng = np.random.default_rng(0)
-    parallel_sum(_gauss(rng, 64, 64), _gauss(rng, 64, 64))
-    assert svd_calls["factor"] == 1
+    res = parallel_sum(_gauss(rng, 64, 64), _gauss(rng, 64, 64))
+    assert svd_calls == {"factor": 1, "norm": 0}
     # the exact route disagreement needs at most one norm per pair of the
     # three distinct routes; how many the Frobenius pruning skips depends on
     # rounding
-    assert svd_calls["norm"] <= 3
+    res.max_route_disagreement
+    res.max_route_disagreement
+    assert svd_calls["factor"] == 1
+    assert 1 <= svd_calls["norm"] <= 3
+
+
+def test_summability_8x8(svd_calls):
+    rng = np.random.default_rng(0)
+    report = summability(_gauss(rng, 8, 8), _gauss(rng, 8, 8))
+    assert report.strongly
+    assert svd_calls == {"factor": 1, "norm": 0}
+    # ||A||, ||B|| and the four defect residuals
+    report.defects
+    report.defects
+    assert svd_calls == {"factor": 1, "norm": 6}
 
 
 def test_schur_compression_3x3(svd_calls):

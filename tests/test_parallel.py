@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shortops import (
+    DEFAULT_TOL,
     BadAuxiliary,
     ConsistencyError,
     DimensionMismatch,
@@ -185,3 +186,54 @@ def test_commutativity_and_rank_random():
             > 1e-10 * max(m, n) * max(opnorm(A), opnorm(B))
         )
         assert got_rank == meet.dim
+
+
+def _pair_near_summability_threshold(rng, rho):
+    """(A, B) with A + B = G1 G2 of rank r and A = G1 X G2 + E, where E has
+    spectral norm rho ||G1 X G2|| and points out of R(A+B) or out of
+    R((A+B)*), so the a_range or a_corange defect is about rho."""
+    m, n = (int(k) for k in rng.integers(2, 7, size=2))
+    r = int(rng.integers(1, max(m, n)))      # leaves room on at least one side
+    r = min(r, m, n)
+    G1, G2 = gauss(rng, m, r), gauss(rng, r, n)
+    A = G1 @ gauss(rng, r, r) @ G2
+    total = G1 @ G2
+    range_side = r < m and (r == n or rng.random() < 0.5)
+    if range_side:
+        Q = np.linalg.svd(G1)[0][:, r:]          # orthonormal basis of R(A+B)-perp
+        u = Q @ gauss(rng, m - r, 1)
+        v = gauss(rng, n, 1)
+    else:
+        Q = np.linalg.svd(G2.conj().T)[0][:, r:]
+        u = gauss(rng, m, 1)
+        v = Q @ gauss(rng, n - r, 1)
+    E = (u / np.linalg.norm(u)) @ (v / np.linalg.norm(v)).conj().T
+    A = A + rho * np.linalg.norm(A, 2) * E
+    return A, total - A
+
+
+def test_summability_verdict_is_the_exact_defect_verdict():
+    """summability decides through _summable's Frobenius-bounded residual
+    tests; its verdict must be that of the exact a_range and a_corange
+    defects, and parallel_sum must raise NotSummable exactly when it is
+    False.  A third of the draws sit within a decade of eq_rel."""
+    rng = np.random.default_rng(20260418)
+    eq_rel = DEFAULT_TOL.eq_rel
+    near_verdicts = set()
+    for k in range(400):
+        rho = (0.0, 10.0 ** rng.uniform(-10.0, -8.0), 10.0 ** rng.uniform(-7.0, 0.0))[k % 3]
+        A, B = _pair_near_summability_threshold(rng, rho)
+        report = summability(A, B)
+        d = report.defects
+        exact = d.a_range <= eq_rel and d.a_corange <= eq_rel
+        assert report.strongly == report.weakly == exact, (k, d)
+        try:
+            parallel_sum(A, B)
+            raised = False
+        except NotSummable as err:
+            raised = True
+            assert err.report.defects == d
+        assert raised == (not exact), (k, d)
+        if k % 3 == 1:
+            near_verdicts.add(exact)
+    assert near_verdicts == {True, False}
