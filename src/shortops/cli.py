@@ -180,9 +180,7 @@ def _cmd_psum(args, tol, payload):
     result = parallel_sum(A, B, tol)
     payload["result"] = {
         "sum": matrix_to_payload(result.sum),
-        "route_pinv": matrix_to_payload(result.route_pinv),
         "route_reduced": matrix_to_payload(result.route_reduced),
-        "route_block": matrix_to_payload(result.route_block),
         "max_route_disagreement": result.max_route_disagreement,
     }
     return 0

@@ -82,22 +82,20 @@ class SummabilityReport:
 
 @dataclass(frozen=True)
 class ParallelSumResult:
-    """Parallel sum with its computation routes retained.
+    """Parallel sum with its cross-check route retained.
 
-    route_block is the shorted block of [[A, A], [A, A+B]] read by slicing,
-    A - A (A+B)^+ A, and is returned as ``sum``; route_pinv is the same
-    matrix.  route_reduced is A (A+B)^+ B, F_A* E_B from the reduced
-    solutions through the polar factor of A + B.  max_route_disagreement is
-    the largest gap in operator norm among route_pinv, route_reduced and the
-    arguments-swapped B - B (A+B)^+ B, which checks commutativity.  It
-    decides nothing and is computed on its first read; the three gaps are
-    taken at the call, so changing the returned matrices leaves it as it was.
+    ``sum`` is the shorted block of [[A, A], [A, A+B]] read by slicing,
+    A - A (A+B)^+ A.  route_reduced is A (A+B)^+ B, F_A* E_B from the
+    reduced solutions through the polar factor of A + B.
+    max_route_disagreement is the largest gap in operator norm among
+    ``sum``, route_reduced and the arguments-swapped B - B (A+B)^+ B, which
+    checks commutativity.  It decides nothing and is computed on its first
+    read; the three gaps are taken at the call, so changing the returned
+    matrices leaves it as it was.
     """
 
     sum: np.ndarray
-    route_pinv: np.ndarray
     route_reduced: np.ndarray
-    route_block: np.ndarray
     _route_gaps: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -176,9 +174,7 @@ def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> Parallel
     route_swapped = B - B @ total.pinv() @ B
     return ParallelSumResult(
         sum=block,
-        route_pinv=block,
         route_reduced=route_reduced,
-        route_block=block,
         _route_gaps=(block - route_reduced, block - route_swapped,
                      route_reduced - route_swapped),
     )

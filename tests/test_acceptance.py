@@ -30,15 +30,15 @@ from shortops import (
 )
 from shortops.cli import main as cli_main
 from shortops.genlab import (
-    _draw_complementable,
-    _draw_complementable_matched,
-    _draw_summable,
-    _draw_with_known_shorted,
-    _inv_minus_axioms,
-    _inv_minus_projection_inheritance,
-    _inv_mitra_maximality,
-    _rank_at_scale,
-    _shorted_range_nullspace_ok,
+    INVARIANTS,
+    cond_ok,
+    draw_complementable,
+    draw_complementable_matched,
+    draw_summable,
+    draw_with_known_shorted,
+    gauss,
+    rank_at_scale,
+    shorted_range_nullspace_ok,
     trial_rng,
 )
 from shortops.numcore import DEFAULT_TOL
@@ -80,13 +80,13 @@ def test_criterion_2_route_agreement():
         rng = trial_rng(CFG.seed, 101, trial)
         trial += 1
         assert trial < 5000, "summable-pair generator starved"
-        drawn = _draw_summable(rng, CFG, DEFAULT_TOL)
+        drawn = draw_summable(rng, CFG, DEFAULT_TOL)
         if drawn is None:
             continue
         A, B = drawn
         accepted += 1
         res = parallel_sum(A, B)
-        routes = (res.route_pinv, res.route_reduced, res.route_block)
+        routes = (res.sum, res.route_reduced)
         scale = max(opnorm(A), opnorm(B))
         gap = max(
             opnorm(x - y) for i, x in enumerate(routes) for y in routes[i + 1:]
@@ -107,7 +107,7 @@ def test_criterion_3_mitra_maximality():
         rng = trial_rng(CFG.seed, 102, trial)
         trial += 1
         assert trial < 4000, "complementable generator starved"
-        drawn = _draw_complementable(rng, CFG, DEFAULT_TOL)
+        drawn = draw_complementable(rng, CFG, DEFAULT_TOL)
         if drawn is None:
             continue
         A, S, T = drawn
@@ -117,7 +117,7 @@ def test_criterion_3_mitra_maximality():
             member_failures += 1
             continue
         U, s, Vh = np.linalg.svd(sig)
-        r = _rank_at_scale(sig, max(opnorm(A), opnorm(sig)), DEFAULT_TOL)
+        r = rank_at_scale(sig, max(opnorm(A), opnorm(sig)), DEFAULT_TOL)
         for _ in range(4):
             k = int(rng.integers(0, r + 1)) if r else 0
             keep = sorted(rng.permutation(r)[:k]) if r else []
@@ -143,13 +143,13 @@ def test_criterion_4_range_identities():
         rng = trial_rng(CFG.seed, 103, trial)
         trial += 1
         assert trial < 5000
-        drawn = _draw_complementable(rng, CFG, DEFAULT_TOL)
+        drawn = draw_complementable(rng, CFG, DEFAULT_TOL)
         if drawn is None:
             continue
         A, S, T = drawn
         done += 1
         sig = shorted(A, S, T).shorted
-        if not _shorted_range_nullspace_ok(A, S, T, sig, DEFAULT_TOL):
+        if not shorted_range_nullspace_ok(A, S, T, sig, DEFAULT_TOL):
             failures += 1
     report(4, failures == 0, f"300 triples, {failures} range/nullspace failures")
 
@@ -165,13 +165,11 @@ def test_criterion_5_round_trip_subtraction():
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 9))
         r = int(rng.integers(1, min(m, n) + 1))
-        from shortops.genlab import _cond_ok, gauss
-
         A = gauss(rng, m, r) @ gauss(rng, r, n)
-        if not _cond_ok(A, CFG.condition_cap):
+        if not cond_ok(A, CFG.condition_cap):
             continue
         C = gen_da_member(A, rng)
-        if not _cond_ok(C - A, CFG.condition_cap):
+        if not cond_ok(C - A, CFG.condition_cap):
             continue
         done += 1
         X = parallel_subtract(C, A)
@@ -202,8 +200,8 @@ def test_criterion_6_iterated_shorting():
         t_dim = int(rng.integers((m + 1) // 2 + 1, m + 1))
         sigma_rank = min(int(rng.integers(0, 3)), s_dim, t_dim)
         rank22 = int(rng.integers(0, min(n - s_dim, m - t_dim) + 1))
-        drawn = _draw_with_known_shorted(rng, CFG, DEFAULT_TOL, n, m, s_dim,
-                                         t_dim, sigma_rank, rank22)
+        drawn = draw_with_known_shorted(rng, CFG, DEFAULT_TOL, n, m, s_dim,
+                                        t_dim, sigma_rank, rank22)
         if drawn is None:
             continue
         A, S, T = drawn
@@ -240,14 +238,12 @@ def test_criterion_7_recovery_formula():
         rng = trial_rng(CFG.seed, 108, trial)
         trial += 1
         assert trial < 3000
-        drawn = _draw_complementable_matched(rng, CFG, DEFAULT_TOL)
+        drawn = draw_complementable_matched(rng, CFG, DEFAULT_TOL)
         if drawn is None:
             continue
         A, S, T = drawn
-        from shortops.genlab import _cond_ok
-
         L = gen_with_ranges(T, S, rng)
-        if not _cond_ok(L, 1e4):
+        if not cond_ok(L, 1e4):
             continue
         done += 1
         got = recover_shorted(A, S, T, L, 1)
@@ -285,13 +281,15 @@ def test_criterion_8_finite_dim_collapse():
 
 
 def test_criterion_9_order_axioms():
+    minus_axioms = dict(INVARIANTS)["minus-axioms"]
+    projection_inheritance = dict(INVARIANTS)["minus-projection-inheritance"]
     failures = 0
     for trial in range(500):
         rng = trial_rng(CFG.seed, 109, trial)
-        if _inv_minus_axioms(rng, CFG, DEFAULT_TOL) is False:
+        if minus_axioms(rng, CFG, DEFAULT_TOL) is False:
             failures += 1
         rng = trial_rng(CFG.seed, 110, trial)
-        if _inv_minus_projection_inheritance(rng, CFG, DEFAULT_TOL) is False:
+        if projection_inheritance(rng, CFG, DEFAULT_TOL) is False:
             failures += 1
     report(9, failures == 0, f"500 constructive chains, {failures} axiom failures")
 

@@ -61,6 +61,7 @@ def test_cmd_psum(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["sum"]["data"] == [[1.0]]
     assert report["result"]["max_route_disagreement"] <= 1e-12
+    assert set(report["result"]) == {"sum", "route_reduced", "max_route_disagreement"}
 
     c = write_matrix(tmp_path / "c.json", np.diag([1.0, 0.0]))
     d = write_matrix(tmp_path / "d.json", np.diag([-1.0, 0.0]))

@@ -4,8 +4,9 @@ Each call is the first of its kind and shape, on fresh Subspace objects
 (whose complements are cached per object) and fixed inputs: parallel_sum
 2x2, shorted 2x2 (the README example) and 64x64, minus_leq 3x3 on a
 singular-triple subset, parallel_sum 64x64, summability 8x8,
-schur_compression 3x3, genlab's gen_da_member 4x4, oblique_projection 4x4
-and complementability on a 4x4 triple that is not complementable.
+schur_compression 3x3, genlab's gen_da_member 4x4 and
+shorted_range_nullspace_ok 6x6, oblique_projection 4x4 and
+complementability on a 4x4 triple that is not complementable.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.  Reported norms that decide nothing (shorted's
 diagnostics, summability defects, the route disagreement, the
@@ -27,7 +28,7 @@ from shortops import (
     shorted,
     summability,
 )
-from shortops.genlab import gen_da_member
+from shortops.genlab import gen_complementable, gen_da_member, shorted_range_nullspace_ok
 
 
 def _gauss(rng, m, n):
@@ -196,3 +197,13 @@ def test_gen_da_member_4x4(svd_calls):
     gen_da_member(A, np.random.default_rng(1))
     # one factorization gives both the rank and the singular vectors
     assert svd_calls == {"factor": 1, "norm": 0}
+
+
+def test_shorted_range_nullspace_ok_6x6(svd_calls):
+    A, S, T = gen_complementable(6, 6, 3, 3, 2, np.random.default_rng(0))
+    sig = shorted(A, S, T).shorted
+    svd_calls.update(factor=0, norm=0)
+    assert shorted_range_nullspace_ok(A, S, T, sig, shortops.DEFAULT_TOL)
+    # A and sig once each (ranges, null space, norms and the scaled rank),
+    # then the meet and the join; every residual settles from Frobenius bounds
+    assert svd_calls == {"factor": 4, "norm": 0}

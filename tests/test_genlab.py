@@ -112,6 +112,53 @@ def test_run_suite_covers_all_invariants_cleanly():
         assert outcome.passed + outcome.failed + outcome.skipped == 8, name
 
 
+# Registration order: a trial's entropy is (seed, position, trial), so this
+# list fixes every replay seed.
+_REGISTERED = [
+    "friedrichs-complement-symmetry", "dixmier-intersection-criterion",
+    "ortho-projection-laws", "oblique-projection-idempotent",
+    "douglas-equivalence", "reduced-solution-minimal-norm",
+    "reduced-solution-nullspace", "collapse-complementability",
+    "shorted-scalar-homogeneity", "shorted-adjoint",
+    "shorted-idempotent-operation", "shorted-hermitian",
+    "shorted-range-nullspace", "shorted-qa-ap", "iterated-shorting",
+    "projection-shorted", "psd-shorted-dominated",
+    "schur-compression-identity", "shorting-direction", "minus-axioms",
+    "minus-range-inclusion", "minus-projection-inheritance",
+    "minus-route-agreement", "mitra-maximality", "parallel-commutativity",
+    "parallel-route-agreement", "parallel-rank-intersection",
+    "parallel-subtract-round-trip", "shorted-parallel-exchange",
+    "limit-convergence", "strong-sum-direction", "collapse-summability",
+    "recover-shorted-identity", "generator-soundness",
+]
+
+
+def test_invariants_registered_in_order():
+    assert [name for name, _ in INVARIANTS] == _REGISTERED
+
+
+def test_run_suite_calls_invariants_rewritten_in_place():
+    cfg = GenConfig(seed=5, trials=2)
+    plain = run_suite(cfg).to_dict()
+    calls = dict.fromkeys(_REGISTERED, 0)
+
+    def counted(name, check):
+        def wrapper(rng, config, tol):
+            calls[name] += 1
+            return check(rng, config, tol)
+        return wrapper
+
+    saved = list(INVARIANTS)
+    # the way a tracer wraps the bodies: the same list object, new entries
+    INVARIANTS[:] = [(name, counted(name, check)) for name, check in saved]
+    try:
+        wrapped = run_suite(cfg).to_dict()
+    finally:
+        INVARIANTS[:] = saved
+    assert calls == dict.fromkeys(_REGISTERED, 2)
+    assert wrapped == plain
+
+
 def test_run_suite_condition_cap_rejection():
     # an impossible cap rejects nearly every draw but never fails
     report = run_suite(GenConfig(seed=9, trials=6, condition_cap=1.0 + 1e-12))

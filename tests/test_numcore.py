@@ -1,3 +1,4 @@
+import ast
 import inspect
 
 import numpy as np
@@ -16,7 +17,7 @@ from shortops import (
     sqrt_abs_adjoint,
     sqrt_psd,
 )
-from shortops import douglas, geometry, minusorder, parallel, shorting
+from shortops import douglas, genlab, geometry, minusorder, parallel, shorting
 from shortops.numcore import max_opnorm, opnorm_leq, _spectrum
 
 
@@ -251,6 +252,42 @@ def test_rank_rule_lives_in_numcore():
             assert banned not in source, f"{module.__name__} uses {banned}"
     # the parallel sum reads the doubled matrix's blocks by slicing
     assert "np.block(" not in inspect.getsource(parallel)
+
+
+# Exact spectral norms genlab uses as values, not as a residual against a
+# threshold: a rank scale, eigenvalue floors, a reported error against the
+# rounding floor, and the minimal-norm inequality (a lower bound).
+_GENLAB_NORM_VALUE_USES = {
+    ("_lambda_exists_oracle",
+     "certificate >= -tol.psd_slack * (lam_hat * wmax + opnorm(B) ** 2 + 1.0)"),
+    ("_inv_reduced_solution_minimal_norm",
+     "opnorm(other) >= np.sqrt(sol.norm_sq) - tol.eq_rel"),
+    ("_inv_psd_shorted_dominated", "max(opnorm(A), 1.0)"),
+    ("_inv_mitra_maximality", "max(opnorm(A), fs.s[0])"),
+    ("_inv_limit_convergence", "record.errors[-1] < 1e-13 * max(opnorm(A), 1.0)"),
+    ("_inv_limit_convergence", "max(opnorm(A), 1.0)"),
+}
+
+
+def _is_call(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def test_genlab_residuals_go_through_opnorm_leq():
+    source = inspect.getsource(genlab)
+    found = set()
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            compared = (isinstance(node, ast.Compare)
+                        and any(_is_call(sub, "opnorm") for sub in ast.walk(node)))
+            threshold = (_is_call(node, "max")
+                         and any(_is_call(arg, "opnorm") for arg in node.args))
+            if compared or threshold:
+                found.add((func.name, ast.get_source_segment(source, node)))
+    assert found == _GENLAB_NORM_VALUE_USES
 
 
 def _exact_leq(X, rel, anchor):
