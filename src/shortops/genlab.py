@@ -205,13 +205,12 @@ def cond_ok(M, cap: float, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def rank_at_scale(M, scale: float, tol: Tolerance) -> int:
-    """Rank of a derived quantity, thresholded at the parent computation's
-    scale: an output that is rounding noise relative to its inputs must be
-    rank 0, not full rank at its own noise level."""
-    if scale == 0.0:
-        return 0
+    """Rank of a derived quantity, thresholded at the larger of the parent
+    computation's scale and M's own sigma_max, both read from one set of
+    singular values: an output that is rounding noise relative to its inputs
+    must be rank 0, not full rank at its own noise level."""
     s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
-    return _rank_rule(s, M.shape, scale, tol)
+    return _rank_rule(s, M.shape, max(scale, s.max(initial=0.0)), tol)
 
 
 def draw_complementable(rng, cfg: GenConfig, tol: Tolerance):
@@ -783,7 +782,7 @@ def _inv_parallel_route_agreement(rng, tol, A, B):
 def _inv_parallel_rank_intersection(rng, tol, A, B):
     res = parallel_sum(A, B, tol)
     meet = subspace_meet(Subspace.range_of(A, tol), Subspace.range_of(B, tol), tol)
-    return rank_at_scale(res.sum, max_opnorm([A, B, res.sum]), tol) == meet.dim
+    return rank_at_scale(res.sum, max_opnorm([A, B]), tol) == meet.dim
 
 
 @_invariant("parallel-subtract-round-trip")

@@ -18,6 +18,7 @@ from .numcore import (
     DEFAULT_TOL,
     Tolerance,
     as_operator,
+    complement_basis,
     fundamental_subspaces,
     opnorm,
     opnorm_leq,
@@ -89,12 +90,10 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> "Subspace":
-        # N(basis*) is exactly the complement; one SVD of the basis suffices.
-        comp = fundamental_subspaces(self.basis).conull_basis
-        return Subspace(self.ambient_dim, comp)
+        return Subspace(self.ambient_dim, complement_basis(self.basis))
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement (cached)."""
+        """Orthogonal complement (cached), from one complete QR of the basis."""
         return self._complement
 
     @cached_property

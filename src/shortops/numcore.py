@@ -3,7 +3,8 @@
 Operators are plain 2-D ``numpy`` arrays promoted to complex128.  Every rank
 decision in the toolkit is made here, by one rule applied to one factorization
 value (``FundamentalSubspaces``), so that range tests, pseudoinverses, roots
-and subspace extractions stay mutually consistent.
+and subspace extractions stay mutually consistent; the complement of an
+orthonormal basis needs none and comes from one QR (``complement_basis``).
 """
 
 from __future__ import annotations
@@ -231,6 +232,13 @@ def _spectrum(A: np.ndarray, tol: Tolerance,
     if scale is None:
         scale = s[0] if len(s) else 0.0
     return FundamentalSubspaces(U, s, Vh, _rank_rule(s, A.shape, scale, tol))
+
+
+def complement_basis(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of R(basis)-perp for an orthonormal ``basis``: the
+    trailing columns of its complete Householder QR.  The basis has full
+    column rank by construction, so no rank decision is made."""
+    return np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
 
 
 def rank(A, tol: Tolerance = DEFAULT_TOL) -> int:

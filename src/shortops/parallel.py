@@ -89,18 +89,22 @@ class ParallelSumResult:
     reduced solutions through the polar factor of A + B.
     max_route_disagreement is the largest gap in operator norm among
     ``sum``, route_reduced and the arguments-swapped B - B (A+B)^+ B, which
-    checks commutativity.  It decides nothing and is computed on its first
-    read; the three gaps are taken at the call, so changing the returned
-    matrices leaves it as it was.
+    checks commutativity.  It decides nothing, so the swapped route and the
+    gaps are formed on its first read, from copies of both routes and of B
+    and the factors of A + B taken at the call; changing the inputs or the
+    returned matrices leaves it as it was.
     """
 
     sum: np.ndarray
     route_reduced: np.ndarray
-    _route_gaps: tuple = field(repr=False, compare=False)
+    # copies of sum, route_reduced and B, and the factors of A + B
+    _routes: tuple = field(repr=False, compare=False)
 
     @cached_property
     def max_route_disagreement(self) -> float:
-        return max_opnorm(self._route_gaps)
+        block, reduced, B, total = self._routes
+        swapped = B - B @ total.pinv() @ B
+        return max_opnorm([block - reduced, block - swapped, reduced - swapped])
 
 
 @dataclass(frozen=True)
@@ -171,66 +175,73 @@ def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> Parallel
     block, _, _, _, _, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
     # F_A is A's reduced solution through |A+B|^(1/2), gated by _summable
     route_reduced = F_A.conj().T @ _reduced_D(total.root_factors, B, tol)
-    route_swapped = B - B @ total.pinv() @ B
     return ParallelSumResult(
         sum=block,
         route_reduced=route_reduced,
-        _route_gaps=(block - route_reduced, block - route_swapped,
-                     route_reduced - route_swapped),
+        _routes=(block.copy(), route_reduced.copy(), B.copy(), total),
     )
+
+
+def _da_factors(C: np.ndarray, A: np.ndarray, a: FundamentalSubspaces,
+                tol: Tolerance) -> FundamentalSubspaces | None:
+    """The factors of D = C - A when C is in D_A, else None, from the
+    factors ``a`` of A and one SVD of D, made once R(D) ⊆ R(A) holds."""
+    D = C - A
+    if not _in_span(D, a.range_basis, tol):
+        return None
+    d = _spectrum(D, tol)
+    return d if (_in_span(A, d.range_basis, tol)
+                 and _in_span(D.conj().T, a.corange_basis, tol)
+                 and _in_span(A.conj().T, d.corange_basis, tol)) else None
 
 
 def in_da(C, A, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Is C a range-preserving perturbation of A (R(C-A) = R(A), same on adjoints)?
 
     This class is exactly where the equation A ∥ X = C has the distinguished
-    solution C ∥ (-A).
+    solution C ∥ (-A).  It is the test of ``parallel_subtract``.
     """
     C, A = _checked_pair(C, A)
-    D = C - A
-    # one SVD per operand gives both its range and its corange
-    a = _spectrum(A, tol)
-    if not _in_span(D, a.range_basis, tol):
-        return False
-    d = _spectrum(D, tol)
-    return (
-        _in_span(A, d.range_basis, tol)
-        and _in_span(D.conj().T, a.corange_basis, tol)
-        and _in_span(A.conj().T, d.corange_basis, tol)
-    )
+    return _da_factors(C, A, _spectrum(A, tol), tol) is not None
 
 
 def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Parallel subtraction C ÷ A = C ∥ (-A), defined for C with R(C-A) = R(A).
 
     The result X is the unique solution of A ∥ X = C that additionally keeps
-    R(A + X) = R(A) and R((A + X)*) = R(A*).
+    R(A + X) = R(A) and R((A + X)*) = R(A*).  The sum reuses in_da's
+    factors of C - A, which equals C + (-A) bit for bit: two SVDs in all.
     """
-    C = as_operator(C)
-    A = as_operator(A)
-    if not in_da(C, A, tol):
+    C, A = _checked_pair(C, A)
+    d = _da_factors(C, A, _spectrum(A, tol), tol)
+    if d is None:
         raise NotInDA("C - A does not have the same range/corange as A")
-    return parallel_sum(C, -A, tol).sum
+    return _parallel_sum(C, -A, d, tol).sum
 
 
-def _matches_subspace(M: np.ndarray, sub: Subspace, tol: Tolerance) -> bool:
-    """R(M) equals the subspace (projection comparison)."""
-    return Subspace.range_of(M, tol).equals(sub, tol)
+def _auxiliary_factors(L: np.ndarray, S: Subspace, T: Subspace,
+                       tol: Tolerance) -> FundamentalSubspaces:
+    """One SVD of L, whose range and corange projections are compared with
+    those of T and S; raises BadAuxiliary unless R(L) = T and R(L*) = S."""
+    aux = _spectrum(L, tol)
+    if not (Subspace(L.shape[0], aux.range_basis).equals(T, tol)
+            and Subspace(L.shape[1], aux.corange_basis).equals(S, tol)):
+        raise BadAuxiliary("auxiliary operator must have range T and corange S")
+    return aux
 
 
 def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
                       tol: Tolerance = DEFAULT_TOL) -> ConvergenceRecord:
     """Approximate the shorted operator by A ∥ (n B) along a schedule of n.
 
-    B must have range T and corange S; then A and n B are summable for every
-    large enough n and A ∥ (n B) converges in norm to the shorted operator.
-    The record reports the error at each usable schedule point and the
-    log-log slope fitted on the last 8 of them.
+    B must have range T and corange S (checked on one SVD of B); then A
+    and n B are summable for every large enough n and A ∥ (n B) converges
+    in norm to the shorted operator.  The record reports the error at each
+    usable schedule point and the log-log slope fitted on the last 8 of them.
     """
     A, B = _checked_pair(A, B)
     target = shorted_matrix(A, S, T, tol)  # raises NotComplementable if unfit
-    if not (_matches_subspace(B, T, tol) and _matches_subspace(B.conj().T, S, tol)):
-        raise BadAuxiliary("auxiliary operator must satisfy R(B) = T and R(B*) = S")
+    _auxiliary_factors(B, S, T, tol)
 
     used: list[int] = []
     errors: list[float] = []
@@ -268,15 +279,16 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
 
     L must have range T and corange S.  The given n is doubled (up to
     2^20 * n) until both the summability of (A, n L) and the subtraction
-    domain condition hold; the identity is then exact up to rounding.
+    domain condition hold; the identity is then exact up to rounding.  L's
+    one SVD, scaled, serves every D_A test, and the subtraction reuses the
+    D_A test's factors.
     """
     A = as_operator(A)
     L = as_operator(L)
     if n < 1:
         raise ValueError("n must be a positive integer")
     _complementable_blocks(A, S, T, tol)
-    if not (_matches_subspace(L, T, tol) and _matches_subspace(L.conj().T, S, tol)):
-        raise BadAuxiliary("auxiliary operator must satisfy R(L) = T and R(L*) = S")
+    aux = _auxiliary_factors(L, S, T, tol)
 
     bound = n << 20
     current = n
@@ -285,9 +297,11 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
         total = _spectrum(A + scaled, tol)
         if _summable(A, total, tol):
             blend = _parallel_sum(A, scaled, total, tol).sum
-            if in_da(blend, scaled, tol):
-                # parallel_subtract(blend, scaled) without repeating in_da
-                return parallel_sum(blend, -scaled, tol).sum
+            d = _da_factors(blend, scaled, FundamentalSubspaces(
+                aux.U, current * aux.s, aux.Vh, aux.rank), tol)
+            if d is not None:
+                # parallel_subtract(blend, scaled) on the factors in hand
+                return _parallel_sum(blend, -scaled, d, tol).sum
         current *= 2
     raise EscalationExhausted(
         f"no usable scale found between n={n} and n={bound}"

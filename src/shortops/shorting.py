@@ -133,10 +133,10 @@ class ShortedResult:
     E and F are the reduced solutions of the defining corner equations
     (through the polar factor of A22); P and Q are projections satisfying
     Q A = A P = shorted.  All fields live in the original coordinates.
-    diagnostics decides nothing and is computed on its first read: the
-    residual matrices behind it and a copy of A are taken at the call, so
-    changing the inputs or the returned matrices afterwards leaves it as it
-    was.
+    diagnostics decides nothing and is computed on its first read, products
+    Q A and A P included: the route gap and copies of A, P, Q and the
+    shorted matrix are taken at the call, so changing the inputs or the
+    returned matrices afterwards leaves it as it was.
     """
 
     shorted: np.ndarray
@@ -144,14 +144,16 @@ class ShortedResult:
     F: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-    # route gap, QA - AP, QA - shorted, AP - shorted
-    _residuals: tuple = field(repr=False, compare=False)
-    _operand: np.ndarray = field(repr=False, compare=False)
+    # the route gap, and copies of A, P, Q and shorted
+    _operands: tuple = field(repr=False, compare=False)
 
     @cached_property
     def diagnostics(self) -> ShortedDiagnostics:
-        scale = max(opnorm(self._operand), 1.0)
-        return ShortedDiagnostics(*(opnorm(r) / scale for r in self._residuals))
+        gap, A, P, Q, sigma = self._operands
+        QA, AP = Q @ A, A @ P
+        scale = max(opnorm(A), 1.0)
+        return ShortedDiagnostics(*(opnorm(r) / scale
+                                    for r in (gap, QA - AP, QA - sigma, AP - sigma)))
 
 
 def block_decompose(A, S: Subspace, T: Subspace,
@@ -322,16 +324,13 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
         blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
     shorted_full = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
     P, Q = _witness_projections(blocks, E_strong, F_strong_adj)
-    QA = Q @ A
-    AP = A @ P
     return ShortedResult(
         shorted=shorted_full,
         E=blocks.s_perp_basis @ E_weak @ blocks.s_basis.conj().T,
         F=blocks.s_perp_basis @ F_weak @ blocks.t_basis.conj().T,
         P=P,
         Q=Q,
-        _residuals=(gap, QA - AP, QA - shorted_full, AP - shorted_full),
-        _operand=A.copy(),
+        _operands=(gap, A.copy(), P.copy(), Q.copy(), shorted_full.copy()),
     )
 
 

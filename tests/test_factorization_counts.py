@@ -1,10 +1,11 @@
-"""SVDs made by single public calls, pinned as counts.
+"""SVDs and QRs made by single public calls, pinned as counts.
 
 Each call is the first of its kind and shape, on fresh Subspace objects
-(whose complements are cached per object) and fixed inputs: parallel_sum
-2x2, shorted 2x2 (the README example) and 64x64, minus_leq 3x3 on a
-singular-triple subset, parallel_sum 64x64, summability 8x8,
-schur_compression 3x3, genlab's gen_da_member 4x4 and
+(whose complements, one QR each, are cached per object) and fixed inputs:
+parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
+3x3 on a singular-triple subset, parallel_sum 64x64, parallel_subtract
+64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
+summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4 and
 shorted_range_nullspace_ok 6x6, oblique_projection 4x4 and
 complementability on a 4x4 triple that is not complementable.
 A count that rises means a factorization came back; one that falls is a
@@ -23,12 +24,20 @@ from shortops import (
     complementability,
     minus_leq,
     oblique_projection,
+    parallel_subtract,
     parallel_sum,
+    recover_shorted,
     schur_compression,
     shorted,
+    shorted_via_limit,
     summability,
 )
-from shortops.genlab import gen_complementable, gen_da_member, shorted_range_nullspace_ok
+from shortops.genlab import (
+    gen_complementable,
+    gen_da_member,
+    gen_with_ranges,
+    shorted_range_nullspace_ok,
+)
 
 
 def _gauss(rng, m, n):
@@ -46,16 +55,22 @@ def _minus_pair(rng):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts of np.linalg.svd calls: full factorizations, and singular
-    values alone (the spectral norms opnorm computes)."""
-    counts = {"factor": 0, "norm": 0}
-    real = np.linalg.svd
+    """Counts of np.linalg.svd calls, full factorizations and singular
+    values alone (the spectral norms opnorm computes), and of np.linalg.qr
+    calls (subspace complements)."""
+    counts = {"factor": 0, "norm": 0, "qr": 0}
+    real_svd, real_qr = np.linalg.svd, np.linalg.qr
 
-    def counting(a, *args, **kwargs):
+    def counting_svd(a, *args, **kwargs):
         counts["factor" if kwargs.get("compute_uv", True) else "norm"] += 1
-        return real(a, *args, **kwargs)
+        return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    def counting_qr(a, *args, **kwargs):
+        counts["qr"] += 1
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     return counts
 
 
@@ -95,38 +110,41 @@ def test_parallel_sum_2x2(svd_calls):
     parallel_sum(_gauss(rng, 2, 2), _gauss(rng, 2, 2))
     # A + B alone: the doubled matrix's shorted block is read by slicing, and
     # the reduced routes take their roots from the same factors
-    assert svd_calls == {"factor": 1, "norm": 0}
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
 
 
 def test_shorted_2x2(svd_calls, opnorm_calls):
     S = Subspace(2, np.eye(2)[:, :1])
     res = shorted(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S)
-    assert svd_calls == {"factor": 2, "norm": 0}
+    # the corner, and one QR for the complement of S, which serves as T
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 1}
     assert opnorm_calls == [0]
     res.diagnostics
     # ||A|| and the four residuals, in closed form at 2x2; read once
     res.diagnostics
     assert opnorm_calls == [5]
-    assert svd_calls == {"factor": 2, "norm": 0}
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 1}
 
 
 def test_shorted_64x64(svd_calls):
     rng = np.random.default_rng(0)
     S = Subspace(64, np.linalg.qr(_gauss(rng, 64, 40))[0])
     T = Subspace(64, np.linalg.qr(_gauss(rng, 64, 40))[0])
+    svd_calls.update(qr=0)
     res = shorted(_gauss(rng, 64, 64), S, T)
-    # the complements of S and T and the corner
-    assert svd_calls == {"factor": 3, "norm": 0}
+    # the corner, and one QR each for the complements of S and T
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 2}
     res.diagnostics
-    assert svd_calls == {"factor": 3, "norm": 5}
+    assert svd_calls == {"factor": 1, "norm": 5, "qr": 2}
 
 
 def test_minus_leq_3x3(svd_calls, inv_calls):
     C, B = _minus_pair(np.random.default_rng(0))
+    svd_calls.update(qr=0)
     assert minus_leq(C, B).holds
     # B, C and B - C, then one SVD of the stacked range bases and one of the
     # stacked corange bases, each giving the overlap test and the projection
-    assert svd_calls == {"factor": 5, "norm": 0}
+    assert svd_calls == {"factor": 5, "norm": 0, "qr": 0}
     assert inv_calls == [0]
 
 
@@ -134,9 +152,10 @@ def test_oblique_projection_4x4(svd_calls, inv_calls):
     rng = np.random.default_rng(0)
     R = Subspace(4, np.linalg.qr(_gauss(rng, 4, 2))[0])
     N = Subspace(4, np.linalg.qr(_gauss(rng, 4, 2))[0])
+    svd_calls.update(qr=0)
     oblique_projection(R, N)
     # one SVD of the stacked bases gives the overlap test and the projection
-    assert svd_calls == {"factor": 1, "norm": 0}
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
     assert inv_calls == [0]
 
 
@@ -150,19 +169,19 @@ def test_complementability_report_4x4(svd_calls):
     T = Subspace(4, e[:, :2])
     report = complementability(A, S, T)
     assert not report.weakly
-    # the complements of S and T and the corner
-    assert svd_calls == {"factor": 3, "norm": 0}
+    # the corner, and one QR each for the complements of S and T
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 2}
     # the two images whose Dixmier cosines against S and T make the angle
     # cross-check, factored once
     report.angle_check
     report.angle_check
-    assert svd_calls == {"factor": 5, "norm": 0}
+    assert svd_calls == {"factor": 3, "norm": 0, "qr": 2}
 
 
 def test_parallel_sum_64x64(svd_calls):
     rng = np.random.default_rng(0)
     res = parallel_sum(_gauss(rng, 64, 64), _gauss(rng, 64, 64))
-    assert svd_calls == {"factor": 1, "norm": 0}
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
     # the exact route disagreement needs at most one norm per pair of the
     # three distinct routes; how many the Frobenius pruning skips depends on
     # rounding
@@ -172,15 +191,56 @@ def test_parallel_sum_64x64(svd_calls):
     assert 1 <= svd_calls["norm"] <= 3
 
 
+def test_parallel_subtract_64x64(svd_calls):
+    rng = np.random.default_rng(0)
+    A = _gauss(rng, 64, 48) @ _gauss(rng, 48, 64)
+    C = gen_da_member(A, np.random.default_rng(1))
+    svd_calls.update(factor=0, norm=0, qr=0)
+    parallel_subtract(C, A)
+    # A and C - A for the D_A test; the parallel sum C ∥ (-A) reuses the
+    # factors of C - A (3 SVDs before they were shared)
+    assert svd_calls == {"factor": 2, "norm": 0, "qr": 0}
+
+
+def _triple_with_auxiliary(rng, n, k):
+    """A generic 64x64 A with generic S and T of one dimension k (the corner
+    is invertible) and an auxiliary L with R(L) = T and R(L*) = S."""
+    S = Subspace(n, np.linalg.qr(_gauss(rng, n, k))[0])
+    T = Subspace(n, np.linalg.qr(_gauss(rng, n, k))[0])
+    L = gen_with_ranges(T, S, rng)
+    return _gauss(rng, n, n), S, T, L
+
+
+def test_recover_shorted_64x64(svd_calls):
+    A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
+    svd_calls.update(factor=0, norm=0, qr=0)
+    recover_shorted(A, S, T, L, 1)
+    # the corner and the complements of S and T; L once, for both subspace
+    # checks and, scaled, for the D_A test; A + L; the blend minus L, whose
+    # factors the subtraction reuses (9 SVDs when each call factored anew)
+    assert svd_calls == {"factor": 4, "norm": 0, "qr": 2}
+
+
+def test_shorted_via_limit_64x64(svd_calls):
+    A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
+    schedule = (1, 2, 4)
+    svd_calls.update(factor=0, norm=0, qr=0)
+    shorted_via_limit(A, S, T, L, schedule=schedule)
+    # the corner and the complements of S and T for the target, the
+    # auxiliary once for both subspace checks, then A + n L per entry
+    assert svd_calls["factor"] == 2 + len(schedule)
+    assert svd_calls["qr"] == 2
+
+
 def test_summability_8x8(svd_calls):
     rng = np.random.default_rng(0)
     report = summability(_gauss(rng, 8, 8), _gauss(rng, 8, 8))
     assert report.strongly
-    assert svd_calls == {"factor": 1, "norm": 0}
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
     # ||A||, ||B|| and the four defect residuals
     report.defects
     report.defects
-    assert svd_calls == {"factor": 1, "norm": 6}
+    assert svd_calls == {"factor": 1, "norm": 6, "qr": 0}
 
 
 def test_schur_compression_3x3(svd_calls):
@@ -188,22 +248,23 @@ def test_schur_compression_3x3(svd_calls):
     S = Subspace(3, np.eye(3)[:, :1])
     T = Subspace(3, np.eye(3)[:, 1:2])
     schur_compression(A, S, T)
-    # the matrix-only path: no witness projections, no diagnostic norms
-    assert svd_calls == {"factor": 3, "norm": 0}
+    # the matrix-only path: no witness projections, no diagnostic norms;
+    # the corner, and one QR each for the complements of S and T
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 2}
 
 
 def test_gen_da_member_4x4(svd_calls):
     A = _gauss(np.random.default_rng(0), 4, 4)
     gen_da_member(A, np.random.default_rng(1))
     # one factorization gives both the rank and the singular vectors
-    assert svd_calls == {"factor": 1, "norm": 0}
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
 
 
 def test_shorted_range_nullspace_ok_6x6(svd_calls):
     A, S, T = gen_complementable(6, 6, 3, 3, 2, np.random.default_rng(0))
     sig = shorted(A, S, T).shorted
-    svd_calls.update(factor=0, norm=0)
+    svd_calls.update(factor=0, norm=0, qr=0)
     assert shorted_range_nullspace_ok(A, S, T, sig, shortops.DEFAULT_TOL)
     # A and sig once each (ranges, null space, norms and the scaled rank),
     # then the meet and the join; every residual settles from Frobenius bounds
-    assert svd_calls == {"factor": 4, "norm": 0}
+    assert svd_calls == {"factor": 4, "norm": 0, "qr": 0}

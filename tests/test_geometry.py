@@ -13,7 +13,7 @@ from shortops import (
 )
 from shortops.genlab import gen_subspace
 from shortops.geometry import _largest_cosine, _split_along
-from shortops.numcore import DEFAULT_TOL
+from shortops.numcore import DEFAULT_TOL, fundamental_subspaces
 
 
 def span(*vectors):
@@ -79,6 +79,26 @@ def test_de_morgan_duality():
         lhs = subspace_meet(M, N).complement()
         rhs = subspace_join(M.complement(), N.complement())
         assert lhs.equals(rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+def test_qr_complement_matches_svd_complement(n):
+    # the complement from the complete QR of the basis against the null
+    # space of basis* from its SVD, on every dimension 0..n
+    rng = np.random.default_rng(300 + n)
+    for dim in range(n + 1):
+        S = gen_subspace(n, dim, rng)
+        comp = S.complement().basis
+        svd_comp = fundamental_subspaces(S.basis).conull_basis
+        assert comp.shape == svd_comp.shape == (n, n - dim)
+        P_perp = comp @ comp.conj().T
+        assert np.linalg.norm(comp.conj().T @ comp - np.eye(n - dim)) <= 1e-12
+        assert np.linalg.norm(S.basis.conj().T @ comp) <= 1e-12
+        assert np.linalg.norm(S.projection + P_perp - np.eye(n)) <= 1e-12
+        assert np.linalg.norm(P_perp - svd_comp @ svd_comp.conj().T) <= 1e-12
+    for S in (Subspace.trivial(n), Subspace.full(n)):
+        comp = S.complement().basis
+        assert np.linalg.norm(S.projection + comp @ comp.conj().T - np.eye(n)) <= 1e-12
 
 
 def test_angle_examples():

@@ -1,7 +1,8 @@
 """Reported norms computed on first read equal the eager formulas exactly.
 
-shorted's diagnostics, the summability defects, the parallel sum's route
-disagreement, the reduced solution's residuals and the complementability
+shorted's diagnostics (with the products Q A and A P), the summability
+defects, the parallel sum's route disagreement (with the swapped route
+B - B (A+B)^+ B), the reduced solution's residuals and the complementability
 angle check decide nothing, so each is computed when first read.  Each test
 here computes the value by its eager formula right after the call, then
 overwrites the complex128 inputs (which ``as_operator`` does not copy) and
@@ -26,7 +27,7 @@ from shortops import (
     summability,
 )
 from shortops.geometry import _largest_cosine
-from shortops.numcore import max_opnorm, _spectrum
+from shortops.numcore import FundamentalSubspaces, max_opnorm, _spectrum
 from shortops.parallel import SummabilityDefects
 from shortops.shorting import (
     ShortedDiagnostics,
@@ -161,6 +162,27 @@ def test_parallel_sum_route_disagreement(m, n, r):
     expected = _eager_route_disagreement(A, B, res)
     _overwrite(A, B, res.sum, res.route_reduced)
     assert res.max_route_disagreement == expected
+
+
+def test_parallel_sum_swapped_route_formed_on_read(monkeypatch):
+    calls = [0]
+    real = FundamentalSubspaces.pinv
+
+    def counting(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(FundamentalSubspaces, "pinv", counting)
+    A, B = _summable_pair(np.random.default_rng(9), 5, 4, 3)
+    res = parallel_sum(A, B)
+    # the Schur-complement core only; (A+B)^+ for the swapped route waits
+    assert calls == [1]
+    expected = _eager_route_disagreement(A, B, res)
+    _overwrite(B)
+    calls[0] = 0
+    assert res.max_route_disagreement == expected
+    assert res.max_route_disagreement == expected
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("m,n,r", [(2, 2, 1), (4, 6, 2), (6, 6, 6)])

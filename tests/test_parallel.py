@@ -118,6 +118,20 @@ def test_parallel_subtract_round_trip_random():
         assert opnorm(parallel_sum(A, X).sum - C) <= 1e-8 * max(opnorm(C), 1.0)
 
 
+def test_parallel_subtract_is_parallel_sum_with_minus_a_bit_for_bit():
+    # the D_A test factors C - A, which equals C + (-A) bit for bit, and the
+    # parallel sum reuses those factors: no bit of C ∥ (-A) may change
+    rng = trial_rng(62, 0, 0)
+    shapes = [(k, k) for k in range(2, 9)] + [(2, 5), (6, 3), (4, 7), (8, 5)]
+    shapes += [(64, 64), (64, 48)]
+    for trial in range(120):
+        m, n = shapes[trial % len(shapes)]
+        r = int(rng.integers(1, min(m, n) + 1))
+        A = gauss(rng, m, r) @ gauss(rng, r, n)
+        C = gen_da_member(A, rng)
+        assert np.array_equal(parallel_subtract(C, A), parallel_sum(C, -A).sum)
+
+
 def test_shorted_via_limit_closed_form():
     A = np.array([[2.0, 1.0], [1.0, 1.0]])
     S = T = e1_subspace(2)
