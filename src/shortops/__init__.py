@@ -8,6 +8,8 @@ partial order, together with a randomized suite certifying their expected
 identities.
 """
 
+import importlib
+
 from .douglas import ReducedSolution, range_leq, range_residual, reduced_solution
 from .errors import (
     BadAuxiliary,
@@ -23,16 +25,6 @@ from .errors import (
     RangeNotIncluded,
     ShortopsError,
     ZeroOperator,
-)
-from .genlab import (
-    GenConfig,
-    SuiteReport,
-    gauss,
-    gen_complementable,
-    gen_da_member,
-    gen_subspace,
-    gen_with_ranges,
-    run_suite,
 )
 from .geometry import (
     AnglePair,
@@ -81,3 +73,25 @@ from .shorting import (
 )
 
 __version__ = "0.1.0"
+
+# The suite module and its re-exports load on first access (PEP 562), so a
+# process that only computes does not compile the suite.
+_GENLAB_EXPORTS = frozenset({
+    "GenConfig",
+    "SuiteReport",
+    "gauss",
+    "gen_complementable",
+    "gen_da_member",
+    "gen_subspace",
+    "gen_with_ranges",
+    "run_suite",
+})
+
+
+def __getattr__(name):
+    if name != "genlab" and name not in _GENLAB_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    genlab = importlib.import_module(".genlab", __name__)
+    value = genlab if name == "genlab" else getattr(genlab, name)
+    globals()[name] = value
+    return value

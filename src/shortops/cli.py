@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -29,7 +30,6 @@ from .errors import (
     NotSummable,
     RangeNotIncluded,
 )
-from .genlab import GenConfig, gen_with_ranges, run_suite, trial_rng
 from .minusorder import minus_leq
 from .numcore import Tolerance, opnorm
 from .parallel import (
@@ -241,6 +241,7 @@ def _cmd_converge(args, tol, payload):
     if args.auxiliary is not None:
         B = load_matrix(args.auxiliary)
     else:
+        from .genlab import gen_with_ranges, trial_rng
         B = gen_with_ranges(T, S, trial_rng(args.seed, 0, 0))
     schedule = DEFAULT_SCHEDULE
     if args.schedule:
@@ -249,20 +250,26 @@ def _cmd_converge(args, tol, payload):
     payload["result"] = {
         "schedule": record.schedule,
         "errors": record.errors,
-        "fitted_slope": record.fitted_slope,
+        # NaN (fewer than two usable schedule points) has no JSON number
+        "fitted_slope": None if math.isnan(record.fitted_slope) else record.fitted_slope,
         "auxiliary": matrix_to_payload(B),
     }
     return 0
 
 
+def run_suite(config, tol):
+    """``genlab.run_suite``; the suite module is imported by the commands
+    that use it, not at start-up."""
+    from . import genlab
+    return genlab.run_suite(config, tol)
+
+
 def _cmd_verify(args, tol, payload):
+    from .genlab import GenConfig
     lo, hi = (int(part) for part in args.dims.split(","))
-    config = GenConfig(
-        seed=args.seed,
-        dim_range=(lo, hi),
-        trials=args.trials,
-        condition_cap=args.condition_cap,
-    )
+    given = {"seed": args.seed, "trials": args.trials, "condition_cap": args.condition_cap}
+    config = GenConfig(dim_range=(lo, hi),
+                       **{key: value for key, value in given.items() if value is not None})
     report = run_suite(config, tol)
     payload["report"] = report.to_dict()
     return 0 if report.total_failures == 0 else 4
@@ -337,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run the randomized invariant suite")
-    p.add_argument("--seed", type=int, default=GenConfig.seed)
-    p.add_argument("--trials", type=int, default=GenConfig.trials)
+    # seed, trials and condition cap default to GenConfig's, read when the
+    # command runs so that building the parser does not import the suite
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--dims", default="2,8", help="dimension window 'lo,hi'")
-    p.add_argument("--condition-cap", type=float, default=GenConfig.condition_cap)
+    p.add_argument("--condition-cap", type=float, default=None)
     common(p)
 
     p = sub.add_parser("demo-impedance",

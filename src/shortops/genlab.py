@@ -23,7 +23,7 @@ from .geometry import (
     subspace_meet,
     _largest_cosine,
 )
-from .minusorder import in_minus_set, minus_leq
+from .minusorder import _minus_leq, in_minus_set, minus_leq
 from .numcore import (
     DEFAULT_TOL,
     FundamentalSubspaces,
@@ -298,9 +298,9 @@ def _svd_triple_subset(fs: FundamentalSubspaces, indices) -> np.ndarray:
     return (fs.U[:, idx] * fs.s[idx]) @ fs.Vh[idx]
 
 
-def _ambiguous_minus_angles(C, B, tol: Tolerance) -> bool:
-    c = fundamental_subspaces(C, tol)
-    d = fundamental_subspaces(B - C, tol)
+def _ambiguous_minus_angles(c: FundamentalSubspaces, d: FundamentalSubspaces) -> bool:
+    """Whether the ranges or coranges of C and B - C, from their SVDs c and d
+    each truncated at its own scale, meet at a float-ambiguous angle."""
     for X, Y in ((c.range_basis, d.range_basis), (c.corange_basis, d.corange_basis)):
         if _AMBIG_LO < 1.0 - _largest_cosine(X, Y) < _AMBIG_HI:
             return True
@@ -729,9 +729,11 @@ def _inv_minus_route_agreement(rng, cfg, tol):
     else:
         B = gauss(rng, m, n)
         C = 0.5 * B
-    if _ambiguous_minus_angles(C, B, tol):
+    c = fundamental_subspaces(C, tol)
+    d = fundamental_subspaces(B - C, tol)
+    if _ambiguous_minus_angles(c, d):
         return None
-    v = minus_leq(C, B, tol)
+    v = _minus_leq(C, B, fundamental_subspaces(B, tol), c, d, tol)
     return v.rank_route == v.projection_route
 
 

@@ -27,6 +27,7 @@ from .errors import DimensionMismatch
 from .geometry import Subspace, _split_along
 from .numcore import (
     DEFAULT_TOL,
+    FundamentalSubspaces,
     Tolerance,
     as_operator,
     opnorm_leq,
@@ -56,12 +57,19 @@ def minus_leq(C, B, tol: Tolerance = DEFAULT_TOL) -> MinusVerdict:
     B = as_operator(B)
     if C.shape != B.shape:
         raise DimensionMismatch(f"shapes differ: {C.shape} vs {B.shape}")
-    b = _spectrum(B, tol)
-    c = _spectrum(C, tol)
+    return _minus_leq(C, B, _spectrum(B, tol), _spectrum(C, tol), _spectrum(B - C, tol), tol)
+
+
+def _minus_leq(C: np.ndarray, B: np.ndarray, b: FundamentalSubspaces,
+               c: FundamentalSubspaces, d: FundamentalSubspaces,
+               tol: Tolerance) -> MinusVerdict:
+    """``minus_leq`` on the SVDs b, c and d of B, C and B - C.  b must be
+    truncated at sigma_max of B, as ``_spectrum`` returns it; c and d may be
+    truncated at any scale and are re-truncated at the comparison's."""
     # at scale 0 (B = C = 0) every rank is 0 and both splits are zero matrices
     scale = float(max(b.s[0], c.s[0])) if len(b.s) else 0.0
     c = c.at_scale(scale, tol)
-    d = _spectrum(B - C, tol, scale)
+    d = d.at_scale(scale, tol)
     rank_route = c.rank + d.rank == b.at_scale(scale, tol).rank
 
     Q = _split_along(c.range_basis, d.range_basis, tol)

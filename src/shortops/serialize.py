@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -21,9 +23,9 @@ def matrix_to_payload(A) -> dict:
     A = as_operator(A)
     is_complex = bool(np.any(A.imag != 0.0))
     if is_complex:
-        data = [[[float(z.real), float(z.imag)] for z in row] for row in A]
+        data = np.stack([A.real, A.imag], axis=-1).tolist()
     else:
-        data = [[float(z.real) for z in row] for row in A]
+        data = A.real.tolist()
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
@@ -32,7 +34,7 @@ def matrix_to_payload(A) -> dict:
     }
 
 
-def _entry(value, is_complex: bool) -> complex:
+def _entry(value, is_complex: bool) -> None:
     if is_complex:
         if (not isinstance(value, (list, tuple)) or len(value) != 2
                 or not all(isinstance(v, (int, float)) for v in value)):
@@ -44,7 +46,27 @@ def _entry(value, is_complex: bool) -> complex:
         z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("matrix entries must be finite")
-    return z
+
+
+_PAIR_TYPES = {list, tuple}
+_NUMBER_TYPES = {int, float}
+
+
+def _plain_row(row: list, is_complex: bool) -> bool:
+    """True when every entry of the row has an exact JSON number type (pairs
+    of them when complex) and is finite.  False sends the row through
+    ``_entry``, which accepts number subclasses and names the first bad
+    entry."""
+    if is_complex:
+        if not ({*map(type, row)} <= _PAIR_TYPES and {*map(len, row)} <= {2}):
+            return False
+        row = list(chain.from_iterable(row))
+    if not {*map(type, row)} <= _NUMBER_TYPES:
+        return False
+    try:
+        return all(map(math.isfinite, row))
+    except OverflowError:  # an int beyond float range; _entry raises it
+        return False
 
 
 def matrix_from_payload(payload) -> np.ndarray:
@@ -61,13 +83,17 @@ def matrix_from_payload(payload) -> np.ndarray:
         raise ValueError("matrix dimensions must be nonnegative")
     if not isinstance(data, list) or len(data) != rows:
         raise ValueError("data row count does not match 'rows'")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
+    for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError("data column count does not match 'cols'")
-        for j, value in enumerate(row):
-            out[i, j] = _entry(value, is_complex)
-    return out
+        if not _plain_row(row, is_complex):
+            for value in row:
+                _entry(value, is_complex)
+    values = np.array(data, dtype=np.float64)
+    if is_complex:
+        # [re, im] pairs are the memory layout of complex128
+        return values.reshape(rows, cols, 2).view(np.complex128)[..., 0]
+    return values.reshape(rows, cols).astype(np.complex128)
 
 
 def subspace_to_payload(S: Subspace) -> dict:
@@ -111,5 +137,74 @@ def load_subspace(path: str, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 
 def dumps_report(obj) -> str:
-    """Canonical JSON text: sorted keys, stable layout, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON text: the bytes of ``json.dumps(obj, indent=2,
+    sort_keys=True, allow_nan=False)`` followed by a newline."""
+    return _write(obj, 0) + "\n"
+
+
+def _write(obj, depth: int) -> str:
+    """``obj`` as JSON text with its opening bracket at ``depth`` indents."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        grid = _float_grid(obj, depth)
+        if grid is not None:
+            return grid
+        return _enclose("[", [_write(x, depth + 1) for x in obj], "]", depth)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(_key(k)) + ": " + _write(v, depth + 1)
+                 for k, v in sorted(obj.items())]
+        return _enclose("{", items, "}", depth)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _write(key, 0)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _enclose(open_: str, items: list[str], close: str, depth: int) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+
+
+def _float_grid(obj, depth: int) -> str | None:
+    """The text of a rectangular nest of non-empty lists whose leaves are all
+    finite floats (matrix data), or None for anything else.  The leaves go
+    through ``float.__repr__`` in one pass and are joined level by level,
+    each level by one template holding a list's brackets and separators."""
+    shape = []
+    level = [obj]
+    while {*map(type, level)} == {list}:
+        n = len(level[0])
+        if n == 0 or {*map(len, level)} != {n}:
+            return None
+        shape.append(n)
+        level = list(chain.from_iterable(level))
+    if {*map(type, level)} != {float} or not all(map(math.isfinite, level)):
+        return None
+    parts = list(map(float.__repr__, level))
+    for d in range(depth + len(shape) - 1, depth - 1, -1):
+        n = shape[d - depth]
+        template = _enclose("[", ["%s"] * n, "]", d)
+        parts = list(map(template.__mod__, zip(*[iter(parts)] * n)))
+    return parts[0]

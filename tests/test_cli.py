@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shortops
 from shortops.cli import main, parse_tolerance
 from shortops.serialize import matrix_to_payload
 
@@ -133,6 +139,18 @@ def test_cmd_converge(worked, tmp_path, capsys):
     assert main(["converge", a, s, str(tmp_path / "nope.json")]) == 1
 
 
+def test_cmd_converge_single_point_schedule(worked, tmp_path, capsys):
+    # one schedule point leaves the log-log slope undefined (NaN), which
+    # JSON cannot carry: the report says null
+    a, s = worked
+    b = write_matrix(tmp_path / "B.json", np.diag([1.0, 0.0]))
+    out = tmp_path / "out.json"
+    assert main(["converge", a, s, s, b, "--schedule", "4", "--json-out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["result"]["fitted_slope"] is None
+    assert report["result"]["errors"] == pytest.approx([1 / 5], abs=1e-12)
+
+
 def test_cmd_converge_not_complementable(tmp_path, capsys):
     a = write_matrix(tmp_path / "A.json", [[1.0, 1.0], [1.0, 0.0]])
     s = write_subspace(tmp_path / "S.json", [[1.0], [0.0]])
@@ -223,3 +241,76 @@ def test_invocation_echoed(worked, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["invocation"][0] == "shortops"
     assert report["invocation"][1] == "check"
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """Every report object the CLI writes, each checked on the way out to be
+    written as the bytes of json.dumps(indent=2, sort_keys=True)."""
+    import shortops.cli as cli
+    real = cli.dumps_report
+    reports = []
+
+    def checked(obj):
+        text = real(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        reports.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "dumps_report", checked)
+    return reports
+
+
+def test_every_report_kind_written_as_json_dumps(tmp_path, capsys, emitted):
+    rng = np.random.default_rng(5)
+    big = write_matrix(tmp_path / "big.json",
+                       rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    half = write_subspace(tmp_path / "half.json", np.eye(64)[:, :32])
+    a = write_matrix(tmp_path / "a.json", [[2.0, 1.0], [1.0, 1.0]])
+    s = write_subspace(tmp_path / "s.json", [[1.0], [0.0]])
+    bad = write_matrix(tmp_path / "bad.json", [[1.0, 1.0], [1.0, 0.0]])
+    x = write_matrix(tmp_path / "x.json", np.diag([1.0, 0.0]))
+    y = write_matrix(tmp_path / "y.json", np.diag([-1.0, 0.0]))
+    one = write_matrix(tmp_path / "one.json", [[1.0]])
+    two = write_matrix(tmp_path / "two.json", [[2.0]])
+    runs = [
+        (["short", big, half, half], 0),
+        (["short", bad, s, s], 2),
+        (["psum", a, a], 0),
+        (["psum", x, y], 2),
+        (["psub", one, two], 0),
+        (["psub", two, two], 2),
+        (["check", a, s, s, "--what", "complementable"], 0),
+        (["check", x, y, "--what", "summable"], 3),
+        (["check", x, a, "--what", "minus"], 0),
+        (["converge", a, s, s, "--schedule", "1,4,16"], 0),
+        (["converge", a, s, s, x, "--schedule", "4"], 0),
+        (["verify", "--trials", "1", "--dims", "2,3"], 0),
+        (["demo-impedance", "--resistors", "2", "3"], 0),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert len(emitted) == len(runs)
+
+
+def test_import_leaves_suite_unloaded():
+    """Importing the CLI does not load genlab; the package serves genlab and
+    its re-exports on first access."""
+    program = textwrap.dedent("""
+        import sys
+        import shortops.cli
+        assert "shortops.genlab" not in sys.modules
+        import shortops
+        assert len(shortops.genlab.INVARIANTS) == 34
+        assert shortops.run_suite is shortops.genlab.run_suite
+        from shortops import GenConfig
+        assert GenConfig is shortops.genlab.GenConfig
+        assert "GenConfig" in vars(shortops)
+        assert not hasattr(shortops, "no_such_name")
+    """)
+    src = str(Path(shortops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -5,8 +5,9 @@ Each call is the first of its kind and shape, on fresh Subspace objects
 parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset, parallel_sum 64x64, parallel_subtract
 64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
-summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4 and
-shorted_range_nullspace_ok 6x6, oblique_projection 4x4 and
+summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4,
+shorted_range_nullspace_ok 6x6 and minus-route-agreement trials,
+oblique_projection 4x4 and
 complementability on a 4x4 triple that is not complementable.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.  Reported norms that decide nothing (shorted's
@@ -33,10 +34,13 @@ from shortops import (
     summability,
 )
 from shortops.genlab import (
+    INVARIANTS,
+    GenConfig,
     gen_complementable,
     gen_da_member,
     gen_with_ranges,
     shorted_range_nullspace_ok,
+    trial_rng,
 )
 
 
@@ -268,3 +272,19 @@ def test_shorted_range_nullspace_ok_6x6(svd_calls):
     # A and sig once each (ranges, null space, norms and the scaled rank),
     # then the meet and the join; every residual settles from Frobenius bounds
     assert svd_calls == {"factor": 4, "norm": 0, "qr": 0}
+
+
+def test_minus_route_agreement_trials(svd_calls):
+    names = [name for name, _ in INVARIANTS]
+    check = dict(INVARIANTS)["minus-route-agreement"]
+    counts = []
+    for trial in range(8):
+        before = svd_calls["factor"]
+        rng = trial_rng(11, names.index("minus-route-agreement"), trial)
+        assert check(rng, GenConfig(), shortops.DEFAULT_TOL) is True
+        counts.append(svd_calls["factor"] - before)
+    # C and B - C once each, for the angle screen and the comparison, then B
+    # and the one or two stacked-basis splits; mode-0 trials factor B once
+    # more to build C (two more per trial when the screen factored C and
+    # B - C apart from minus_leq: 5, 8, 8, 5, 5, 5, 6, 6)
+    assert counts == [3, 6, 6, 3, 3, 3, 4, 4]
