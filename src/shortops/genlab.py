@@ -271,15 +271,17 @@ def draw_summable(rng, cfg: GenConfig, tol: Tolerance):
 
 
 def _draw_inclusion_instance(rng, cfg, tol):
+    """A, the factors its condition screen took, and B (in R(A) half the time)."""
     m, n = _dims(rng, cfg)
     r = int(rng.integers(0, min(m, n) + 1))
     A = gauss(rng, m, r) @ gauss(rng, r, n)
-    if not cond_ok(A, cfg.condition_cap, tol):
+    fs = fundamental_subspaces(A, tol)
+    if not cond_ok(fs, cfg.condition_cap):
         return None
     k = int(rng.integers(1, n + 1))
     included = rng.integers(0, 2) == 0
     B = A @ gauss(rng, n, k) if included else gauss(rng, m, k)
-    return A, B
+    return A, fs, B
 
 
 def _random_idempotent(rng, n: int, k: int, tol: Tolerance):
@@ -410,7 +412,7 @@ def _lambda_exists_oracle(B, A, tol: Tolerance, lam_cap: float = 1e12) -> bool:
 
 
 @_invariant("douglas-equivalence", draw=_draw_inclusion_instance)
-def _inv_douglas_equivalence(rng, tol, A, B):
+def _inv_douglas_equivalence(rng, tol, A, _, B):
     by_projection = range_leq(B, A, tol)
     by_lambda = _lambda_exists_oracle(B, A, tol)
     try:
@@ -424,10 +426,10 @@ def _inv_douglas_equivalence(rng, tol, A, B):
 
 
 @_invariant("reduced-solution-minimal-norm", draw=_draw_inclusion_instance)
-def _inv_reduced_solution_minimal_norm(rng, tol, A, _):
+def _inv_reduced_solution_minimal_norm(rng, tol, A, fs, _):
     B = A @ gauss(rng, A.shape[1], int(rng.integers(1, A.shape[1] + 1)))
     sol = reduced_solution(A, B, tol)
-    null_basis = fundamental_subspaces(A, tol).null_basis
+    null_basis = fs.null_basis
     if null_basis.shape[1] == 0:
         return True
     other = sol.D + null_basis @ gauss(rng, null_basis.shape[1], B.shape[1])
@@ -435,7 +437,7 @@ def _inv_reduced_solution_minimal_norm(rng, tol, A, _):
 
 
 @_invariant("reduced-solution-nullspace", draw=_draw_inclusion_instance)
-def _inv_reduced_solution_nullspace(rng, tol, A, _):
+def _inv_reduced_solution_nullspace(rng, tol, A, *_):
     k = int(rng.integers(1, A.shape[1] + 1))
     kb = int(rng.integers(0, k + 1))
     B = A @ (gauss(rng, A.shape[1], kb) @ gauss(rng, kb, k))

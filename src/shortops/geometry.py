@@ -3,7 +3,9 @@
 A subspace is stored as an orthonormal column basis (zero columns for the
 trivial subspace).  Two angle notions are provided: the Dixmier angle, whose
 cosine is 1 as soon as the subspaces intersect nontrivially, and the
-Friedrichs angle, taken after splitting off the intersection.
+Friedrichs angle, taken after splitting off the intersection.  Every
+question about a pair of subspaces (meet, join, both angles, the oblique
+projection) is answered from one SVD of their stacked bases [W1 W2].
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotComplementary
 from .numcore import (
     DEFAULT_TOL,
+    FundamentalSubspaces,
     Tolerance,
     as_operator,
     complement_basis,
@@ -164,30 +167,34 @@ def _split_along(W1: np.ndarray, W2: np.ndarray, tol: Tolerance) -> np.ndarray |
     return W1 @ spectrum.pinv()[:a]
 
 
-def _at_unit_scale(A: np.ndarray, tol: Tolerance):
-    """Factors of A with the rank cutoff anchored at max(1, sigma_max).
-    Appropriate when A is built from projections or orthonormal bases, whose
-    meaningful singular values are O(1); a cutoff relative to sigma_max would
-    promote pure rounding noise to full rank when A ~ 0."""
-    spectrum = _spectrum(A, tol)
-    return spectrum.at_scale(spectrum.s.max(initial=1.0), tol)
+def _stacked(M: Subspace, N: Subspace, tol: Tolerance) -> FundamentalSubspaces:
+    """SVD of [W1 W2] at its default anchor.  Its Gram matrix [[I, G], [G*, I]],
+    G = W1* W2, has eigenvalues 1 +- cos(theta_i) for the min(a, b) principal
+    angles and 1 for the other |a - b| columns (Björck & Golub, 1973): the
+    top min(a, b) singular values are sqrt(1 + cos(theta_i)), the near-null
+    ones span M ∩ N, and the rank is dim (M + N)."""
+    if M.ambient_dim != N.ambient_dim:
+        raise DimensionMismatch("subspaces live in different ambient spaces")
+    return _spectrum(np.hstack([M.basis, N.basis]), tol)
 
 
 def subspace_meet(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Intersection M ∩ N, from the common nullspace of the projection complements."""
-    if M.ambient_dim != N.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    n = M.ambient_dim
-    eye = np.eye(n)
-    stacked = np.vstack([eye - M.projection, eye - N.projection])
-    return Subspace(n, _at_unit_scale(stacked, tol).null_basis)
+    """Intersection M ∩ N, of dimension dim M + dim N - dim (M + N).  Each
+    near-null right singular vector (x1, x2) of [W1 W2], with singular value
+    sigma (0 past the last one), gives (W1 x1 - W2 x2) / sqrt(2 - sigma^2): a
+    unit vector within sigma of M and N and, in exact arithmetic, orthogonal
+    to the others, so the basis needs no further factorization."""
+    spectrum = _stacked(M, N, tol)
+    X = spectrum.null_basis
+    sigma = np.zeros(X.shape[1])
+    sigma[:spectrum.s.size - spectrum.rank] = spectrum.s[spectrum.rank:]
+    meet = (M.basis @ X[:M.dim] - N.basis @ X[M.dim:]) / np.sqrt(2.0 - sigma * sigma)
+    return Subspace(M.ambient_dim, meet)
 
 
 def subspace_join(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of M + N, the orthonormalized union of the two bases."""
-    if M.ambient_dim != N.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    return Subspace.from_spanning(np.hstack([M.basis, N.basis]), tol)
+    """Span of M + N, the range basis of the stacked bases [W1 W2]."""
+    return Subspace(M.ambient_dim, _stacked(M, N, tol).range_basis)
 
 
 def _largest_cosine(B1: np.ndarray, B2: np.ndarray) -> float:
@@ -201,30 +208,16 @@ def _largest_cosine(B1: np.ndarray, B2: np.ndarray) -> float:
     return float(min(1.0, opnorm(B1.conj().T @ B2)))
 
 
-def _deflate(S: Subspace, K: Subspace, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis of the part of S orthogonal to K (K assumed inside S)."""
-    if K.dim == 0:
-        return S.basis
-    # unit-scale cutoff: when K = S the residual is rounding noise and must
-    # come out empty, not as a normalized junk direction
-    return _at_unit_scale(S.basis - K.projection @ S.basis, tol).range_basis
-
-
 def angles(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> AnglePair:
-    """Dixmier and Friedrichs angle cosines between M and N.
-
-    The Friedrichs cosine is computed after orthogonally removing M ∩ N from
-    both sides.  When one subspace contains the other, the deflated sup runs
-    over an empty set and the cosine is reported as 0 (angle pi/2); this
-    convention makes the complement symmetry of the Friedrichs angle hold
-    degenerately.
+    """Dixmier and Friedrichs angle cosines between M and N: the largest
+    principal cosine sigma_i^2 - 1 of the stacked bases, and the largest past
+    the dim (M ∩ N) meet directions.  When one subspace contains the other
+    that sup runs over an empty set and the cosine is reported as 0 (angle
+    pi/2); this convention makes the complement symmetry of the Friedrichs
+    angle hold degenerately.
     """
-    if M.ambient_dim != N.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    dixmier = _largest_cosine(M.basis, N.basis)
-    K = subspace_meet(M, N, tol)
-    if K.dim == 0:
-        friedrichs = dixmier
-    else:
-        friedrichs = _largest_cosine(_deflate(M, K, tol), _deflate(N, K, tol))
-    return AnglePair(dixmier_cos=dixmier, friedrichs_cos=friedrichs)
+    spectrum = _stacked(M, N, tol)
+    cosines = np.clip(spectrum.s[:min(M.dim, N.dim)] ** 2 - 1.0, 0.0, 1.0)
+    meet_dim = M.dim + N.dim - spectrum.rank
+    return AnglePair(dixmier_cos=float(cosines.max(initial=0.0)),
+                     friedrichs_cos=float(cosines[meet_dim:].max(initial=0.0)))

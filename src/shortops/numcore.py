@@ -24,9 +24,9 @@ class Tolerance:
     rank_rel
         Singular values at or below ``rank_rel * max(rows, cols) * scale``
         are treated as zero.  The scale is sigma_max of the factored matrix
-        by default; the complementability corner A22 uses ||A||_F of the
-        whole operator, a minus-order comparison max(||B||, ||C||), and
-        subspace meets and deflation max(1, sigma_max).
+        by default (for a pair of subspaces, of their stacked bases); the
+        complementability corner A22 uses ||A||_F of the whole operator, and
+        a minus-order comparison max(||B||, ||C||).
     eq_rel
         Relative threshold for equality and residual assertions.
     psd_slack
@@ -146,10 +146,10 @@ def opnorm(a) -> float:
     if min(m, n) == 2:
         # kept by measurement: it saves 4 of shorted's 10 SVDs at 2x2; small-ops speed is equal
         G = arr @ arr.conj().T if m <= n else arr.conj().T @ arr
-        tr = G[0, 0].real + G[1, 1].real
-        det = (G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]).real
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return float(np.sqrt(0.5 * (tr + np.sqrt(disc))))
+        p, r, q = G[0, 0].real, G[1, 1].real, abs(G[0, 1])
+        # tr^2 - 4 det as (p - r)^2 + 4|q|^2: no cancellation near a double singular value
+        disc = (p - r) ** 2 + 4.0 * q * q
+        return float(np.sqrt(0.5 * (p + r + np.sqrt(disc))))
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 

@@ -6,8 +6,9 @@ parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset, parallel_sum 64x64, parallel_subtract
 64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
 summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4,
-shorted_range_nullspace_ok 6x6 and minus-route-agreement trials,
-oblique_projection 4x4 and
+shorted_range_nullspace_ok 6x6, minus-route-agreement and
+reduced-solution-minimal-norm trials, oblique_projection 4x4, angles and
+subspace_meet on a pair of planes in C^4 that share one line, and
 complementability on a 4x4 triple that is not complementable.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.  Reported norms that decide nothing (shorted's
@@ -22,6 +23,7 @@ import pytest
 import shortops
 from shortops import (
     Subspace,
+    angles,
     complementability,
     minus_leq,
     oblique_projection,
@@ -31,6 +33,7 @@ from shortops import (
     schur_compression,
     shorted,
     shorted_via_limit,
+    subspace_meet,
     summability,
 )
 from shortops.genlab import (
@@ -163,6 +166,34 @@ def test_oblique_projection_4x4(svd_calls, inv_calls):
     assert inv_calls == [0]
 
 
+def _planes_sharing_a_line():
+    """Two 2-dim subspaces of C^4 whose meet is 1-dimensional."""
+    rng = np.random.default_rng(0)
+    F = np.linalg.qr(_gauss(rng, 4, 4))[0]
+    tilt = (F[:, 1] + 2.0 * F[:, 2]) / np.sqrt(5.0)
+    return Subspace(4, F[:, :2]), Subspace(4, np.column_stack([F[:, 0], tilt]))
+
+
+def test_angles_with_a_1dim_meet(svd_calls):
+    M, N = _planes_sharing_a_line()
+    svd_calls.update(qr=0)
+    ap = angles(M, N)
+    assert ap.dixmier_cos == pytest.approx(1.0, abs=1e-12)
+    assert ap.friedrichs_cos == pytest.approx(1 / np.sqrt(5.0), abs=1e-12)
+    # both cosines and the meet's dimension from one SVD of the stacked
+    # bases (3 when the meet and the two deflated bases were factored apart)
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
+
+
+def test_subspace_meet_1dim(svd_calls):
+    M, N = _planes_sharing_a_line()
+    svd_calls.update(qr=0)
+    assert subspace_meet(M, N).dim == 1
+    # the meet's basis comes from the stacked bases' near-null singular
+    # vectors, with no further QR or SVD
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
+
+
 def test_complementability_report_4x4(svd_calls):
     A = np.zeros((4, 4))
     A[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
@@ -288,3 +319,21 @@ def test_minus_route_agreement_trials(svd_calls):
     # more to build C (two more per trial when the screen factored C and
     # B - C apart from minus_leq: 5, 8, 8, 5, 5, 5, 6, 6)
     assert counts == [3, 6, 6, 3, 3, 3, 4, 4]
+
+
+def test_reduced_solution_minimal_norm_trials(svd_calls):
+    names = [name for name, _ in INVARIANTS]
+    check = dict(INVARIANTS)["reduced-solution-minimal-norm"]
+    factors, norms = [], []
+    for trial in range(8):
+        before = dict(svd_calls)
+        rng = trial_rng(11, names.index("reduced-solution-minimal-norm"), trial)
+        assert check(rng, GenConfig(), shortops.DEFAULT_TOL)
+        factors.append(svd_calls["factor"] - before["factor"])
+        norms.append(svd_calls["norm"] - before["norm"])
+    # A once for the draw's condition screen and the null basis, once inside
+    # reduced_solution; the norms are ||D|| and the competing solution's, by
+    # SVD when neither side is 2 or less (the screen took A's singular values
+    # in one more SVD when the draw dropped them: norms 1, 3, 1, 1, 1, 3, 3, 3)
+    assert factors == [2] * 8
+    assert norms == [0, 2, 0, 0, 0, 2, 2, 2]

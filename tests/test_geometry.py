@@ -175,12 +175,19 @@ def _frame_inverse_split(W1, W2, tol=DEFAULT_TOL):
 def _pair_draw(rng, n, a, b, gap=None):
     """Orthonormal W1 (n x a) and W2 (n x b); with ``gap``, the Dixmier
     cosine between their ranges is 1 - gap (needs a, b >= 1, a + b <= n)."""
-    F = _unitary(rng, n)
     if gap is None:
-        return F[:, :a], _unitary(rng, n)[:, :b]
-    cos = 1.0 - gap
-    tilted = cos * F[:, :1] + np.sqrt(1.0 - cos * cos) * F[:, a:a + 1]
-    W2 = np.hstack([tilted, F[:, a + 1:a + b]]) @ _unitary(rng, b)
+        return _unitary(rng, n)[:, :a], _unitary(rng, n)[:, :b]
+    return _angle_pair(rng, n, a, b, [np.arccos(1.0 - gap)])
+
+
+def _angle_pair(rng, n, a, b, thetas):
+    """Orthonormal W1 (n x a) and W2 (n x b), a + b <= n, whose principal
+    angles are ``thetas`` (0 for a shared direction) and pi/2 for the other
+    min(a, b) - len(thetas)."""
+    F = _unitary(rng, n)
+    t = len(thetas)
+    tilted = F[:, :t] * np.cos(thetas) + F[:, a:a + t] * np.sin(thetas)
+    W2 = np.hstack([tilted, F[:, a + t:a + b]]) @ _unitary(rng, b)
     return F[:, :a] @ _unitary(rng, a), W2
 
 
@@ -240,3 +247,90 @@ def test_oblique_projection_threshold_and_excess_dimension():
             assert np.linalg.norm(Q @ W2) <= 1e-9 * np.linalg.norm(Q, 2)
     W1, W2 = _pair_draw(rng, 3, 2, 2)
     assert _split_along(W1, W2, DEFAULT_TOL) is None  # a + b > n: ranges meet
+
+
+def test_meet_and_join_dimensions_add_up_near_the_cutoff():
+    # dim (M ∩ N) + dim (M + N) = dim M + dim N, with one principal angle
+    # straddling the meet's cutoff
+    rng = np.random.default_rng(1973)
+    met = 0
+    for _ in range(1200):
+        n = int(rng.integers(2, 10))
+        a = int(rng.integers(1, n))
+        b = int(rng.integers(1, n - a + 1))
+        W1, W2 = _angle_pair(rng, n, a, b, [10.0 ** rng.uniform(-11, -7)])
+        M, N = Subspace(n, W1), Subspace(n, W2)
+        meet = subspace_meet(M, N)
+        assert meet.dim + subspace_join(M, N).dim == a + b
+        if meet.dim:
+            met += 1
+            # the meet direction lies within its singular value of M and N
+            K = meet.basis
+            assert np.linalg.norm(K - M.projection @ K, 2) <= 1e-8
+            assert np.linalg.norm(K - N.projection @ K, 2) <= 1e-8
+    assert 200 <= met <= 1000
+
+
+def _unit_scale_factors(A, tol=DEFAULT_TOL):
+    spectrum = fundamental_subspaces(A, tol)
+    return spectrum.at_scale(spectrum.s.max(initial=1.0), tol)
+
+
+def _complement_stack_meet(M, N, tol=DEFAULT_TOL):
+    """Reference meet: the common null space of [I - P_M; I - P_N], cut off
+    at max(1, sigma_max)."""
+    eye = np.eye(M.ambient_dim)
+    stacked = np.vstack([eye - M.projection, eye - N.projection])
+    return Subspace(M.ambient_dim, _unit_scale_factors(stacked, tol).null_basis)
+
+
+def _deflate(S, K, tol=DEFAULT_TOL):
+    """Reference: orthonormal basis of the part of S orthogonal to K."""
+    if K.dim == 0:
+        return S.basis
+    return _unit_scale_factors(S.basis - K.projection @ S.basis, tol).range_basis
+
+
+def _reference_angles(M, N):
+    """Meet dimension, Dixmier and Friedrichs cosines by separate routes: the
+    largest cosine of the bases, then of the bases deflated by the meet."""
+    dixmier = _largest_cosine(M.basis, N.basis)
+    K = _complement_stack_meet(M, N)
+    if K.dim == 0:
+        return 0, dixmier, dixmier
+    return K.dim, dixmier, _largest_cosine(_deflate(M, K), _deflate(N, K))
+
+
+def test_angles_and_meet_match_complement_stack_reference():
+    rng = np.random.default_rng(1951)
+    gap_band = (1e-10, 1e-8)
+    in_band = nested = 0
+    for trial in range(1500):
+        n = int(rng.integers(2, 10))
+        angle = None
+        if trial % 3 == 0:  # any dimensions, a + b > n included
+            M = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
+            N = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
+            if trial % 2:  # N contains M
+                extra = int(rng.integers(0, n - M.dim + 1))
+                spanning = np.hstack([M.basis, M.complement().basis[:, :extra]])
+                N = Subspace(n, spanning @ _unitary(rng, M.dim + extra))
+                nested += 1
+        else:  # shared directions, one probe angle, the rest generic
+            a = int(rng.integers(1, n))
+            b = int(rng.integers(1, n - a + 1))
+            shared = int(rng.integers(0, min(a, b)))
+            angle = 10.0 ** rng.uniform(-15, -1)
+            rest = rng.uniform(0.05, np.pi / 2, size=min(a, b) - shared - 1)
+            thetas = np.concatenate([np.zeros(shared), [angle], rest])
+            M, N = (Subspace(n, W) for W in _angle_pair(rng, n, a, b, thetas))
+        band = angle is not None and gap_band[0] <= angle <= gap_band[1]
+        in_band += band
+        ref_dim, ref_dixmier, ref_friedrichs = _reference_angles(M, N)
+        got = angles(M, N)
+        assert abs(got.dixmier_cos - ref_dixmier) <= 1e-12
+        if subspace_meet(M, N).dim == ref_dim:
+            assert abs(got.friedrichs_cos - ref_friedrichs) <= 1e-12
+        else:
+            assert band, (n, M.dim, N.dim, angle)
+    assert in_band >= 100 and nested >= 200

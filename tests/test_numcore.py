@@ -254,6 +254,14 @@ def test_rank_rule_lives_in_numcore():
     assert "np.block(" not in inspect.getsource(parallel)
 
 
+def test_geometry_reads_pairs_from_the_stacked_bases():
+    # one anchor, sigma_max of [W1 W2], for every subspace-pair question:
+    # no re-truncation and no stacked projection complements [I - P_M; I - P_N]
+    source = inspect.getsource(geometry)
+    for banned in ("at_scale(", "np.vstack(", "np.eye(n) -", "eye - "):
+        assert banned not in source, f"geometry uses {banned}"
+
+
 # Exact spectral norms genlab uses as values, not as a residual against a
 # threshold: a rank scale, eigenvalue floors, a reported error against the
 # rounding floor, and the minimal-norm inequality (a lower bound).
@@ -299,6 +307,21 @@ def _exact_leq(X, rel, anchor):
     else:
         a = opnorm(anchor)
     return opnorm(X) <= rel * max(a, 1.0)
+
+
+def test_closed_form_opnorm_near_a_double_singular_value():
+    # matrices with a side of length 2 take the closed-form norm; with the
+    # two singular values within 1e-12..1e-4 of each other, tr^2 - 4 det
+    # cancelled to ~1e-8 relative error
+    rng = np.random.default_rng(2)
+    for _ in range(400):
+        k = int(rng.integers(2, 6))
+        U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        s = 10.0 ** rng.uniform(-12, 12) * np.array([1.0, 1.0 - 10.0 ** rng.uniform(-12, -4)])
+        A = (U * s) @ V[:2]
+        for X in (A, A.T):
+            assert abs(opnorm(X) - s[0]) <= 1e-14 * s[0]
 
 
 def test_opnorm_leq_matches_exact_comparison():
