@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 I/O or parse problem (including malformed or
 mismatched inputs), 2 precondition failure (not complementable / not
-summable / not in the subtraction domain), 3 a checked predicate is cleanly
+summable / not in D_A / BadAuxiliary / EscalationExhausted /
+RangeNotIncluded) or ConsistencyError, 3 a checked predicate is cleanly
 false, 4 the verification suite reports failures.  Every report embeds the
 tool version, the full invocation and the effective tolerance.
 """

@@ -93,17 +93,6 @@ def _reduced_coeffs(spectrum: FundamentalSubspaces, B: np.ndarray) -> np.ndarray
     return spectrum.corange_basis @ (coeffs / spectrum.s[:spectrum.rank, None])
 
 
-def _reduced_D(spectrum: FundamentalSubspaces, B: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The reduced solution matrix of A X = B from the factors of A; raises
-    RangeNotIncluded when R(B) ⊄ R(A)."""
-    Ur = spectrum.range_basis
-    leftover = B - Ur @ (Ur.conj().T @ B)
-    if not opnorm_leq(leftover, tol.eq_rel, B):
-        resid = opnorm(leftover) / max(opnorm(B), 1.0)
-        raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
-    return _reduced_coeffs(spectrum, B)
-
-
 def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     """Solve A X = B for the unique X with columns in N(A)-perp.
 
@@ -112,7 +101,12 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     """
     B, A = _checked_pair(B, A)
     spectrum = _spectrum(A, tol)
-    D = _reduced_D(spectrum, B, tol)
+    Ur = spectrum.range_basis
+    leftover = B - Ur @ (Ur.conj().T @ B)
+    if not opnorm_leq(leftover, tol.eq_rel, B):
+        resid = opnorm(leftover) / max(opnorm(B), 1.0)
+        raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
+    D = _reduced_coeffs(spectrum, B)
     Vr = spectrum.corange_basis
     return ReducedSolution(
         D=D,

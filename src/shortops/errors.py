@@ -69,4 +69,5 @@ class EscalationExhausted(ShortopsError):
 
 
 class ConsistencyError(ShortopsError):
-    """Two internal computation routes disagreed beyond tolerance (a bug, not bad input)."""
+    """Two internal computation routes disagreed beyond tolerance: a bug, or an
+    operand too ill-conditioned at its rank cutoff for the routes to agree."""

@@ -5,7 +5,7 @@ operator of the doubled block matrix [[A, A], [A, A+B]] with respect to the
 first copies.  In the first-copy frames its blocks are A, A, A and the corner
 A + B, so the shorted block is read by slicing: the Schur complement
 A - A (A+B)^+ A, computed by the same core as ``shorted`` on the one
-factorization of A + B that also decides summability.
+factorization of A + B, which decides summability once per sum.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .douglas import _in_span, _reduced_D
+from .douglas import _in_span, _reduced_coeffs
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
@@ -38,6 +38,7 @@ from .numcore import (
 from .shorting import shorted_matrix, _complementable_blocks, _schur_complement
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
+_SLOPE_POINTS = 8  # the convergence slope is fitted on the last ones used
 
 
 @dataclass(frozen=True)
@@ -154,32 +155,34 @@ def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
 def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     """Parallel sum A ∥ B of a summable pair, from one SVD of A + B.
 
-    The shorted block of the doubled matrix is the defining route and is
-    returned as ``sum``; its reduced-solution cross-check raises
-    ConsistencyError beyond 10 * eq_rel of the doubled matrix's Frobenius
-    norm, and the gaps to A (A+B)^+ B and to B - B (A+B)^+ B are recorded.
-    Raises NotSummable (carrying the report) when the pair is not weakly
-    summable.
+    That SVD makes the one summability decision; raises NotSummable
+    (carrying the report) when the pair is not weakly summable.  ``sum`` is
+    the doubled matrix's shorted block; its reduced-solution cross-check
+    raises ConsistencyError beyond 10 * eq_rel of the doubled matrix's
+    Frobenius norm, and the gaps to A (A+B)^+ B and B - B (A+B)^+ B are kept.
     """
     A, B = _checked_pair(A, B)
-    return _parallel_sum(A, B, _spectrum(A + B, tol), tol)
-
-
-def _parallel_sum(A, B, total: FundamentalSubspaces, tol: Tolerance) -> ParallelSumResult:
-    """parallel_sum on checked operands and the factors of their sum."""
+    total = _spectrum(A + B, tol)
     if not _summable(A, total, tol):
         raise NotSummable(_summability_report(A, B, total, False))
-    # The doubled matrix's blocks in the first-copy frames are A, A, A and
-    # A + B; its Frobenius norm anchors the check without forming it.
-    doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
-    block, _, _, _, _, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
-    # F_A is A's reduced solution through |A+B|^(1/2), gated by _summable
-    route_reduced = F_A.conj().T @ _reduced_D(total.root_factors, B, tol)
+    block, F_A = _parallel_sum(A, total, tol)
+    # B = (A+B) - A lies in R(A+B) once A does: no test of its own
+    route_reduced = F_A.conj().T @ _reduced_coeffs(total.root_factors, B)
     return ParallelSumResult(
         sum=block,
         route_reduced=route_reduced,
         _routes=(block.copy(), route_reduced.copy(), B.copy(), total),
     )
+
+
+def _parallel_sum(A, total: FundamentalSubspaces, tol: Tolerance) -> tuple:
+    """A - A (A+B)^+ A and F_A, A's reduced solution through |A+B|^(1/2),
+    from the factors of A + B, for a caller that has decided summability."""
+    # The doubled matrix's blocks in the first-copy frames are A, A, A and
+    # A + B; its Frobenius norm anchors the check without forming it.
+    doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
+    block, _, _, _, _, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
+    return block, F_A
 
 
 def _da_factors(C: np.ndarray, A: np.ndarray, a: FundamentalSubspaces,
@@ -209,14 +212,15 @@ def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Parallel subtraction C ÷ A = C ∥ (-A), defined for C with R(C-A) = R(A).
 
     The result X is the unique solution of A ∥ X = C that additionally keeps
-    R(A + X) = R(A) and R((A + X)*) = R(A*).  The sum reuses in_da's
-    factors of C - A, which equals C + (-A) bit for bit: two SVDs in all.
+    R(A + X) = R(A) and R((A + X)*) = R(A*).  D_A membership is its one
+    summability decision.  The sum reuses in_da's factors of C - A, which
+    equals C + (-A) bit for bit: two SVDs in all.
     """
     C, A = _checked_pair(C, A)
     d = _da_factors(C, A, _spectrum(A, tol), tol)
     if d is None:
         raise NotInDA("C - A does not have the same range/corange as A")
-    return _parallel_sum(C, -A, d, tol).sum
+    return _parallel_sum(C, d, tol)[0]
 
 
 def _auxiliary_factors(L: np.ndarray, S: Subspace, T: Subspace,
@@ -245,18 +249,17 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
 
     used: list[int] = []
     errors: list[float] = []
-    started = False
     for n in sorted(int(k) for k in schedule):
         if n < 1:
             raise ValueError("schedule entries must be positive integers")
         scaled = n * B
         total = _spectrum(A + scaled, tol)
-        if not started:
-            if not _summable(A, total, tol):
+        if not _summable(A, total, tol):
+            if not used:
                 continue
-            started = True
+            raise NotSummable(_summability_report(A, scaled, total, False))
         used.append(n)
-        errors.append(opnorm(_parallel_sum(A, scaled, total, tol).sum - target))
+        errors.append(opnorm(_parallel_sum(A, total, tol)[0] - target))
     if not used:
         raise EscalationExhausted("no schedule entry made the pair summable")
     return ConvergenceRecord(
@@ -264,10 +267,10 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     )
 
 
-def _loglog_slope(ns, errors, points: int = 8) -> float:
+def _loglog_slope(ns, errors) -> float:
     """Least-squares slope of log(error) against log(n), on the last few points."""
-    xs = np.log(np.asarray(ns[-points:], dtype=float))
-    ys = np.log(np.maximum(np.asarray(errors[-points:], dtype=float), 1e-300))
+    xs = np.log(np.asarray(ns[-_SLOPE_POINTS:], dtype=float))
+    ys = np.log(np.maximum(np.asarray(errors[-_SLOPE_POINTS:], dtype=float), 1e-300))
     if len(xs) < 2:
         return float("nan")
     return float(np.polyfit(xs, ys, 1)[0])
@@ -281,7 +284,7 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     2^20 * n) until both the summability of (A, n L) and the subtraction
     domain condition hold; the identity is then exact up to rounding.  L's
     one SVD, scaled, serves every D_A test, and the subtraction reuses the
-    D_A test's factors.
+    D_A test's factors.  The D_A test is the subtraction's one summability test.
     """
     A = as_operator(A)
     L = as_operator(L)
@@ -296,12 +299,12 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
         scaled = current * L
         total = _spectrum(A + scaled, tol)
         if _summable(A, total, tol):
-            blend = _parallel_sum(A, scaled, total, tol).sum
+            blend = _parallel_sum(A, total, tol)[0]
             d = _da_factors(blend, scaled, FundamentalSubspaces(
                 aux.U, current * aux.s, aux.Vh, aux.rank), tol)
             if d is not None:
                 # parallel_subtract(blend, scaled) on the factors in hand
-                return _parallel_sum(blend, -scaled, d, tol).sum
+                return _parallel_sum(blend, d, tol)[0]
         current *= 2
     raise EscalationExhausted(
         f"no usable scale found between n={n} and n={bound}"

@@ -100,6 +100,20 @@ def test_cmd_psub(tmp_path, capsys):
     assert main(["psub", a, a]) == 2
 
 
+def test_cmd_psum_and_psub_decide_summability_once(tmp_path, capsys):
+    # a strongly summable pair and a member of D_A that used to exit 2 on a
+    # second, differently anchored, summability or range-inclusion test
+    a = write_matrix(tmp_path / "a.json", np.diag([1e3, 0.0]))
+    b = write_matrix(tmp_path / "b.json", [[0.0, 0.0], [1e-7, 0.0]])
+    assert main(["psum", a, b]) == 0
+    assert "error" not in json.loads(capsys.readouterr().out)
+    c = write_matrix(tmp_path / "c.json", [[1e-3, 0.0], [1e-7, 0.0]])
+    assert main(["psub", c, a]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "error" not in report
+    assert report["result"]["round_trip_residual"] <= 1.01e-7
+
+
 def test_cmd_check_complementable(worked, capsys):
     a, s = worked
     assert main(["check", a, s, s, "--what", "complementable"]) == 0

@@ -10,6 +10,9 @@ shorted_range_nullspace_ok 6x6, minus-route-agreement and
 reduced-solution-minimal-norm trials, oblique_projection 4x4, angles and
 subspace_meet on a pair of planes in C^4 that share one line, and
 complementability on a 4x4 triple that is not complementable.
+The summability decisions (``parallel._summable`` calls) of parallel_sum,
+parallel_subtract, recover_shorted and shorted_via_limit are pinned too:
+each sum decides once, in its public call.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.  Reported norms that decide nothing (shorted's
 diagnostics, summability defects, the route disagreement, the
@@ -109,6 +112,21 @@ def inv_calls(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
+    return count
+
+
+@pytest.fixture
+def summable_calls(monkeypatch):
+    """Count of summability decisions (parallel._summable calls), as a
+    one-item list."""
+    count = [0]
+    real = shortops.parallel._summable
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shortops.parallel, "_summable", counting)
     return count
 
 
@@ -213,10 +231,11 @@ def test_complementability_report_4x4(svd_calls):
     assert svd_calls == {"factor": 3, "norm": 0, "qr": 2}
 
 
-def test_parallel_sum_64x64(svd_calls):
+def test_parallel_sum_64x64(svd_calls, summable_calls):
     rng = np.random.default_rng(0)
     res = parallel_sum(_gauss(rng, 64, 64), _gauss(rng, 64, 64))
     assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
+    assert summable_calls == [1]
     # the exact route disagreement needs at most one norm per pair of the
     # three distinct routes; how many the Frobenius pruning skips depends on
     # rounding
@@ -226,7 +245,7 @@ def test_parallel_sum_64x64(svd_calls):
     assert 1 <= svd_calls["norm"] <= 3
 
 
-def test_parallel_subtract_64x64(svd_calls):
+def test_parallel_subtract_64x64(svd_calls, summable_calls):
     rng = np.random.default_rng(0)
     A = _gauss(rng, 64, 48) @ _gauss(rng, 48, 64)
     C = gen_da_member(A, np.random.default_rng(1))
@@ -235,6 +254,8 @@ def test_parallel_subtract_64x64(svd_calls):
     # A and C - A for the D_A test; the parallel sum C ∥ (-A) reuses the
     # factors of C - A (3 SVDs before they were shared)
     assert svd_calls == {"factor": 2, "norm": 0, "qr": 0}
+    # the D_A test is the summability decision (1 when the sum tested again)
+    assert summable_calls == [0]
 
 
 def _triple_with_auxiliary(rng, n, k):
@@ -246,7 +267,7 @@ def _triple_with_auxiliary(rng, n, k):
     return _gauss(rng, n, n), S, T, L
 
 
-def test_recover_shorted_64x64(svd_calls):
+def test_recover_shorted_64x64(svd_calls, summable_calls):
     A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
     svd_calls.update(factor=0, norm=0, qr=0)
     recover_shorted(A, S, T, L, 1)
@@ -254,17 +275,23 @@ def test_recover_shorted_64x64(svd_calls):
     # checks and, scaled, for the D_A test; A + L; the blend minus L, whose
     # factors the subtraction reuses (9 SVDs when each call factored anew)
     assert svd_calls == {"factor": 4, "norm": 0, "qr": 2}
+    # (A, L) once; the D_A test decides the subtraction (3 when the blend
+    # and the subtraction each tested again)
+    assert summable_calls == [1]
 
 
-def test_shorted_via_limit_64x64(svd_calls):
+def test_shorted_via_limit_64x64(svd_calls, summable_calls):
     A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
     schedule = (1, 2, 4)
     svd_calls.update(factor=0, norm=0, qr=0)
-    shorted_via_limit(A, S, T, L, schedule=schedule)
+    record = shorted_via_limit(A, S, T, L, schedule=schedule)
+    assert record.schedule == list(schedule)
     # the corner and the complements of S and T for the target, the
     # auxiliary once for both subspace checks, then A + n L per entry
     assert svd_calls["factor"] == 2 + len(schedule)
     assert svd_calls["qr"] == 2
+    # one decision per entry (4 when the first usable one was tested twice)
+    assert summable_calls == [len(schedule)]
 
 
 def test_summability_8x8(svd_calls):

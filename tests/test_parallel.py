@@ -87,6 +87,19 @@ def test_parallel_sum_consistency_error():
         parallel_sum(np.eye(2), np.diag([-1 + 1e-3, -1 + 1e-9]))
 
 
+def test_parallel_sum_decides_summability_once():
+    # B = (A+B) - A lies in R(A+B) once A does; a second inclusion test of B,
+    # at B's own anchor, used to reject these strongly summable pairs with
+    # RangeNotIncluded
+    A = np.diag([1e3, 0.0])
+    for b in (1e-8, 1e-7, 1e-6):
+        B = np.array([[0.0, 0.0], [b, 0.0]])
+        assert summability(A, B).strongly
+        res = parallel_sum(A, B)
+        assert opnorm(res.sum) <= 1e-12
+        assert res.max_route_disagreement <= 10 * b
+
+
 def test_in_da_examples():
     assert in_da([[1.0]], [[2.0]])
     A = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -105,6 +118,21 @@ def test_parallel_subtract_examples():
 
     with pytest.raises(NotInDA):
         parallel_subtract(A, A)
+
+
+def test_parallel_subtract_decides_summability_by_da():
+    # membership in D_A makes C and -A summable; a second summability test
+    # on the factors of C - A used to reject these members with NotSummable
+    A = np.diag([1e3, 0.0])
+    for g in (1e-8, 1e-7):
+        C = np.array([[1e-3, 0.0], [g, 0.0]])
+        assert in_da(C, A)
+        X = parallel_subtract(C, A)
+        # the round trip misses C by its part outside R(A), which is g: the
+        # D_A test admits C - A up to eq_rel of ||A||
+        residual = opnorm(parallel_sum(A, X).sum - C)
+        assert residual <= 1.01 * g
+        assert residual <= DEFAULT_TOL.eq_rel * opnorm(A)
 
 
 def test_parallel_subtract_round_trip_random():
@@ -152,6 +180,18 @@ def test_shorted_via_limit_full_space():
     record = shorted_via_limit(A, S, T, np.eye(3), schedule=[1, 4, 16, 64])
     assert all(e1 >= e2 for e1, e2 in zip(record.errors, record.errors[1:]))
     assert record.errors[-1] < record.errors[0]
+
+
+def test_shorted_via_limit_skips_only_leading_unsummable_points():
+    S = T = Subspace.full(2)
+    # A + 1 I is singular: skipped before the first usable point
+    record = shorted_via_limit(np.diag([-1.0, 1.0]), S, T, np.eye(2), schedule=(1, 2, 4))
+    assert record.schedule == [2, 4]
+    # A + 2 I is singular after the usable n = 1: the pair's own error
+    with pytest.raises(NotSummable) as info:
+        shorted_via_limit(np.diag([-2.0, 1.0]), S, T, np.eye(2), schedule=(1, 2, 4))
+    assert not info.value.report.strongly
+    assert info.value.report.defects.a_range > 0.1
 
 
 def test_shorted_via_limit_bad_auxiliary():
