@@ -154,7 +154,9 @@ def gen_complementable(m: int, n: int, s_dim: int, t_dim: int, rank22: int,
 def _assemble_blocks(A11, A12, A21, A22, m, n, s_dim, t_dim, rng):
     s_frame = gen_subspace(n, n, rng).basis
     t_frame = gen_subspace(m, m, rng).basis
-    blocks = np.block([[A11, A12], [A21, A22]])
+    blocks = np.empty((m, n), dtype=np.result_type(A11, A12, A21, A22))
+    blocks[:t_dim, :s_dim], blocks[:t_dim, s_dim:] = A11, A12
+    blocks[t_dim:, :s_dim], blocks[t_dim:, s_dim:] = A21, A22
     A = t_frame @ blocks @ s_frame.conj().T
     return A, Subspace(n, s_frame[:, :s_dim]), Subspace(m, t_frame[:, :t_dim])
 

@@ -25,6 +25,7 @@ from .numcore import (
     fundamental_subspaces,
     opnorm,
     opnorm_leq,
+    _fro,
     _spectrum,
 )
 
@@ -46,7 +47,7 @@ class Subspace:
             raise DimensionMismatch("more basis columns than ambient dimension")
         gram = basis.conj().T @ basis
         # Frobenius bound: dominates the spectral norm and needs no SVD
-        if np.linalg.norm(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq_rel:
+        if _fro(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq_rel:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -92,18 +93,19 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     @cached_property
-    def _complement(self) -> "Subspace":
-        return Subspace(self.ambient_dim, complement_basis(self.basis))
-
-    def complement(self) -> "Subspace":
-        """Orthogonal complement (cached), from one complete QR of the basis."""
-        return self._complement
+    def extended_frame(self) -> np.ndarray:
+        """Unitary [basis | complement basis], the frame of block decompositions
+        (cached): the complement is sliced from the basis's one complete QR."""
+        return np.hstack([self.basis, complement_basis(self.basis)])
 
     @cached_property
-    def extended_frame(self) -> np.ndarray:
-        """Unitary [basis | complement basis], the coordinate frame used by
-        block decompositions (cached)."""
-        return np.hstack([self.basis, self.complement().basis])
+    def _complement(self) -> "Subspace":
+        return Subspace(self.ambient_dim, self.extended_frame[:, self.dim:])
+
+    def complement(self) -> "Subspace":
+        """Orthogonal complement (cached), validated as a Subspace: the
+        trailing columns of ``extended_frame``, so no QR of its own."""
+        return self._complement
 
     def contains(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Do the given column vectors lie in the subspace (within eq_rel)?"""

@@ -32,6 +32,7 @@ from .numcore import (
     as_operator,
     max_opnorm,
     opnorm,
+    opnorm_leq,
     _fro,
     _spectrum,
 )
@@ -226,10 +227,14 @@ def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def _auxiliary_factors(L: np.ndarray, S: Subspace, T: Subspace,
                        tol: Tolerance) -> FundamentalSubspaces:
     """One SVD of L, whose range and corange projections are compared with
-    those of T and S; raises BadAuxiliary unless R(L) = T and R(L*) = S."""
+    those of T and S as ``Subspace.equals`` does; raises BadAuxiliary unless
+    R(L) = T and R(L*) = S, and DimensionMismatch for a mis-shaped L."""
+    if L.shape != (T.ambient_dim, S.ambient_dim):
+        raise DimensionMismatch(f"auxiliary operator of shape {L.shape} does not fit (S, T)")
     aux = _spectrum(L, tol)
-    if not (Subspace(L.shape[0], aux.range_basis).equals(T, tol)
-            and Subspace(L.shape[1], aux.corange_basis).equals(S, tol)):
+    W, V = aux.range_basis, aux.corange_basis
+    if not (opnorm_leq(W @ W.conj().T - T.projection, 100 * tol.eq_rel)
+            and opnorm_leq(V @ V.conj().T - S.projection, 100 * tol.eq_rel)):
         raise BadAuxiliary("auxiliary operator must have range T and corange S")
     return aux
 

@@ -34,26 +34,33 @@ class BlockDecomposition:
     """The four blocks of A relative to (S, T), plus the coordinate frames.
 
     A11 maps S-coordinates to T-coordinates, A22 maps S-perp to T-perp, and
-    the off-diagonal blocks mix them.  ``assemble`` maps block matrices back
-    to the original coordinates.
+    the off-diagonal blocks mix them.  The frames [W_S W_S-perp] and
+    [W_T W_T-perp] are the subspaces' ``extended_frame``s, and the four bases
+    are column views of them.  ``assemble`` maps block matrices back.
     """
 
     A11: np.ndarray
     A12: np.ndarray
     A21: np.ndarray
     A22: np.ndarray
-    s_basis: np.ndarray
-    s_perp_basis: np.ndarray
-    t_basis: np.ndarray
-    t_perp_basis: np.ndarray
+    s_frame: np.ndarray
+    t_frame: np.ndarray
 
     @property
-    def s_frame(self) -> np.ndarray:
-        return np.hstack([self.s_basis, self.s_perp_basis])
+    def s_basis(self) -> np.ndarray:
+        return self.s_frame[:, :self.A11.shape[1]]
 
     @property
-    def t_frame(self) -> np.ndarray:
-        return np.hstack([self.t_basis, self.t_perp_basis])
+    def s_perp_basis(self) -> np.ndarray:
+        return self.s_frame[:, self.A11.shape[1]:]
+
+    @property
+    def t_basis(self) -> np.ndarray:
+        return self.t_frame[:, :self.A11.shape[0]]
+
+    @property
+    def t_perp_basis(self) -> np.ndarray:
+        return self.t_frame[:, self.A11.shape[0]:]
 
     def assemble(self, B11, B12, B21, B22) -> np.ndarray:
         blocks = np.block([[B11, B12], [B21, B22]])
@@ -165,20 +172,16 @@ def block_decompose(A, S: Subspace, T: Subspace,
         raise DimensionMismatch(f"S lives in C^{S.ambient_dim}, A has {n} columns")
     if T.ambient_dim != m:
         raise DimensionMismatch(f"T lives in C^{T.ambient_dim}, A has {m} rows")
-    sp = S.complement()
-    tp = T.complement()
-    t = T.dim
-    s = S.dim
-    coords = T.extended_frame.conj().T @ A @ S.extended_frame
+    t, s = T.dim, S.dim
+    s_frame, t_frame = S.extended_frame, T.extended_frame
+    coords = t_frame.conj().T @ A @ s_frame
     return BlockDecomposition(
         A11=coords[:t, :s],
         A12=coords[:t, s:],
         A21=coords[t:, :s],
         A22=coords[t:, s:],
-        s_basis=S.basis,
-        s_perp_basis=sp.basis,
-        t_basis=T.basis,
-        t_perp_basis=tp.basis,
+        s_frame=s_frame,
+        t_frame=t_frame,
     )
 
 
@@ -227,15 +230,12 @@ def _gate(blocks: BlockDecomposition, corner: FundamentalSubspaces,
 
 def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.ndarray):
     """P_hat and Q_hat, with R(P_hat*) = S and R(Q_hat) = T, from the strong
-    corner solutions E = A22^+ A21 and F_adj = A12 A22^+."""
-    s, t = blocks.s_basis.shape[1], blocks.t_basis.shape[1]
-    p, q = blocks.A22.shape
-    P_hat = blocks.s_frame @ np.block(
-        [[np.eye(s), np.zeros((s, q))], [-E, np.zeros((q, q))]]
-    ) @ blocks.s_frame.conj().T
-    Q_hat = blocks.t_frame @ np.block(
-        [[np.eye(t), -F_adj], [np.zeros((p, t)), np.zeros((p, p))]]
-    ) @ blocks.t_frame.conj().T
+    corner solutions E = A22^+ A21 and F_adj = A12 A22^+: the frame forms
+    s_frame [[I, 0], [-E, 0]] s_frame* and t_frame [[I, -F_adj], [0, 0]]
+    t_frame* multiplied out, (W_S - W_S-perp E) W_S* and W_T (W_T* - F_adj W_T-perp*)."""
+    W_S, W_T = blocks.s_basis, blocks.t_basis
+    P_hat = (W_S - blocks.s_perp_basis @ E) @ W_S.conj().T
+    Q_hat = W_T @ (W_T.conj().T - F_adj @ blocks.t_perp_basis.conj().T)
     return P_hat, Q_hat
 
 

@@ -1,7 +1,8 @@
 """SVDs and QRs made by single public calls, pinned as counts.
 
 Each call is the first of its kind and shape, on fresh Subspace objects
-(whose complements, one QR each, are cached per object) and fixed inputs:
+(whose frames [basis | complement], one QR each, are cached per object)
+and fixed inputs:
 parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset, parallel_sum 64x64, parallel_subtract
 64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
@@ -17,7 +18,9 @@ A count that rises means a factorization came back; one that falls is a
 gain to pin here.  Reported norms that decide nothing (shorted's
 diagnostics, summability defects, the route disagreement, the
 complementability angle check) are computed on first read, so each of
-those calls is counted before and after that read.
+those calls is counted before and after that read.  The shorting routes
+read every block quantity from the two subspace frames: they build no
+Subspace and no np.block matrix.
 """
 
 import numpy as np
@@ -39,6 +42,7 @@ from shortops import (
     subspace_meet,
     summability,
 )
+from shortops.shorting import shorted_matrix
 from shortops.genlab import (
     INVARIANTS,
     GenConfig,
@@ -113,6 +117,26 @@ def inv_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counting)
     return count
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of Subspace objects built (each validated) and of np.block
+    calls."""
+    counts = {"subspace": 0, "block": 0}
+    real_post_init, real_block = Subspace.__post_init__, np.block
+
+    def counting_post_init(self):
+        counts["subspace"] += 1
+        real_post_init(self)
+
+    def counting_block(*args, **kwargs):
+        counts["block"] += 1
+        return real_block(*args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__post_init__", counting_post_init)
+    monkeypatch.setattr(np, "block", counting_block)
+    return counts
 
 
 @pytest.fixture
@@ -212,15 +236,17 @@ def test_subspace_meet_1dim(svd_calls):
     assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
 
 
-def test_complementability_report_4x4(svd_calls):
+def _not_complementable_4x4():
     A = np.zeros((4, 4))
     A[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
     A[2, 2] = 1.0
     A[3, 0] = 1.0  # R(A21) leaves R(A22): not complementable
     e = np.eye(4)
-    S = Subspace(4, e[:, :2])
-    T = Subspace(4, e[:, :2])
-    report = complementability(A, S, T)
+    return A, Subspace(4, e[:, :2]), Subspace(4, e[:, :2])
+
+
+def test_complementability_report_4x4(svd_calls):
+    report = complementability(*_not_complementable_4x4())
     assert not report.weakly
     # the corner, and one QR each for the complements of S and T
     assert svd_calls == {"factor": 1, "norm": 0, "qr": 2}
@@ -292,6 +318,34 @@ def test_shorted_via_limit_64x64(svd_calls, summable_calls):
     assert svd_calls["qr"] == 2
     # one decision per entry (4 when the first usable one was tested twice)
     assert summable_calls == [len(schedule)]
+
+
+_FRAME_CALLS = {
+    "shorted": lambda A, S, T, L: shorted(A, S, T),
+    "complementability": lambda A, S, T, L: complementability(A, S, T).weakly,
+    "complementability-false": lambda A, S, T, L: complementability(A, S, T).weakly,
+    "shorted_matrix": lambda A, S, T, L: shorted_matrix(A, S, T),
+    "recover_shorted": lambda A, S, T, L: recover_shorted(A, S, T, L, 1),
+    "shorted_via_limit": lambda A, S, T, L: shorted_via_limit(A, S, T, L, schedule=(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FRAME_CALLS))
+def test_shorting_routes_build_no_subspace_and_no_block_matrix(name, builds):
+    A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 6, 3)
+    if name == "complementability-false":
+        (A, S, T), L = _not_complementable_4x4(), None
+    builds.update(subspace=0, block=0)
+    result = _FRAME_CALLS[name](A, S, T, L)
+    if name.startswith("complementability"):
+        assert result is (name == "complementability")
+    # the complements of S and T come from their frames, and the auxiliary's
+    # range and corange are compared as projections (Subspaces built when
+    # each was validated: 2 for shorted, complementability and
+    # shorted_matrix, 4 for recover_shorted and shorted_via_limit); the
+    # witness projections multiply the frames out (np.block twice in shorted
+    # and a complementable report)
+    assert builds == {"subspace": 0, "block": 0}
 
 
 def test_summability_8x8(svd_calls):

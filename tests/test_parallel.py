@@ -218,6 +218,17 @@ def test_recover_shorted_examples():
     assert np.allclose(got, np.diag([2.0, 0.0]), atol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (2, 3), (1, 1)])
+def test_recover_shorted_rejects_a_misshaped_auxiliary(shape):
+    # a dimension error, not a numpy broadcast error (4x3, 2x3) or a
+    # BadAuxiliary from projections that happen to broadcast (1x1)
+    S = e1_subspace(3)
+    L = np.zeros(shape)
+    L[0, 0] = 1.0
+    with pytest.raises(DimensionMismatch):
+        recover_shorted(np.diag([2.0, 1.0, 1.0]), S, S, L, 1)
+
+
 def test_commutativity_and_rank_random():
     rng = trial_rng(71, 1, 0)
     from shortops import subspace_meet, rank

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shortops import (
+    DEFAULT_TOL,
     DimensionMismatch,
     NotComplementable,
     Subspace,
@@ -12,7 +13,8 @@ from shortops import (
     shorted,
     solve_shorting_direction,
 )
-from shortops.genlab import gen_complementable, trial_rng
+from shortops.genlab import gauss, gen_complementable, gen_subspace, trial_rng
+from shortops.numcore import _fro, _spectrum
 from shortops.shorting import shorted_matrix
 
 
@@ -47,8 +49,6 @@ def test_block_decompose_examples():
 
 def test_block_reassembly_random():
     rng = trial_rng(99, 0, 0)
-    from shortops.genlab import gauss, gen_subspace
-
     for _ in range(50):
         m, n = rng.integers(1, 8, size=2)
         A = gauss(rng, int(m), int(n))
@@ -207,3 +207,62 @@ def test_shorted_basic_algebra_random():
         assert opnorm(
             shorted(A.conj().T, T, S).shorted - sig.conj().T
         ) <= 1e-9 * scale
+
+
+def _frame_block_witnesses(A, S, T):
+    """P, Q, M_r and M_l by the frame-block formulas, on frames stacked here
+    from S, T and their complements: [W_S W_S-perp] [[I, 0], [-E, 0]]
+    [W_S W_S-perp]* and [W_T W_T-perp] [[I, -F_adj], [0, 0]] [W_T W_T-perp]*,
+    with E = A22^+ A21 and F_adj = A12 A22^+ on the library's corner cutoff."""
+    s_frame = np.hstack([S.basis, S.complement().basis])
+    t_frame = np.hstack([T.basis, T.complement().basis])
+    coords = t_frame.conj().T @ A @ s_frame
+    t, s = T.dim, S.dim
+    corner_pinv = _spectrum(coords[t:, s:], DEFAULT_TOL, _fro(A)).pinv()
+    E, F_adj = corner_pinv @ coords[t:, :s], coords[:t, s:] @ corner_pinv
+    (m, n), (p, q) = A.shape, coords[t:, s:].shape
+    P = s_frame @ np.block([[np.eye(s), np.zeros((s, q))],
+                            [-E, np.zeros((q, q))]]) @ s_frame.conj().T
+    Q = t_frame @ np.block([[np.eye(t), -F_adj],
+                            [np.zeros((p, t)), np.zeros((p, p))]]) @ t_frame.conj().T
+    return P, Q, np.eye(n) - P, np.eye(m) - Q
+
+
+def _parity_draws():
+    """Complementable triples: structured ones, and generic complex A whose
+    corner is square (with S or T trivial or full among them)."""
+    rng = trial_rng(31, 0, 0)
+    for k in range(60):
+        m, n = (int(v) for v in rng.integers(1, 8, size=2))
+        if k % 2:
+            s_dim = int(rng.integers(0, n + 1))
+            t_dim = int(rng.integers(0, m + 1))
+            r22 = int(rng.integers(0, min(n - s_dim, m - t_dim) + 1))
+            yield gen_complementable(m, n, s_dim, t_dim, r22, rng)
+        else:
+            q = int(rng.integers(0, min(m, n) + 1))  # corner q x q
+            yield (gauss(rng, m, n), gen_subspace(n, n - q, rng),
+                   gen_subspace(m, m - q, rng))
+
+
+def test_witnesses_match_the_frame_block_formulas():
+    for A, S, T in _parity_draws():
+        w = complementability(A, S, T).witnesses
+        res = shorted(A, S, T)
+        P, Q, M_r, M_l = _frame_block_witnesses(A, S, T)
+        for got, want in ((res.P, P), (res.Q, Q), (w.P_hat, P), (w.Q_hat, Q),
+                          (w.M_r, M_r), (w.M_l, M_l)):
+            assert opnorm(got - want) <= 1e-13 * max(opnorm(want), 1.0)
+
+
+def test_block_bases_are_the_subspace_bases():
+    for A, S, T in _parity_draws():
+        blocks = block_decompose(A, S, T)
+        assert np.array_equal(blocks.s_basis, S.basis)
+        assert np.array_equal(blocks.s_perp_basis, S.complement().basis)
+        assert np.array_equal(blocks.t_basis, T.basis)
+        assert np.array_equal(blocks.t_perp_basis, T.complement().basis)
+        for frame in (blocks.s_frame, blocks.t_frame):
+            k = frame.shape[0]
+            assert frame.shape == (k, k)
+            assert opnorm(frame.conj().T @ frame - np.eye(k)) <= 1e-13
