@@ -76,8 +76,9 @@ def range_residual(B, A, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def _in_span(B: np.ndarray, Ur: np.ndarray, tol: Tolerance) -> bool:
     """Do the columns of B lie in the span of the orthonormal columns Ur
-    (the residual test of range_leq, on factors the caller already has)?"""
-    return opnorm_leq(B - Ur @ (Ur.conj().T @ B), tol.eq_rel, B)
+    (the residual test of range_leq, on factors the caller already has)?
+    On a stack of bases (or of B) the verdicts are per item."""
+    return opnorm_leq(B - Ur @ (Ur.conj().swapaxes(-1, -2) @ B), tol.eq_rel, B)
 
 
 def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -88,9 +89,9 @@ def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _reduced_coeffs(spectrum: FundamentalSubspaces, B: np.ndarray) -> np.ndarray:
     """A^+ B from the factors of A: the reduced solution of A X = B for a
-    caller that has already decided R(B) ⊆ R(A)."""
-    coeffs = spectrum.range_basis.conj().T @ B
-    return spectrum.corange_basis @ (coeffs / spectrum.s[:spectrum.rank, None])
+    caller that has already decided R(B) ⊆ R(A); per item on a stack."""
+    coeffs = spectrum.range_basis.conj().swapaxes(-1, -2) @ B
+    return spectrum.corange_basis @ (coeffs / spectrum.kept[..., :, None])
 
 
 def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:

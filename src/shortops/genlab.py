@@ -23,7 +23,7 @@ from .geometry import (
     subspace_meet,
     _largest_cosine,
 )
-from .minusorder import _minus_leq, in_minus_set, minus_leq
+from .minusorder import _in_minus_set, _minus_leq, minus_leq
 from .numcore import (
     DEFAULT_TOL,
     FundamentalSubspaces,
@@ -683,12 +683,18 @@ def _inv_minus_axioms(rng, cfg, tol):
     k2 = int(rng.integers(0, k1 + 1))
     C1 = _svd_triple_subset(fs, perm[:k1])
     C2 = _svd_triple_subset(fs, perm[:k2])
-    if not minus_leq(B, B, tol).holds:
+    c1, c2 = fundamental_subspaces(C1, tol), fundamental_subspaces(C2, tol)
+
+    def leq(C, c, D, d):
+        """minus_leq(C, D) on the factors c and d that each operand keeps."""
+        return _minus_leq(C, D, d, c, fundamental_subspaces(D - C, tol), tol)
+
+    if not leq(B, fs, B, fs).holds:
         return False
-    if not (minus_leq(C1, B, tol).holds and minus_leq(C2, C1, tol).holds
-            and minus_leq(C2, B, tol).holds):
+    if not (leq(C1, c1, B, fs).holds and leq(C2, c2, C1, c1).holds
+            and leq(C2, c2, B, fs).holds):
         return False
-    back = minus_leq(B, C1, tol)
+    back = leq(B, fs, C1, c1)
     if back.holds != (k1 == r):
         return False
     return not back.holds or opnorm_leq(B - C1, tol.eq_rel, B)
@@ -744,9 +750,11 @@ def _inv_minus_route_agreement(rng, cfg, tol):
 @_invariant("mitra-maximality", draw=draw_complementable)
 def _inv_mitra_maximality(rng, tol, A, S, T):
     sig = shorted(A, S, T, tol).shorted
-    if not in_minus_set(sig, A, S, T, tol):
-        return False
+    # A and the shorted matrix are factored once for every comparison
+    a = fundamental_subspaces(A, tol)
     fs = fundamental_subspaces(sig, tol)
+    if not _in_minus_set(sig, A, S, T, a, fs, tol):
+        return False
     r = fs.at_scale(max(opnorm(A), fs.s[0]), tol).rank
     if r == 0:
         return True  # the minorant set degenerates to {0}; membership was the test
@@ -759,9 +767,10 @@ def _inv_mitra_maximality(rng, tol, A, S, T):
             if E is None:
                 continue
         C = E @ sig
-        if not in_minus_set(C, A, S, T, tol):
+        c = fundamental_subspaces(C, tol)
+        if not _in_minus_set(C, A, S, T, a, c, tol):
             continue  # rejection sampling: candidate outside the set
-        v = minus_leq(C, sig, tol)
+        v = _minus_leq(C, sig, fs, c, fundamental_subspaces(sig - C, tol), tol)
         if not (v.holds and v.rank_route and v.projection_route):
             return False
     return True
@@ -848,17 +857,13 @@ def _inv_limit_convergence(rng, tol, A, S, T):
 @_invariant("strong-sum-direction", draw=draw_summable)
 def _inv_strong_sum_direction(rng, tol, A, B):
     res = parallel_sum(A, B, tol).sum
-    n = A.shape[1]
     stacked = np.vstack([A, B])
-    scale = max_opnorm([A, B])
-    for i in range(n):
-        x = np.zeros(n, dtype=np.complex128)
-        x[i] = 1.0
-        rhs = np.concatenate([res @ x - A @ x, -res @ x])
-        y, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        if not opnorm_leq(stacked @ y - rhs, tol.eq_rel, scale):
-            return False
-    return True
+    # column i solves [A; B] y = [(res - A) e_i; -res e_i]: all in one lstsq,
+    # one verdict per column
+    rhs = np.vstack([res - A, -res])
+    y, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+    columns = (stacked @ y - rhs).T[:, :, None]
+    return bool(opnorm_leq(columns, tol.eq_rel, max_opnorm([A, B])).all())
 
 
 @_invariant("collapse-summability")

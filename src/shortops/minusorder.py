@@ -106,9 +106,19 @@ def in_minus_set(C, A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -
         raise DimensionMismatch(f"shapes differ: {C.shape} vs {A.shape}")
     if T.ambient_dim != C.shape[0] or S.ambient_dim != C.shape[1]:
         raise DimensionMismatch("subspace ambient dimensions do not match C")
+    return _in_minus_set(C, A, S, T, None, None, tol)
+
+
+def _in_minus_set(C: np.ndarray, A: np.ndarray, S: Subspace, T: Subspace,
+                  a: FundamentalSubspaces | None, c: FundamentalSubspaces | None,
+                  tol: Tolerance) -> bool:
+    """``in_minus_set`` on the SVDs a of A, as ``_spectrum`` returns it, and
+    c of C, at any scale; either is made here, once C's range and corange
+    pass, when the caller does not hold it."""
     Cs = C.conj().T
-    return (
-        opnorm_leq(C - T.projection @ C, tol.eq_rel, C)
-        and opnorm_leq(Cs - S.projection @ Cs, tol.eq_rel, C)
-        and minus_leq(C, A, tol).holds
-    )
+    if not (opnorm_leq(C - T.projection @ C, tol.eq_rel, C)
+            and opnorm_leq(Cs - S.projection @ Cs, tol.eq_rel, C)):
+        return False
+    a = _spectrum(A, tol) if a is None else a
+    c = _spectrum(C, tol) if c is None else c
+    return _minus_leq(C, A, a, c, _spectrum(A - C, tol), tol).holds

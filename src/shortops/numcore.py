@@ -5,12 +5,21 @@ decision in the toolkit is made here, by one rule applied to one factorization
 value (``FundamentalSubspaces``), so that range tests, pseudoinverses, roots
 and subspace extractions stay mutually consistent; the complement of an
 orthonormal basis needs none and comes from one QR (``complement_basis``).
+
+The factorization core also takes a stack of K matrices of one shape, as a
+(K, m, n) array: ``_spectrum`` factors it in one SVD call and truncates each
+item at its own rank, ``opnorm`` returns K norms from one singular-value
+call, and ``opnorm_leq`` K verdicts.  The formulas on the factors (and the
+range tests, reduced solutions and Schur complements written on them)
+broadcast over the stack unchanged, so each exists once; 2-D operands take
+the same path as before, with no masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +64,17 @@ class FundamentalSubspaces:
 
     ``rank`` counts the singular values above the one cutoff,
     ``rank_rel * max(rows, cols) * scale``; ``at_scale`` re-truncates the
-    same factors at another scale.  The root values list only the ``rank``
-    nonzero singular values in ``s``.
+    same factors at another scale.  ``kept`` lists the ``rank`` nonzero
+    singular values of ``s``, and the root factors keep only those.  The
+    formulas are written for a stack too (``FundamentalSubspacesStack``).
     """
 
     U: np.ndarray
     s: np.ndarray
     Vh: np.ndarray
-    rank: int
+    rank: int | np.ndarray
+
+    stacked = False
 
     @property
     def range_basis(self) -> np.ndarray:
@@ -80,40 +92,93 @@ class FundamentalSubspaces:
     def conull_basis(self) -> np.ndarray:
         return self.U[:, self.rank:]
 
-    def at_scale(self, scale: float, tol: Tolerance = DEFAULT_TOL) -> "FundamentalSubspaces":
+    @property
+    def kept(self) -> np.ndarray:
+        return self.s[:self.rank]
+
+    def at_scale(self, scale, tol: Tolerance = DEFAULT_TOL) -> "FundamentalSubspaces":
         """The same factors, truncated with the cutoff anchored at ``scale``."""
-        shape = (self.U.shape[0], self.Vh.shape[0])
-        return FundamentalSubspaces(self.U, self.s, self.Vh,
-                                    _rank_rule(self.s, shape, scale, tol))
+        shape = (self.U.shape[-1], self.Vh.shape[-1])
+        return type(self)(self.U, self.s, self.Vh, _rank_rule(self.s, shape, scale, tol))
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse of the truncated factors."""
-        return (self.corange_basis / self.s[:self.rank]) @ self.range_basis.conj().T
+        W = self.range_basis
+        return (self.corange_basis / self.kept[..., None, :]) @ W.conj().swapaxes(-1, -2)
 
     @property
     def root_left(self) -> np.ndarray:
         """|A*|^(1/2) = (A A*)^(1/4), of rank exactly ``rank``."""
         W = self.range_basis
-        return (W * np.sqrt(self.s[:self.rank])) @ W.conj().T
+        return (W * np.sqrt(self.kept)[..., None, :]) @ W.conj().swapaxes(-1, -2)
 
     @property
     def root_right(self) -> np.ndarray:
         """|A|^(1/2) = (A* A)^(1/4), of rank exactly ``rank``."""
         V = self.corange_basis
-        return (V * np.sqrt(self.s[:self.rank])) @ V.conj().T
+        return (V * np.sqrt(self.kept)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
     @property
     def root_factors(self) -> "FundamentalSubspaces":
         """Factors of W s^(1/2) Vh, |A*|^(1/2) times the polar partial isometry,
         from A's own singular vectors: no factorization, and A's rank and
         four subspaces."""
-        return FundamentalSubspaces(self.U, np.sqrt(self.s[:self.rank]), self.Vh, self.rank)
+        return type(self)(self.U, np.sqrt(self.kept), self.Vh, self.rank)
 
     @property
     def abs_root_factors(self) -> "FundamentalSubspaces":
         """Factors (V, s^(1/2), V*) of |A|^(1/2), of rank exactly ``rank``."""
-        V = self.Vh.conj().T
-        return FundamentalSubspaces(V, np.sqrt(self.s[:self.rank]), self.Vh, self.rank)
+        V = self.Vh.conj().swapaxes(-1, -2)
+        return type(self)(V, np.sqrt(self.kept), self.Vh, self.rank)
+
+
+class FundamentalSubspacesStack(FundamentalSubspaces):
+    """The factors of a stack of K matrices of one shape: U, s and Vh carry
+    a leading axis and ``rank`` is an array of K ranks.
+
+    The bases keep full width, with the columns past each item's rank
+    zeroed, and ``kept`` holds each item's full row of singular values with
+    1 where those zero columns are scaled, so every formula of
+    ``FundamentalSubspaces`` broadcasts over the stack as written; the
+    range and corange bases and ``kept`` are cached, since their masks cost
+    more than the slices of the 2-D case.  Indexing gives one item's 2-D
+    factors, as ``_spectrum`` of that item returns them, or a sub-stack for
+    a slice.
+    """
+
+    stacked = True
+
+    def _within_rank(self, width: int) -> np.ndarray:
+        """(K, 1, width) mask of the columns before each item's rank."""
+        return (np.arange(width) < self.rank[:, None])[:, None, :]
+
+    def __getitem__(self, index) -> FundamentalSubspaces:
+        if isinstance(index, slice):
+            return type(self)(self.U[index], self.s[index], self.Vh[index], self.rank[index])
+        return FundamentalSubspaces(self.U[index], self.s[index], self.Vh[index],
+                                    int(self.rank[index]))
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        p = self.s.shape[-1]
+        return self.U[..., :p] * self._within_rank(p)
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        return self.Vh.conj().swapaxes(-1, -2) * ~self._within_rank(self.Vh.shape[-1])
+
+    @cached_property
+    def corange_basis(self) -> np.ndarray:
+        p = self.s.shape[-1]
+        return self.Vh[:, :p].conj().swapaxes(-1, -2) * self._within_rank(p)
+
+    @property
+    def conull_basis(self) -> np.ndarray:
+        return self.U * ~self._within_rank(self.U.shape[-1])
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        return np.where(self._within_rank(self.s.shape[-1])[:, 0], self.s, 1.0)
 
 
 def as_operator(a) -> np.ndarray:
@@ -134,8 +199,13 @@ def opnorm(a) -> float:
 
     Matrices with a side of length <= 2 use the closed-form largest
     eigenvalue of the small Gram matrix; anything bigger falls back to SVD.
+    A stack of K matrices gives its K norms from one singular-value call.
     """
     arr = np.asarray(a)
+    if arr.ndim > 2:
+        if 0 in arr.shape[-2:]:
+            return np.zeros(arr.shape[:-2])
+        return np.linalg.svd(arr, compute_uv=False)[..., 0]
     if arr.size == 0:
         return 0.0
     if arr.ndim == 1:
@@ -177,8 +247,16 @@ def opnorm_leq(X, rel: float, anchor=None) -> bool:
     (Golub & Van Loan, Matrix Computations, 2.3) settles the comparison from
     Frobenius norms; only inside the band between the two bounds are the
     exact spectral norms computed, so the verdict is that of the exact test.
+
+    On a stack X of K matrices the verdicts are per item, as a bool array:
+    the same band, with the same slack, settles what it can for every item
+    at once, and each item inside it gets the exact test above.  The anchor
+    is then one matrix or norm for all items, a stack of K matrices, or an
+    array of K norms.
     """
     X = np.asarray(X)
+    if X.ndim > 2:
+        return _opnorm_leq_items(X, rel, anchor)
     x_hi = _fro(X) * (1.0 + _BOUND_SLACK)
     if isinstance(anchor, np.ndarray):
         a_hi = _fro(anchor)
@@ -199,6 +277,25 @@ def opnorm_leq(X, rel: float, anchor=None) -> bool:
     return x <= rel * max(a_lo, 1.0)
 
 
+def _opnorm_leq_items(X: np.ndarray, rel: float, anchor) -> np.ndarray:
+    """``opnorm_leq`` per item of the stack X."""
+    per_item = isinstance(anchor, np.ndarray) and anchor.ndim in (1, 3)
+    if isinstance(anchor, np.ndarray) and anchor.ndim >= 2:
+        a_hi = np.linalg.norm(anchor, axis=(-2, -1)) if per_item else _fro(anchor)
+        a_lo = a_hi / math.sqrt(max(min(anchor.shape[-2:]), 1))
+    else:
+        a_lo = a_hi = 0.0 if anchor is None else anchor
+    low = rel * np.maximum(a_lo * (1.0 - _BOUND_SLACK), 1.0)
+    high = rel * np.maximum(a_hi * (1.0 + _BOUND_SLACK), 1.0)
+    x_hi = np.linalg.norm(X, axis=(-2, -1)) * (1.0 + _BOUND_SLACK)
+    verdicts = x_hi <= low
+    in_band = ~verdicts & (x_hi * (1.0 - 2.0 * _BOUND_SLACK)
+                           / math.sqrt(max(min(X.shape[-2:]), 1)) <= high)
+    for i in np.flatnonzero(in_band):
+        verdicts[i] = opnorm_leq(X[i], rel, anchor[i] if per_item else anchor)
+    return verdicts
+
+
 def max_opnorm(mats) -> float:
     """Largest spectral norm among ``mats``.
 
@@ -215,23 +312,35 @@ def max_opnorm(mats) -> float:
     return best
 
 
-def _rank_rule(s: np.ndarray, shape, scale: float, tol: Tolerance) -> int:
-    """The one rank rule: singular values above rank_rel * max(shape) * scale."""
-    return int(np.count_nonzero(s > tol.rank_rel * max(shape) * scale))
+def _rank_rule(s: np.ndarray, shape, scale, tol: Tolerance):
+    """The one rank rule: singular values above rank_rel * max(shape) * scale;
+    per item for the (K, p) singular values of a stack, whose scale is one
+    number or one per item."""
+    cutoff = tol.rank_rel * max(shape) * scale
+    if s.ndim == 1:
+        return int(np.count_nonzero(s > cutoff))
+    return np.count_nonzero(s > np.reshape(cutoff, (-1, 1)), axis=-1)
 
 
 def _spectrum(A: np.ndarray, tol: Tolerance,
               scale: float | None = None) -> FundamentalSubspaces:
     """Full SVD of A, empty shapes included, truncated at ``scale``
-    (default: sigma_max of A)."""
-    m, n = A.shape
+    (default: sigma_max of A).  A stack of K matrices is factored in one
+    call, each item truncated at its own sigma_max by default."""
+    m, n = A.shape[-2:]
     if m == 0 or n == 0:
         U, s, Vh = np.eye(m, dtype=np.complex128), np.zeros(0), np.eye(n, dtype=np.complex128)
+        if A.ndim > 2:
+            U, s, Vh = (np.broadcast_to(f, A.shape[:-2] + f.shape) for f in (U, s, Vh))
     else:
         U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    if A.ndim == 2:
+        if scale is None:
+            scale = s[0] if len(s) else 0.0
+        return FundamentalSubspaces(U, s, Vh, _rank_rule(s, (m, n), scale, tol))
     if scale is None:
-        scale = s[0] if len(s) else 0.0
-    return FundamentalSubspaces(U, s, Vh, _rank_rule(s, A.shape, scale, tol))
+        scale = s[:, 0] if s.shape[-1] else 0.0
+    return FundamentalSubspacesStack(U, s, Vh, _rank_rule(s, (m, n), scale, tol))
 
 
 def complement_basis(basis: np.ndarray) -> np.ndarray:

@@ -39,6 +39,9 @@ from .numcore import (
 from .shorting import shorted_matrix, _complementable_blocks, _schur_complement
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
+# most schedule points factored at once: memory stays at this many
+# factorizations of A + n B however long the schedule
+_SLICE_POINTS = len(DEFAULT_SCHEDULE)
 _SLOPE_POINTS = 8  # the convergence slope is fitted on the last ones used
 
 
@@ -120,9 +123,12 @@ class ConvergenceRecord:
 
 def _summable(A, total: FundamentalSubspaces, tol: Tolerance) -> bool:
     """R(A) ⊆ R(A+B) and R(A*) ⊆ R((A+B)*), the verdict of the a_range and
-    a_corange defects without their exact norms, weak and strong alike."""
-    return (_in_span(A, total.range_basis, tol)
-            and _in_span(A.conj().T, total.corange_basis, tol))
+    a_corange defects without their exact norms, weak and strong alike; one
+    verdict per item on the factors of a stack of sums."""
+    in_range = _in_span(A, total.range_basis, tol)
+    if not (total.stacked or in_range):
+        return False
+    return in_range & _in_span(A.conj().T, total.corange_basis, tol)
 
 
 def _summability_report(A, B, total: FundamentalSubspaces,
@@ -180,8 +186,12 @@ def _parallel_sum(A, total: FundamentalSubspaces, tol: Tolerance) -> tuple:
     """A - A (A+B)^+ A and F_A, A's reduced solution through |A+B|^(1/2),
     from the factors of A + B, for a caller that has decided summability."""
     # The doubled matrix's blocks in the first-copy frames are A, A, A and
-    # A + B; its Frobenius norm anchors the check without forming it.
-    doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
+    # A + B; its Frobenius norm anchors the check without forming it (one
+    # norm per item on a stack of sums).
+    if total.stacked:
+        doubled_norm = np.sqrt(3.0 * _fro(A) ** 2 + (total.s ** 2).sum(axis=-1))
+    else:
+        doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
     block, _, _, _, _, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
     return block, F_A
 
@@ -247,24 +257,41 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     and n B are summable for every large enough n and A ∥ (n B) converges
     in norm to the shorted operator.  The record reports the error at each
     usable schedule point and the log-log slope fitted on the last 8 of them.
+
+    The sorted schedule is taken in slices of at most 17 points (the length
+    of the default schedule), so at most that many factorizations of
+    A + n B are held at once.  Each slice is factored in one stacked SVD,
+    which decides summability for every point; one stacked parallel sum
+    covers its usable points and one singular-value call gives their
+    errors.  Leading points where the pair is not summable are skipped.
+    After the first usable point, the first error in schedule order is
+    raised: ConsistencyError from a point's route-gap check, or NotSummable,
+    with the point's report, at a later point that is not summable.
+    EscalationExhausted when no point is usable; ValueError for an entry
+    below 1.
     """
     A, B = _checked_pair(A, B)
     target = shorted_matrix(A, S, T, tol)  # raises NotComplementable if unfit
     _auxiliary_factors(B, S, T, tol)
+    ns = sorted(int(k) for k in schedule)
+    if ns and ns[0] < 1:
+        raise ValueError("schedule entries must be positive integers")
 
     used: list[int] = []
     errors: list[float] = []
-    for n in sorted(int(k) for k in schedule):
-        if n < 1:
-            raise ValueError("schedule entries must be positive integers")
-        scaled = n * B
+    for start in range(0, len(ns), _SLICE_POINTS):
+        points = ns[start:start + _SLICE_POINTS]
+        scaled = np.array(points, dtype=np.complex128)[:, None, None] * B
         total = _spectrum(A + scaled, tol)
-        if not _summable(A, total, tol):
-            if not used:
-                continue
-            raise NotSummable(_summability_report(A, scaled, total, False))
-        used.append(n)
-        errors.append(opnorm(_parallel_sum(A, total, tol)[0] - target))
+        summable = _summable(A, total, tol).tolist()
+        first = 0 if used else next((i for i, ok in enumerate(summable) if ok), len(points))
+        stop = next((i for i in range(first, len(points)) if not summable[i]), len(points))
+        if first < stop:
+            block = _parallel_sum(A, total[first:stop], tol)[0]
+            used += points[first:stop]
+            errors += opnorm(block - target).tolist()
+        if stop < len(points):
+            raise NotSummable(_summability_report(A, scaled[stop], total[stop], False))
     if not used:
         raise EscalationExhausted("no schedule entry made the pair summable")
     return ConvergenceRecord(

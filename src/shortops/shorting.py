@@ -95,23 +95,26 @@ class ComplementabilityReport:
 
     angle_check carries the Dixmier cosines of (S, closure of A*(T-perp)) and
     (T, closure of A(S-perp)); both below 1 is an equivalent criterion and is
-    reported for cross-validation.  It decides nothing, so the two image
-    factorizations behind it are made on its first read, from the images
-    A*(T-perp) and A(S-perp) and copies of the bases of S and T that the
-    report keeps.
+    reported for cross-validation.  It decides nothing, so the images
+    A*(T-perp) and A(S-perp) and their two factorizations are made on its
+    first read, from a copy of A and the frames of S and T that the report
+    keeps.
     """
 
     weakly: bool
     strongly: bool
     witnesses: ComplementabilityWitnesses | None
-    # (basis of S, A* T-perp) and (basis of T, A S-perp)
-    _angle_pairs: tuple = field(repr=False, compare=False)
+    # a copy of A, and the blocks whose frames split it
+    _angle_operands: tuple = field(repr=False, compare=False)
     _tol: Tolerance = field(repr=False, compare=False)
 
     @cached_property
     def angle_check(self) -> tuple[float, float]:
+        A, blocks = self._angle_operands
+        pairs = ((blocks.s_basis, A.conj().T @ blocks.t_perp_basis),
+                 (blocks.t_basis, A @ blocks.s_perp_basis))
         return tuple(_largest_cosine(basis, _spectrum(image, self._tol).range_basis)
-                     for basis, image in self._angle_pairs)
+                     for basis, image in pairs)
 
 
 @dataclass(frozen=True)
@@ -260,9 +263,7 @@ def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
 
     return ComplementabilityReport(
         weakly=included, strongly=included, witnesses=witnesses,
-        _angle_pairs=((blocks.s_basis.copy(), A.conj().T @ blocks.t_perp_basis),
-                      (blocks.t_basis.copy(), A @ blocks.s_perp_basis)),
-        _tol=tol,
+        _angle_operands=(A.copy(), blocks), _tol=tol,
     )
 
 
@@ -277,7 +278,10 @@ def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
     (through the polar factor of A22); a disagreement beyond
     10 * eq_rel * max(||anchor||, 1) raises ConsistencyError.  Returns sigma,
     the route gap, the strong corner solutions E = A22^+ A21 and
-    F_adj = A12 A22^+, and the reduced solutions.
+    F_adj = A12 A22^+, and the reduced solutions.  On the factors of a
+    stack of corners every result is per item, and the check raises for
+    the first item whose routes disagree; the anchor is then one matrix or
+    norm for all items, or an array of one norm per item.
     """
     corner_pinv = corner.pinv()
     E_strong = corner_pinv @ A21
@@ -286,14 +290,25 @@ def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
 
     E_weak = _reduced_coeffs(corner.root_factors, A21)
     F_weak = _reduced_coeffs(corner.abs_root_factors, A12.conj().T)
-    gap = sigma - (A11 - F_weak.conj().T @ E_weak)
-    if not opnorm_leq(gap, 10.0 * tol.eq_rel, anchor):
+    gap = sigma - (A11 - F_weak.conj().swapaxes(-1, -2) @ E_weak)
+    _check_route_gap(gap, anchor, tol)
+    return sigma, gap, E_strong, F_strong_adj, E_weak, F_weak
+
+
+def _check_route_gap(gap: np.ndarray, anchor, tol: Tolerance) -> None:
+    """Raise ConsistencyError when ||gap|| exceeds 10 * eq_rel *
+    max(||anchor||, 1); a stack of gaps reports its first failing item."""
+    fits = opnorm_leq(gap, 10.0 * tol.eq_rel, anchor)
+    if gap.ndim > 2:
+        item = int(np.argmin(fits))
+        fits, gap = fits[item], gap[item]
+        anchor = anchor[item] if np.ndim(anchor) in (1, 3) else anchor
+    if not fits:
         scale = opnorm(anchor) if isinstance(anchor, np.ndarray) else anchor
         raise ConsistencyError(
             f"Schur-complement routes disagree by {opnorm(gap) / max(scale, 1.0):.3e} "
             "(relative); the corner is likely at the edge of its rank cutoff"
         )
-    return sigma, gap, E_strong, F_strong_adj, E_weak, F_weak
 
 
 def shorted_matrix(A, S: Subspace, T: Subspace,

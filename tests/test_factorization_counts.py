@@ -7,10 +7,11 @@ parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset, parallel_sum 64x64, parallel_subtract
 64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
 summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4,
-shorted_range_nullspace_ok 6x6, minus-route-agreement and
-reduced-solution-minimal-norm trials, oblique_projection 4x4, angles and
-subspace_meet on a pair of planes in C^4 that share one line, and
-complementability on a 4x4 triple that is not complementable.
+shorted_range_nullspace_ok 6x6, minus-route-agreement,
+reduced-solution-minimal-norm and limit-convergence trials,
+oblique_projection 4x4, angles and subspace_meet on a pair of planes in C^4
+that share one line, and complementability on a 4x4 triple that is not
+complementable.
 The summability decisions (``parallel._summable`` calls) of parallel_sum,
 parallel_subtract, recover_shorted and shorted_via_limit are pinned too:
 each sum decides once, in its public call.
@@ -313,11 +314,13 @@ def test_shorted_via_limit_64x64(svd_calls, summable_calls):
     record = shorted_via_limit(A, S, T, L, schedule=schedule)
     assert record.schedule == list(schedule)
     # the corner and the complements of S and T for the target, the
-    # auxiliary once for both subspace checks, then A + n L per entry
-    assert svd_calls["factor"] == 2 + len(schedule)
-    assert svd_calls["qr"] == 2
-    # one decision per entry (4 when the first usable one was tested twice)
-    assert summable_calls == [len(schedule)]
+    # auxiliary once for both subspace checks, then one stacked SVD of
+    # A + n L for the whole schedule (2 + len(schedule) when each entry was
+    # factored apart), and one singular-value call for every error
+    assert svd_calls == {"factor": 3, "norm": 1, "qr": 2}
+    # one decision for the whole stack ([len(schedule)] when each entry
+    # decided apart, 4 when the first usable one was tested twice)
+    assert summable_calls == [1]
 
 
 _FRAME_CALLS = {
@@ -418,3 +421,24 @@ def test_reduced_solution_minimal_norm_trials(svd_calls):
     # in one more SVD when the draw dropped them: norms 1, 3, 1, 1, 1, 3, 3, 3)
     assert factors == [2] * 8
     assert norms == [0, 2, 0, 0, 0, 2, 2, 2]
+
+
+def test_limit_convergence_trials(svd_calls):
+    names = [name for name, _ in INVARIANTS]
+    check = dict(INVARIANTS)["limit-convergence"]
+    factors, norms = [], []
+    for trial in range(8):
+        before = dict(svd_calls)
+        rng = trial_rng(11, names.index("limit-convergence"), trial)
+        assert check(rng, GenConfig(), shortops.DEFAULT_TOL) is True
+        factors.append(svd_calls["factor"] - before["factor"])
+        norms.append(svd_calls["norm"] - before["norm"])
+    # the corner (none when it is empty) and the auxiliary, then one stacked
+    # SVD of A + n B for the 17 schedule points (18 or 19 when each point was
+    # factored apart: 18, 19, 19, 18, 19, 19, 18, 19)
+    assert factors == [2, 3, 3, 2, 3, 3, 2, 3]
+    # the condition screens of A and B, one singular-value call for the 17
+    # errors, and ||A|| by SVD when neither side is 2 or less (17 error
+    # norms apart: 20, 20, 2, 20, 2, 20, 2, 20, the 2 where every point
+    # of a 2-sided matrix took the closed form)
+    assert norms == [4, 4, 3, 4, 3, 4, 3, 4]
