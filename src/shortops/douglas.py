@@ -67,24 +67,24 @@ def _checked_pair(B, A):
 
 
 def range_residual(B, A, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Relative size of the part of B sticking out of R(A)."""
+    """Relative size ||N* B|| / max(||B||, 1) of B off R(A), N a basis of R(A)-perp."""
     B, A = _checked_pair(B, A)
-    Ur = _spectrum(A, tol).range_basis
-    leftover = B - Ur @ (Ur.conj().T @ B)
-    return opnorm(leftover) / max(opnorm(B), 1.0)
+    N = _spectrum(A, tol).conull_basis
+    return opnorm(N.conj().T @ B) / max(opnorm(B), 1.0)
 
 
-def _in_span(B: np.ndarray, Ur: np.ndarray, tol: Tolerance) -> bool:
-    """Do the columns of B lie in the span of the orthonormal columns Ur
-    (the residual test of range_leq, on factors the caller already has)?
-    On a stack of bases (or of B) the verdicts are per item."""
-    return opnorm_leq(B - Ur @ (Ur.conj().swapaxes(-1, -2) @ B), tol.eq_rel, B)
+def _in_span(B: np.ndarray, N: np.ndarray, tol: Tolerance) -> bool:
+    """Do the columns of B lie in R(N)⊥, for an orthonormal basis N of the
+    complement that the caller's full SVD holds (``conull_basis`` or
+    ``null_basis``)?  ||N* B|| is B's residual off R(N)⊥, with no subtraction
+    and nothing to test at full rank; a stack of N or of B gives per-item verdicts."""
+    return opnorm_leq(N.conj().swapaxes(-1, -2) @ B, tol.eq_rel, B)
 
 
 def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff R(B) ⊆ R(A), tested through the orthogonal projection onto R(A)."""
+    """True iff R(B) ⊆ R(A), tested on the basis of R(A)-perp."""
     B, A = _checked_pair(B, A)
-    return _in_span(B, _spectrum(A, tol).range_basis, tol)
+    return _in_span(B, _spectrum(A, tol).conull_basis, tol)
 
 
 def _reduced_coeffs(spectrum: FundamentalSubspaces, B: np.ndarray) -> np.ndarray:
@@ -102,8 +102,7 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     """
     B, A = _checked_pair(B, A)
     spectrum = _spectrum(A, tol)
-    Ur = spectrum.range_basis
-    leftover = B - Ur @ (Ur.conj().T @ B)
+    leftover = spectrum.conull_basis.conj().T @ B
     if not opnorm_leq(leftover, tol.eq_rel, B):
         resid = opnorm(leftover) / max(opnorm(B), 1.0)
         raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)

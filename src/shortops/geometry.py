@@ -4,14 +4,16 @@ A subspace is stored as an orthonormal column basis (zero columns for the
 trivial subspace).  Two angle notions are provided: the Dixmier angle, whose
 cosine is 1 as soon as the subspaces intersect nontrivially, and the
 Friedrichs angle, taken after splitting off the intersection.  Every
-question about a pair of subspaces (meet, join, both angles, the oblique
-projection) is answered from one SVD of their stacked bases [W1 W2].
+question about a pair of subspaces is answered from one SVD: meet, join and
+both angles from that of their stacked bases [W1 W2], the oblique projection
+from that of the smaller W2⊥* W1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -137,7 +139,7 @@ def ortho_projection(S: Subspace) -> np.ndarray:
 def oblique_projection(range_sub: Subspace, nullsp: Subspace,
                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The projection Q with R(Q) = range_sub and N(Q) = nullsp, from one SVD
-    of the stacked bases, which also decides their overlap (``_split_along``).
+    against nullsp's cached complement, which also decides overlap (``_split_along``).
 
     Raises NotComplementary unless the two subspaces decompose the ambient
     space as a direct sum.
@@ -146,27 +148,28 @@ def oblique_projection(range_sub: Subspace, nullsp: Subspace,
         raise DimensionMismatch("subspaces live in different ambient spaces")
     if range_sub.dim + nullsp.dim != range_sub.ambient_dim:
         raise NotComplementary("dimensions do not sum to the ambient dimension")
-    Q = _split_along(range_sub.basis, nullsp.basis, tol)
+    # the complement's columns of the cached frame, without validating a new Subspace
+    Q = _split_along(range_sub.basis, nullsp.extended_frame[:, nullsp.dim:], tol)
     if Q is None:
         raise NotComplementary("subspaces intersect nontrivially")
     return Q
 
 
-def _split_along(W1: np.ndarray, W2: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+def _split_along(W1: np.ndarray, W2_perp: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     """Projection onto R(W1) along R(W2) ⊕ (R(W1) + R(W2))⊥ for orthonormal
-    W1 (n x a) and W2 (n x b), or None when the ranges overlap: a + b > n, or
-    sigma_min(M)^2 = 1 - (Dixmier cosine) <= eq_rel for M = [W1 W2], since
-    M* M = [[I, G], [G*, I]] with G = W1* W2.  Otherwise M has full column
-    rank and W1 M^+[:a] is the projection (Galántai, Projectors and
-    Projection Methods, 2004).
-    """
-    n, a = W1.shape
-    if a + W2.shape[1] > n:
+    W1 (n x a) and W2 (n x b), given an orthonormal basis W2_perp of R(W2)⊥,
+    or None when the ranges overlap: a > n - b, or 1 - (Dixmier cosine) =
+    sin^2 / (1 + cos) <= eq_rel at the least singular value of K = W2_perp* W1,
+    since K* K = I - G G* with G = W1* W2 makes those the sines of the
+    principal angles (Björck & Golub, 1973); else W1 K^+ W2_perp* is the projection."""
+    if W1.shape[1] > W2_perp.shape[1]:
         return None
-    spectrum = _spectrum(np.hstack([W1, W2]), tol)
-    if spectrum.s.size and spectrum.s[-1] ** 2 <= tol.eq_rel:
+    Nh = W2_perp.conj().T
+    spectrum = _spectrum(Nh @ W1, tol)
+    sine = float(spectrum.s[-1]) if spectrum.s.size else 1.0
+    if sine * sine / (1.0 + math.sqrt(max(1.0 - sine * sine, 0.0))) <= tol.eq_rel:
         return None
-    return W1 @ spectrum.pinv()[:a]
+    return W1 @ spectrum.pinv() @ Nh
 
 
 def _stacked(M: Subspace, N: Subspace, tol: Tolerance) -> FundamentalSubspaces:

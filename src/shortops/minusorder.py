@@ -10,10 +10,11 @@ All rank and range decisions inside a comparison share one singular-value
 cutoff anchored at max(||B||, ||C||): the difference B - C of two nearby
 operators is "zero at the comparison's scale", and thresholding it against
 its own largest singular value would promote rounding noise to full rank.
-One SVD per operand serves its rank, its range and its corange.  One SVD
-of the stacked range bases of C and B - C tests their overlap and gives Q,
-and one of the stacked corange bases does the same for P*
-(``geometry._split_along``): five SVDs per comparison and no inverse.
+One full SVD per operand serves its rank, its four subspaces and the range
+tests on B.  One SVD of K = N* W, for C's range basis W and the basis N of
+R(B - C)⊥, tests their overlap and gives Q = W K^+ N*, and one on the
+corange side does the same for P* (``geometry._split_along``): five SVDs
+per comparison (three when C has rank 0) and no inverse.
 """
 
 from __future__ import annotations
@@ -72,16 +73,16 @@ def _minus_leq(C: np.ndarray, B: np.ndarray, b: FundamentalSubspaces,
     d = d.at_scale(scale, tol)
     rank_route = c.rank + d.rank == b.at_scale(scale, tol).rank
 
-    Q = _split_along(c.range_basis, d.range_basis, tol)
-    Padj = None if Q is None else _split_along(c.corange_basis, d.corange_basis, tol)
+    Q = _split_along(c.range_basis, d.conull_basis, tol)
+    Padj = None if Q is None else _split_along(c.corange_basis, d.null_basis, tol)
     P = None if Padj is None else Padj.conj().T
     # range_leq(C, B) and its adjoint, on B's own rank cutoff
     projection_route = (
         P is not None
         and opnorm_leq(Q @ B - C, tol.eq_rel * scale)
         and opnorm_leq(B @ P - C, tol.eq_rel * scale)
-        and _in_span(C, b.range_basis, tol)
-        and _in_span(C.conj().T, b.corange_basis, tol)
+        and _in_span(C, b.conull_basis, tol)
+        and _in_span(C.conj().T, b.null_basis, tol)
     )
     if not projection_route:
         Q = P = None

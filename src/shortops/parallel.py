@@ -64,25 +64,26 @@ class SummabilityReport:
     from the factors of A + B and share its ranges, so in finite dimensions
     one residual per inclusion gives both verdicts; the randomized suite
     checks it against a re-factored root.  The inclusions for B follow from
-    those for A and are reported as defects.  The defects decide nothing and
-    are computed on their first read, from the residual matrices and copies
-    of A and B taken at the call.
+    those for A and are reported as defects.  The defects decide nothing:
+    X and X* minus their projections onto R(A+B) and R((A+B)*), for X = A
+    and B, are formed on the first read, from copies of A and B and the
+    range and corange bases of A + B taken at the call.
     """
 
     weakly: bool
     strongly: bool
-    # A, A*, B and B* minus their projections onto R(A+B) and R((A+B)*)
-    _residuals: tuple = field(repr=False, compare=False)
     _operands: tuple = field(repr=False, compare=False)
 
     @cached_property
     def defects(self) -> SummabilityDefects:
-        A, B = self._operands
-        na = max(opnorm(A), 1.0)
-        nb = max(opnorm(B), 1.0)
-        a_range, a_corange, b_range, b_corange = (opnorm(r) for r in self._residuals)
-        return SummabilityDefects(a_range=a_range / na, a_corange=a_corange / na,
-                                  b_range=b_range / nb, b_corange=b_corange / nb)
+        A, B, W, V = self._operands
+
+        def off(X, basis):  # the norm of X minus its projection onto R(basis)
+            return opnorm(X - basis @ (basis.conj().T @ X))
+
+        na, nb = max(opnorm(A), 1.0), max(opnorm(B), 1.0)
+        return SummabilityDefects(off(A, W) / na, off(A.conj().T, V) / na,
+                                  off(B, W) / nb, off(B.conj().T, V) / nb)
 
 
 @dataclass(frozen=True)
@@ -125,23 +126,19 @@ def _summable(A, total: FundamentalSubspaces, tol: Tolerance) -> bool:
     """R(A) ⊆ R(A+B) and R(A*) ⊆ R((A+B)*), the verdict of the a_range and
     a_corange defects without their exact norms, weak and strong alike; one
     verdict per item on the factors of a stack of sums."""
-    in_range = _in_span(A, total.range_basis, tol)
+    in_range = _in_span(A, total.conull_basis, tol)
     if not (total.stacked or in_range):
         return False
-    return in_range & _in_span(A.conj().T, total.corange_basis, tol)
+    return in_range & _in_span(A.conj().T, total.null_basis, tol)
 
 
 def _summability_report(A, B, total: FundamentalSubspaces,
                         summable: bool) -> SummabilityReport:
     """The report on the verdict ``summable`` of ``_summable``, which the
-    caller has decided, with the residuals behind its exact defects."""
-    W, V = total.range_basis, total.corange_basis
-    Wh, Vh = W.conj().T, V.conj().T
-    As, Bs = A.conj().T, B.conj().T
-    residuals = (A - W @ (Wh @ A), As - V @ (Vh @ As),
-                 B - W @ (Wh @ B), Bs - V @ (Vh @ Bs))
+    caller has decided; its defects are formed on their first read."""
     return SummabilityReport(weakly=summable, strongly=summable,
-                             _residuals=residuals, _operands=(A.copy(), B.copy()))
+                             _operands=(A.copy(), B.copy(),
+                                        total.range_basis, total.corange_basis))
 
 
 def _checked_pair(A, B):
@@ -201,12 +198,12 @@ def _da_factors(C: np.ndarray, A: np.ndarray, a: FundamentalSubspaces,
     """The factors of D = C - A when C is in D_A, else None, from the
     factors ``a`` of A and one SVD of D, made once R(D) ⊆ R(A) holds."""
     D = C - A
-    if not _in_span(D, a.range_basis, tol):
+    if not _in_span(D, a.conull_basis, tol):
         return None
     d = _spectrum(D, tol)
-    return d if (_in_span(A, d.range_basis, tol)
-                 and _in_span(D.conj().T, a.corange_basis, tol)
-                 and _in_span(A.conj().T, d.corange_basis, tol)) else None
+    return d if (_in_span(A, d.conull_basis, tol)
+                 and _in_span(D.conj().T, a.null_basis, tol)
+                 and _in_span(A.conj().T, d.null_basis, tol)) else None
 
 
 def in_da(C, A, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -224,11 +224,11 @@ def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Toleran
 def _gate(blocks: BlockDecomposition, corner: FundamentalSubspaces,
           tol: Tolerance) -> bool:
     """Weak and strong complementability, one verdict: A21 against the
-    corner's range basis and A12* against its corange basis.  The corner's
-    root factors keep its rank, so these bases span the ranges of its square
-    roots too; the suite compares this with re-factored root matrices."""
-    return (_in_span(blocks.A21, corner.range_basis, tol)
-            and _in_span(blocks.A12.conj().T, corner.corange_basis, tol))
+    complement of the corner's range, A12* against that of its corange.  The
+    root factors keep the corner's rank, so its roots have these ranges too;
+    the suite compares this with re-factored root matrices."""
+    return (_in_span(blocks.A21, corner.conull_basis, tol)
+            and _in_span(blocks.A12.conj().T, corner.null_basis, tol))
 
 
 def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.ndarray):

@@ -4,6 +4,7 @@ import pytest
 from shortops import (
     DimensionMismatch,
     RangeNotIncluded,
+    fundamental_subspaces,
     opnorm,
     range_leq,
     range_residual,
@@ -102,3 +103,20 @@ def test_borderline_flag_set_near_threshold():
     err = RangeNotIncluded(5e-9, borderline=True)
     assert err.borderline
     assert "5" in str(err)
+
+
+def test_range_leq_full_row_rank_and_zero_edges():
+    rng = np.random.default_rng(16)
+    for m, n in ((3, 3), (3, 5), (1, 4)):
+        A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        # A has full row rank: R(A) is everything, its complement is empty
+        assert fundamental_subspaces(A).conull_basis.shape == (m, 0)
+        for scale in (1e-6, 1.0, 1e6):
+            B = scale * (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))
+            assert range_leq(B, A)
+            assert range_residual(B, A) == 0.0
+        Z = np.zeros((m, n))
+        B = rng.standard_normal((m, 2))
+        assert not range_leq(B, Z)
+        assert range_leq(np.zeros((m, 2)), Z)
+        assert range_leq(np.zeros((m, 2)), A)

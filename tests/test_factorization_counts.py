@@ -4,7 +4,8 @@ Each call is the first of its kind and shape, on fresh Subspace objects
 (whose frames [basis | complement], one QR each, are cached per object)
 and fixed inputs:
 parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
-3x3 on a singular-triple subset, parallel_sum 64x64, parallel_subtract
+3x3 on a singular-triple subset and 64x64 (with the shapes it factors),
+parallel_sum 64x64, parallel_subtract
 64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
 summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4,
 shorted_range_nullspace_ok 6x6, minus-route-agreement,
@@ -87,6 +88,22 @@ def svd_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     return counts
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.svd, in call order, for
+    full factorizations and for singular values alone."""
+    shapes = {"factor": [], "norm": []}
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        kind = "factor" if kwargs.get("compute_uv", True) else "norm"
+        shapes[kind].append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
 
 
 @pytest.fixture
@@ -192,10 +209,23 @@ def test_minus_leq_3x3(svd_calls, inv_calls):
     C, B = _minus_pair(np.random.default_rng(0))
     svd_calls.update(qr=0)
     assert minus_leq(C, B).holds
-    # B, C and B - C, then one SVD of the stacked range bases and one of the
-    # stacked corange bases, each giving the overlap test and the projection
+    # B, C and B - C, then one SVD on the range side and one on the corange
+    # side, K = N* W for C's basis W and the complement basis N that B - C's
+    # SVD holds, each giving the overlap test and the projection
     assert svd_calls == {"factor": 5, "norm": 0, "qr": 0}
     assert inv_calls == [0]
+
+
+def test_minus_leq_64x64_split_sizes(svd_shapes):
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(_gauss(rng, 64, 64))
+    V, _ = np.linalg.qr(_gauss(rng, 64, 64))
+    s = np.linspace(2.0, 1.0, 64)
+    w = np.where(np.arange(64) < 20, s, 0.0)
+    C, B = (U * w) @ V.conj().T, (U * s) @ V.conj().T
+    assert minus_leq(C, B).holds
+    # B, C and B - C in full; each split's K is (64 - rank(B - C)) x rank C
+    assert svd_shapes == {"factor": [(64, 64)] * 3 + [(20, 20)] * 2, "norm": []}
 
 
 def test_oblique_projection_4x4(svd_calls, inv_calls):
@@ -204,8 +234,9 @@ def test_oblique_projection_4x4(svd_calls, inv_calls):
     N = Subspace(4, np.linalg.qr(_gauss(rng, 4, 2))[0])
     svd_calls.update(qr=0)
     oblique_projection(R, N)
-    # one SVD of the stacked bases gives the overlap test and the projection
-    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
+    # the complement of N from its frame's QR, then one 2x2 SVD of
+    # K = N-perp* W_R gives the overlap test and the projection
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 1}
     assert inv_calls == [0]
 
 
@@ -399,10 +430,11 @@ def test_minus_route_agreement_trials(svd_calls):
         assert check(rng, GenConfig(), shortops.DEFAULT_TOL) is True
         counts.append(svd_calls["factor"] - before)
     # C and B - C once each, for the angle screen and the comparison, then B
-    # and the one or two stacked-basis splits; mode-0 trials factor B once
-    # more to build C (two more per trial when the screen factored C and
-    # B - C apart from minus_leq: 5, 8, 8, 5, 5, 5, 6, 6)
-    assert counts == [3, 6, 6, 3, 3, 3, 4, 4]
+    # and the one or two splits, none for a C of rank 0 (trial 2); mode-0
+    # trials factor B once more to build C (two more per trial when the
+    # screen factored C and B - C apart from minus_leq: 5, 8, 8, 5, 5, 5, 6, 6;
+    # 6 in trial 2 while each split factored the stacked bases)
+    assert counts == [3, 6, 4, 3, 3, 3, 4, 4]
 
 
 def test_reduced_solution_minimal_norm_trials(svd_calls):

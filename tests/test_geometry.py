@@ -13,7 +13,7 @@ from shortops import (
 )
 from shortops.genlab import gen_subspace
 from shortops.geometry import _largest_cosine, _split_along
-from shortops.numcore import DEFAULT_TOL, fundamental_subspaces
+from shortops.numcore import DEFAULT_TOL, complement_basis, fundamental_subspaces
 
 
 def span(*vectors):
@@ -204,7 +204,7 @@ def test_stacked_split_matches_frame_inverse():
             gap = eq_rel * 10.0 ** (rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
             near += 1
         W1, W2 = _pair_draw(rng, n, a, b, gap)
-        got = _split_along(W1, W2, DEFAULT_TOL)
+        got = _split_along(W1, complement_basis(W2), DEFAULT_TOL)
         want = _frame_inverse_split(W1, W2)
         assert (got is None) == (want is None), (n, a, b, gap)
         if gap is not None:
@@ -246,7 +246,7 @@ def test_oblique_projection_threshold_and_excess_dimension():
             Q = oblique_projection(R, N)
             assert np.linalg.norm(Q @ W2) <= 1e-9 * np.linalg.norm(Q, 2)
     W1, W2 = _pair_draw(rng, 3, 2, 2)
-    assert _split_along(W1, W2, DEFAULT_TOL) is None  # a + b > n: ranges meet
+    assert _split_along(W1, complement_basis(W2), DEFAULT_TOL) is None  # a + b > n: ranges meet
 
 
 def test_meet_and_join_dimensions_add_up_near_the_cutoff():

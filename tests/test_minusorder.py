@@ -56,6 +56,9 @@ def test_minus_leq_zero_and_strict_cases():
     v = minus_leq(np.zeros((3, 2)), np.zeros((3, 2)))
     assert v.holds and v.rank_route and v.projection_route
     assert np.array_equal(v.Q, np.zeros((3, 3))) and np.array_equal(v.P, np.zeros((2, 2)))
+    for shape in ((1, 1), (4, 4), (2, 5)):
+        v = minus_leq(np.zeros(shape), np.zeros(shape))
+        assert v.holds and v.rank_route and v.projection_route
     assert minus_leq(B, B).holds
     # a scalar multiple strictly between 0 and B fails rank additivity
     assert not minus_leq(0.5 * B, B).holds
@@ -129,8 +132,9 @@ def test_split_matches_frame_inverse_construction():
         c = fundamental_subspaces(C).at_scale(scale, tol)
         d = fundamental_subspaces(B - C).at_scale(scale, tol)
         refs = []
-        for W1, W2 in ((c.range_basis, d.range_basis), (c.corange_basis, d.corange_basis)):
-            got = _split_along(W1, W2, tol)
+        for W1, W2, W2_perp in ((c.range_basis, d.range_basis, d.conull_basis),
+                                (c.corange_basis, d.corange_basis, d.null_basis)):
+            got = _split_along(W1, W2_perp, tol)
             want = _frame_inverse_projection(W1, W2, tol)
             assert (got is None) == (want is None)
             if want is not None:
@@ -143,3 +147,55 @@ def test_split_matches_frame_inverse_construction():
             assert opnorm(v.Q - refs[0]) <= 1e-9 * max(opnorm(refs[0]), 1.0)
             assert opnorm(v.P - refs[1].conj().T) <= 1e-9 * max(opnorm(refs[1]), 1.0)
     assert holds >= 60 and split > 2 * holds
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(gauss(rng, n, n))[0]
+
+
+def _minus_draw(rng, trial):
+    """A pair (C, B), rectangular on most trials, with B of random rank on
+    every third and scaled by 1e-3 ... 1e3: C a subset of B's singular
+    triples, 0, B itself (all below B), 0.5 B or a rank-one C (neither,
+    unless B = 0)."""
+    m, n = (int(v) for v in rng.integers(1, 7, size=2))
+    r = min(m, n) if trial % 3 else int(rng.integers(0, min(m, n) + 1))
+    B = 10.0 ** rng.uniform(-3, 3) * gauss(rng, m, r) @ gauss(rng, r, n)
+    mode = trial % 5
+    if mode == 0:
+        U, s, Vh = np.linalg.svd(B)
+        keep = [i for i in range(r) if rng.integers(0, 2)]
+        return (U[:, keep] * s[keep]) @ Vh[keep], B
+    if mode == 1:
+        return np.zeros_like(B), B
+    if mode == 2:
+        return B.copy(), B
+    if mode == 3:
+        return 0.5 * B, B
+    return opnorm(B) * gauss(rng, m, 1) @ gauss(rng, 1, n), B
+
+
+def _same_verdicts(v, w):
+    return (v.holds, v.rank_route, v.projection_route) == (w.holds, w.rank_route,
+                                                           w.projection_route)
+
+
+def test_minus_leq_is_frame_and_adjoint_invariant():
+    rng = trial_rng(16, 0, 0)
+    holds = 0
+    for trial in range(400):
+        C, B = _minus_draw(rng, trial)
+        X, Y = _unitary(rng, B.shape[0]), _unitary(rng, B.shape[1])
+        v = minus_leq(C, B)
+        framed = minus_leq(X @ C @ Y.conj().T, X @ B @ Y.conj().T)
+        adjoint = minus_leq(C.conj().T, B.conj().T)
+        assert _same_verdicts(v, framed) and _same_verdicts(v, adjoint), trial
+        if not v.projection_route:
+            continue
+        holds += v.holds
+        q_bound, p_bound = (1e-10 * max(opnorm(W), 1.0) for W in (v.Q, v.P))
+        assert opnorm(framed.Q - X @ v.Q @ X.conj().T) <= q_bound
+        assert opnorm(framed.P - Y @ v.P @ Y.conj().T) <= p_bound
+        assert opnorm(adjoint.Q - v.P.conj().T) <= p_bound
+        assert opnorm(adjoint.P - v.Q.conj().T) <= q_bound
+    assert holds >= 200

@@ -30,6 +30,9 @@ def test_summability_examples():
     report = summability(np.diag([1.0, 0.0]), np.diag([-1.0, 0.0]))
     assert not report.strongly and not report.weakly
     assert summability(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).strongly
+    for shape in ((1, 1), (3, 3), (2, 4)):
+        report = summability(np.zeros(shape), np.zeros(shape))
+        assert report.strongly and report.weakly
     with pytest.raises(DimensionMismatch):
         summability(np.eye(2), np.eye(3))
 
@@ -105,6 +108,8 @@ def test_in_da_examples():
     A = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert not in_da(A, A)
     assert in_da(2 * A, A)
+    for shape in ((1, 1), (3, 3), (2, 4)):
+        assert in_da(np.zeros(shape), np.zeros(shape))
 
 
 def test_parallel_subtract_examples():

@@ -30,7 +30,7 @@ from shortops.genlab import (
     gen_with_ranges,
     trial_rng,
 )
-from shortops.numcore import _fro, _spectrum, opnorm_leq
+from shortops.numcore import _fro, _spectrum, complement_basis, opnorm_leq
 from shortops.parallel import _loglog_slope, _parallel_sum, _summable
 from shortops.shorting import shorted_matrix
 
@@ -166,16 +166,17 @@ def test_in_span_on_a_stack_gives_the_scalar_verdict_per_item():
     sizes = (0.0, 1e-12, 0.5e-9, 0.9e-9, 1.1e-9, 1e-6, 1.0)
     stack = np.stack([W @ _gauss(rng, 3, n) + size * leak @ _gauss(rng, 1, n)
                       for size in sizes] + [np.zeros((m, n))])
-    bases = _spectrum(stack, TOL).range_basis
+    complements = _spectrum(stack, TOL).conull_basis
     for operand in (inside, outside):
-        got = _in_span(operand, bases, TOL)
-        assert got.tolist() == [_in_span(operand, _spectrum(G, TOL).range_basis, TOL)
+        got = _in_span(operand, complements, TOL)
+        assert got.tolist() == [_in_span(operand, _spectrum(G, TOL).conull_basis, TOL)
                                 for G in stack]
     # a stack of operands, each its own anchor, against one basis
     operands = np.stack([inside + size * opnorm(inside) * leak @ _gauss(rng, 1, n)
                          for size in (0.0, 0.9e-9, 1e-9, 1.1e-9, 1e-3)])
-    got = _in_span(operands, W, TOL)
-    assert got.tolist() == [_in_span(b, W, TOL) for b in operands]
+    W_perp = complement_basis(W)
+    got = _in_span(operands, W_perp, TOL)
+    assert got.tolist() == [_in_span(b, W_perp, TOL) for b in operands]
     assert got[0] and not got[-1]
 
 
