@@ -33,27 +33,27 @@ class ReducedSolution:
     residual is ||A D - B|| / max(||B||, 1); corange_defect measures how far
     the columns of D stray from N(A)-perp.  norm_sq is ||D||^2, which equals
     the least lambda with B B* ≤ lambda A A*.  The three norms decide
-    nothing and are each computed on first read, from the residual matrices
-    and copies of B and D taken at the call.
+    nothing and are each computed on first read, residual matrices
+    included, from copies of A, B and D and the corange basis of A.
     """
 
     D: np.ndarray
-    # A D - B and D minus its projection onto N(A)-perp
-    _residuals: tuple = field(repr=False, compare=False)
-    # B (the residual's anchor) and D
+    # copies of A, B and D, and an orthonormal basis of N(A)-perp
     _operands: tuple = field(repr=False, compare=False)
 
     @cached_property
     def residual(self) -> float:
-        return opnorm(self._residuals[0]) / max(opnorm(self._operands[0]), 1.0)
+        A, B, D, _ = self._operands
+        return opnorm(A @ D - B) / max(opnorm(B), 1.0)
 
     @cached_property
     def norm_sq(self) -> float:
-        return opnorm(self._operands[1]) ** 2
+        return opnorm(self._operands[2]) ** 2
 
     @cached_property
     def corange_defect(self) -> float:
-        return opnorm(self._residuals[1])
+        *_, D, Vr = self._operands
+        return opnorm(D - Vr @ (Vr.conj().T @ D))
 
 
 def _checked_pair(B, A):
@@ -107,9 +107,5 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
         resid = opnorm(leftover) / max(opnorm(B), 1.0)
         raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
     D = _reduced_coeffs(spectrum, B)
-    Vr = spectrum.corange_basis
-    return ReducedSolution(
-        D=D,
-        _residuals=(A @ D - B, D - Vr @ (Vr.conj().T @ D)),
-        _operands=(B.copy(), D.copy()),
-    )
+    return ReducedSolution(D=D, _operands=(A.copy(), B.copy(), D.copy(),
+                                           spectrum.corange_basis))

@@ -189,7 +189,7 @@ def as_operator(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"operator must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("operator has non-finite entries")
     return arr
 

@@ -95,21 +95,28 @@ class ParallelSumResult:
     reduced solutions through the polar factor of A + B.
     max_route_disagreement is the largest gap in operator norm among
     ``sum``, route_reduced and the arguments-swapped B - B (A+B)^+ B, which
-    checks commutativity.  It decides nothing, so the swapped route and the
-    gaps are formed on its first read, from copies of both routes and of B
-    and the factors of A + B taken at the call; changing the inputs or the
-    returned matrices leaves it as it was.
+    checks commutativity.  Neither decides anything, so both are formed on
+    first read from one private A (A+B)^+ B, of which route_reduced is a
+    copy, made from copies of the sum and B, F_A and the factors of A + B
+    taken at the call; changing the inputs or returned matrices changes neither.
     """
 
     sum: np.ndarray
-    route_reduced: np.ndarray
-    # copies of sum, route_reduced and B, and the factors of A + B
+    # a copy of sum, F_A, a copy of B and the factors of A + B
     _routes: tuple = field(repr=False, compare=False)
 
     @cached_property
+    def _reduced(self) -> np.ndarray:
+        _, F_A, B, total = self._routes
+        # B = (A+B) - A lies in R(A+B) once A does: no test of its own
+        return F_A.conj().T @ _reduced_coeffs(total.root_factors, B)
+
+    route_reduced = cached_property(lambda self: self._reduced.copy())
+
+    @cached_property
     def max_route_disagreement(self) -> float:
-        block, reduced, B, total = self._routes
-        swapped = B - B @ total.pinv() @ B
+        block, _, B, total = self._routes
+        reduced, swapped = self._reduced, B - B @ total.pinv() @ B
         return max_opnorm([block - reduced, block - swapped, reduced - swapped])
 
 
@@ -163,20 +170,15 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     (carrying the report) when the pair is not weakly summable.  ``sum`` is
     the doubled matrix's shorted block; its reduced-solution cross-check
     raises ConsistencyError beyond 10 * eq_rel of the doubled matrix's
-    Frobenius norm, and the gaps to A (A+B)^+ B and B - B (A+B)^+ B are kept.
+    Frobenius norm.  A (A+B)^+ B and the gaps to it and to B - B (A+B)^+ B
+    are formed when first read.
     """
     A, B = _checked_pair(A, B)
     total = _spectrum(A + B, tol)
     if not _summable(A, total, tol):
         raise NotSummable(_summability_report(A, B, total, False))
     block, F_A = _parallel_sum(A, total, tol)
-    # B = (A+B) - A lies in R(A+B) once A does: no test of its own
-    route_reduced = F_A.conj().T @ _reduced_coeffs(total.root_factors, B)
-    return ParallelSumResult(
-        sum=block,
-        route_reduced=route_reduced,
-        _routes=(block.copy(), route_reduced.copy(), B.copy(), total),
-    )
+    return ParallelSumResult(sum=block, _routes=(block.copy(), F_A, B.copy(), total))
 
 
 def _parallel_sum(A, total: FundamentalSubspaces, tol: Tolerance) -> tuple:
@@ -189,7 +191,7 @@ def _parallel_sum(A, total: FundamentalSubspaces, tol: Tolerance) -> tuple:
         doubled_norm = np.sqrt(3.0 * _fro(A) ** 2 + (total.s ** 2).sum(axis=-1))
     else:
         doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
-    block, _, _, _, _, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
+    block, *_, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
     return block, F_A
 
 

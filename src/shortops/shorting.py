@@ -95,26 +95,38 @@ class ComplementabilityReport:
 
     angle_check carries the Dixmier cosines of (S, closure of A*(T-perp)) and
     (T, closure of A(S-perp)); both below 1 is an equivalent criterion and is
-    reported for cross-validation.  It decides nothing, so the images
-    A*(T-perp) and A(S-perp) and their two factorizations are made on its
-    first read, from a copy of A and the frames of S and T that the report
-    keeps.
+    reported for cross-validation.  It and ``witnesses`` (None unless the
+    triple is complementable) decide nothing, so each is formed on its first
+    read from a copy of A, the blocks and the corner's factors that the
+    report keeps.
     """
 
     weakly: bool
     strongly: bool
-    witnesses: ComplementabilityWitnesses | None
-    # a copy of A, and the blocks whose frames split it
-    _angle_operands: tuple = field(repr=False, compare=False)
-    _tol: Tolerance = field(repr=False, compare=False)
+    # a copy of A, the blocks whose frames split it, the corner's factors, tol
+    _operands: tuple = field(repr=False, compare=False)
 
     @cached_property
     def angle_check(self) -> tuple[float, float]:
-        A, blocks = self._angle_operands
+        A, blocks, _, tol = self._operands
         pairs = ((blocks.s_basis, A.conj().T @ blocks.t_perp_basis),
                  (blocks.t_basis, A @ blocks.s_perp_basis))
-        return tuple(_largest_cosine(basis, _spectrum(image, self._tol).range_basis)
+        return tuple(_largest_cosine(basis, _spectrum(image, tol).range_basis)
                      for basis, image in pairs)
+
+    @cached_property
+    def witnesses(self) -> ComplementabilityWitnesses | None:
+        if not self.weakly:
+            return None
+        A, blocks, corner, _ = self._operands
+        corner_pinv = corner.pinv()
+        E, F_adj = corner_pinv @ blocks.A21, blocks.A12 @ corner_pinv
+        P_hat, Q_hat = _witness_projections(blocks, E, F_adj)
+        return ComplementabilityWitnesses(
+            E=blocks.s_perp_basis @ E @ blocks.s_basis.conj().T,
+            F=blocks.t_perp_basis @ F_adj.conj().T @ blocks.t_basis.conj().T,
+            P_hat=P_hat, Q_hat=Q_hat,
+            M_r=np.eye(A.shape[1]) - P_hat, M_l=np.eye(A.shape[0]) - Q_hat)
 
 
 @dataclass(frozen=True)
@@ -143,27 +155,44 @@ class ShortedResult:
     E and F are the reduced solutions of the defining corner equations
     (through the polar factor of A22); P and Q are projections satisfying
     Q A = A P = shorted.  All fields live in the original coordinates.
-    diagnostics decides nothing and is computed on its first read, products
-    Q A and A P included: the route gap and copies of A, P, Q and the
-    shorted matrix are taken at the call, so changing the inputs or the
-    returned matrices afterwards leaves it as it was.
+    Only ``shorted`` decides anything: E, F, P, Q and diagnostics are formed
+    on first read from parts the call holds, and diagnostics forms Q A and
+    A P anew from those parts, so changing the inputs or the returned
+    matrices afterwards changes no later read.
     """
 
     shorted: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    # the route gap, and copies of A, P, Q and shorted
-    _operands: tuple = field(repr=False, compare=False)
+    # the blocks, the route gap, A22^+ A21, A22^+, the weak solutions of the
+    # route check, a copy of A and sigma = A11 - A12 A22^+ A21
+    _parts: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        blocks, *_, E_weak, _, _, _ = self._parts
+        return blocks.s_perp_basis @ E_weak @ blocks.s_basis.conj().T
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        blocks, *_, F_weak, _, _ = self._parts
+        return blocks.s_perp_basis @ F_weak @ blocks.t_basis.conj().T
+
+    def _projections(self) -> tuple[np.ndarray, np.ndarray]:
+        blocks, _, E_strong, corner_pinv, *_ = self._parts
+        return _witness_projections(blocks, E_strong, blocks.A12 @ corner_pinv)
+
+    _pq = cached_property(_projections)
+    P = property(lambda self: self._pq[0])
+    Q = property(lambda self: self._pq[1])
 
     @cached_property
     def diagnostics(self) -> ShortedDiagnostics:
-        gap, A, P, Q, sigma = self._operands
+        blocks, gap, *_, A, sigma = self._parts
+        P, Q = self._projections()
         QA, AP = Q @ A, A @ P
+        shorted = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
         scale = max(opnorm(A), 1.0)
         return ShortedDiagnostics(*(opnorm(r) / scale
-                                    for r in (gap, QA - AP, QA - sigma, AP - sigma)))
+                                    for r in (gap, QA - AP, QA - shorted, AP - shorted)))
 
 
 def block_decompose(A, S: Subspace, T: Subspace,
@@ -245,26 +274,9 @@ def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.nd
 def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
                 included: bool, tol: Tolerance) -> ComplementabilityReport:
     """The report on the verdict ``included`` of ``_gate``, which the caller
-    has decided."""
-    witnesses = None
-    if included:
-        corner_pinv = corner.pinv()
-        E = corner_pinv @ blocks.A21
-        F_adj = blocks.A12 @ corner_pinv
-        P_hat, Q_hat = _witness_projections(blocks, E, F_adj)
-        witnesses = ComplementabilityWitnesses(
-            E=blocks.s_perp_basis @ E @ blocks.s_basis.conj().T,
-            F=blocks.t_perp_basis @ F_adj.conj().T @ blocks.t_basis.conj().T,
-            P_hat=P_hat,
-            Q_hat=Q_hat,
-            M_r=np.eye(A.shape[1]) - P_hat,
-            M_l=np.eye(A.shape[0]) - Q_hat,
-        )
-
-    return ComplementabilityReport(
-        weakly=included, strongly=included, witnesses=witnesses,
-        _angle_operands=(A.copy(), blocks), _tol=tol,
-    )
+    has decided; its witnesses and angle check are formed on first read."""
+    return ComplementabilityReport(weakly=included, strongly=included,
+                                   _operands=(A.copy(), blocks, corner, tol))
 
 
 def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
@@ -277,22 +289,21 @@ def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
     recomputed through the reduced solutions of the corner equations
     (through the polar factor of A22); a disagreement beyond
     10 * eq_rel * max(||anchor||, 1) raises ConsistencyError.  Returns sigma,
-    the route gap, the strong corner solutions E = A22^+ A21 and
-    F_adj = A12 A22^+, and the reduced solutions.  On the factors of a
+    the route gap, the strong corner solution E = A22^+ A21, the corner
+    pseudoinverse A22^+ and the reduced solutions.  On the factors of a
     stack of corners every result is per item, and the check raises for
     the first item whose routes disagree; the anchor is then one matrix or
     norm for all items, or an array of one norm per item.
     """
     corner_pinv = corner.pinv()
     E_strong = corner_pinv @ A21
-    F_strong_adj = A12 @ corner_pinv
     sigma = A11 - A12 @ E_strong
 
     E_weak = _reduced_coeffs(corner.root_factors, A21)
     F_weak = _reduced_coeffs(corner.abs_root_factors, A12.conj().T)
     gap = sigma - (A11 - F_weak.conj().swapaxes(-1, -2) @ E_weak)
     _check_route_gap(gap, anchor, tol)
-    return sigma, gap, E_strong, F_strong_adj, E_weak, F_weak
+    return sigma, gap, E_strong, corner_pinv, E_weak, F_weak
 
 
 def _check_route_gap(gap: np.ndarray, anchor, tol: Tolerance) -> None:
@@ -335,18 +346,9 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     """
     A = as_operator(A)
     blocks, corner = _complementable_blocks(A, S, T, tol)
-    sigma, gap, E_strong, F_strong_adj, E_weak, F_weak = _schur_complement(
-        blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
-    shorted_full = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
-    P, Q = _witness_projections(blocks, E_strong, F_strong_adj)
-    return ShortedResult(
-        shorted=shorted_full,
-        E=blocks.s_perp_basis @ E_weak @ blocks.s_basis.conj().T,
-        F=blocks.s_perp_basis @ F_weak @ blocks.t_basis.conj().T,
-        P=P,
-        Q=Q,
-        _operands=(gap, A.copy(), P.copy(), Q.copy(), shorted_full.copy()),
-    )
+    sigma, *parts = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
+    return ShortedResult(shorted=blocks.t_basis @ sigma @ blocks.s_basis.conj().T,
+                         _parts=(blocks, *parts, A.copy(), sigma))
 
 
 def schur_compression(A, S: Subspace, T: Subspace,

@@ -1,14 +1,17 @@
-"""Reported norms computed on first read equal the eager formulas exactly.
+"""Values computed on first read equal the eager formulas exactly.
 
-shorted's diagnostics (with the products Q A and A P), the summability
-defects, the parallel sum's route disagreement (with the swapped route
-B - B (A+B)^+ B), the reduced solution's residuals and the complementability
-angle check decide nothing, so each is computed when first read.  Each test
-here computes the value by its eager formula right after the call, then
-overwrites the complex128 inputs (which ``as_operator`` does not copy) and
-the returned matrices in place, and requires every later read to give the
-value of the formula bit for bit.  A report that kept a reference to a
-caller-owned array instead of a copy would read the overwritten entries.
+shorted's witnesses E, F, P and Q and its diagnostics (with the products
+Q A and A P), the summability defects, the parallel sum's route
+A (A+B)^+ B and route disagreement (with the swapped route
+B - B (A+B)^+ B), the reduced solution's residual matrices and norms, and
+the complementability witnesses and angle check decide nothing, so each is
+computed when first read.  Each test here computes the value by its eager
+formula right after the call, then overwrites the complex128 inputs (which
+``as_operator`` does not copy) and the returned matrices in place, and
+requires every later read to give the value of the formula bit for bit.
+A report that kept a reference to a caller-owned array instead of a copy
+would read the overwritten entries.  The counting tests pin that a call
+which is read only for its answer forms none of these values.
 """
 
 import numpy as np
@@ -27,12 +30,15 @@ from shortops import (
     summability,
 )
 from shortops.geometry import _largest_cosine
+from shortops import parallel, shorting
+from shortops.douglas import _reduced_coeffs
 from shortops.numcore import FundamentalSubspaces, max_opnorm, _spectrum
-from shortops.parallel import SummabilityDefects
+from shortops.parallel import SummabilityDefects, _parallel_sum
 from shortops.shorting import (
     ShortedDiagnostics,
     _complementable_blocks,
     _schur_complement,
+    _witness_projections,
     block_decompose,
 )
 
@@ -90,6 +96,55 @@ def _eager_diagnostics(A, S, T, res):
     )
 
 
+def _eager_shorted_witnesses(A, S, T):
+    """E, F, P and Q as ``shorted`` formed them eagerly."""
+    blocks, corner = _complementable_blocks(A, S, T, TOL)
+    corner_pinv = corner.pinv()
+    E_weak = _reduced_coeffs(corner.root_factors, blocks.A21)
+    F_weak = _reduced_coeffs(corner.abs_root_factors, blocks.A12.conj().T)
+    P, Q = _witness_projections(blocks, corner_pinv @ blocks.A21,
+                                blocks.A12 @ corner_pinv)
+    return (blocks.s_perp_basis @ E_weak @ blocks.s_basis.conj().T,
+            blocks.s_perp_basis @ F_weak @ blocks.t_basis.conj().T, P, Q)
+
+
+def _eager_witnesses(A, S, T):
+    """The six complementability witnesses as the report formed them eagerly."""
+    blocks, corner = _complementable_blocks(A, S, T, TOL)
+    corner_pinv = corner.pinv()
+    E, F_adj = corner_pinv @ blocks.A21, blocks.A12 @ corner_pinv
+    P_hat, Q_hat = _witness_projections(blocks, E, F_adj)
+    return (blocks.s_perp_basis @ E @ blocks.s_basis.conj().T,
+            blocks.t_perp_basis @ F_adj.conj().T @ blocks.t_basis.conj().T,
+            P_hat, Q_hat, np.eye(A.shape[1]) - P_hat, np.eye(A.shape[0]) - Q_hat)
+
+
+def _eager_route_reduced(A, B):
+    total = _spectrum(A + B, TOL)
+    _, F_A = _parallel_sum(A, total, TOL)
+    return F_A.conj().T @ _reduced_coeffs(total.root_factors, B)
+
+
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _rectangular_triple(rng):
+    """A 5x4 A with dim S = 1 and dim T = 2: the corner is a generic 3x3,
+    so the triple is complementable."""
+    return _gauss(rng, 5, 4), _basis(rng, 4, 1), _basis(rng, 5, 2)
+
+
+def _counting(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def _eager_angle_check(A, S, T):
     blocks = block_decompose(A, S, T, TOL)
     corange_image = _spectrum(A.conj().T @ blocks.t_perp_basis, TOL).range_basis
@@ -118,15 +173,98 @@ def _eager_route_disagreement(A, B, res):
                        res.route_reduced - swapped])
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (5, 3), (6, 2)])
-def test_shorted_diagnostics(n, k):
-    A, Sb, Tb = _complementable_triple(np.random.default_rng(n), n, k)
-    S, T = Subspace(n, Sb), Subspace(n, Tb)
+def _shorted_triples():
+    for n, k in [(2, 1), (5, 3), (6, 2)]:
+        yield _complementable_triple(np.random.default_rng(n), n, k)
+    yield _rectangular_triple(np.random.default_rng(4))
+
+
+TRIPLE_IDS = ["2-1", "5-3", "6-2", "5x4"]  # n-k of the square triples
+
+
+@pytest.mark.parametrize("triple", list(_shorted_triples()), ids=TRIPLE_IDS)
+def test_shorted_diagnostics(triple):
+    A, Sb, Tb = (x.copy() for x in triple)
+    S, T = Subspace(A.shape[1], Sb), Subspace(A.shape[0], Tb)
     res = shorted(A, S, T)
     expected = _eager_diagnostics(A, S, T, res)
+    # Q A and A P come from the call's parts, not from the returned P and Q
     _overwrite(A, Sb, Tb, res.shorted, res.E, res.F, res.P, res.Q)
     assert res.diagnostics == expected
     assert res.diagnostics is res.diagnostics
+
+
+@pytest.mark.parametrize("triple", list(_shorted_triples()), ids=TRIPLE_IDS)
+def test_shorted_witnesses(triple):
+    A, Sb, Tb = (x.copy() for x in triple)
+    S, T = Subspace(A.shape[1], Sb), Subspace(A.shape[0], Tb)
+    res = shorted(A, S, T)
+    expected = _bits(*_eager_shorted_witnesses(A, S, T))
+    _overwrite(A, Sb, Tb, res.shorted)
+    assert _bits(res.E, res.F, res.P, res.Q) == expected
+    assert res.P is res.P and res.Q is res.Q
+
+
+@pytest.mark.parametrize("triple", list(_shorted_triples()), ids=TRIPLE_IDS)
+def test_complementability_witnesses(triple):
+    A, Sb, Tb = (x.copy() for x in triple)
+    S, T = Subspace(A.shape[1], Sb), Subspace(A.shape[0], Tb)
+    report = complementability(A, S, T)
+    expected = _bits(*_eager_witnesses(A, S, T))
+    _overwrite(A, Sb, Tb)
+    w = report.witnesses
+    assert _bits(w.E, w.F, w.P_hat, w.Q_hat, w.M_r, w.M_l) == expected
+    assert report.witnesses is w
+
+
+def test_shorted_answer_forms_no_witness(monkeypatch):
+    counts = {}
+    _counting(monkeypatch, shorting, "_witness_projections", counts)
+    _counting(monkeypatch, FundamentalSubspaces, "pinv", counts)
+    A, Sb, Tb = _complementable_triple(np.random.default_rng(5), 5, 3)
+    res = shorted(A, Subspace(5, Sb), Subspace(5, Tb))
+    assert res.shorted.shape == (5, 5)
+    assert counts == {"pinv": 1}
+    assert res.P is res.P and res.Q.shape == (5, 5)
+    assert counts == {"pinv": 1, "_witness_projections": 1}
+    # diagnostics forms its own P and Q from the call's parts
+    assert res.diagnostics.qa_ap_gap >= 0.0
+    assert counts == {"pinv": 1, "_witness_projections": 2}
+
+
+def test_complementability_verdict_forms_no_witness(monkeypatch):
+    counts = {}
+    _counting(monkeypatch, FundamentalSubspaces, "pinv", counts)
+    A, Sb, Tb = _complementable_triple(np.random.default_rng(6), 5, 2)
+    report = complementability(A, Subspace(5, Sb), Subspace(5, Tb))
+    assert report.weakly and counts == {}
+    assert report.witnesses is report.witnesses
+    assert counts == {"pinv": 1}
+
+
+@pytest.mark.parametrize("m,n,r", [(2, 2, 2), (4, 6, 3), (7, 5, 5)])
+def test_parallel_sum_route_reduced(m, n, r):
+    A, B = _summable_pair(np.random.default_rng(m * n + 1), m, n, r)
+    res = parallel_sum(A, B)
+    expected = _bits(_eager_route_reduced(A, B))
+    _overwrite(A, B, res.sum)
+    assert _bits(res.route_reduced) == expected
+    assert res.route_reduced is res.route_reduced
+
+
+def test_parallel_sum_route_reduced_formed_on_read(monkeypatch):
+    counts = {}
+    for module in (shorting, parallel):    # each holds its own name for it
+        _counting(monkeypatch, module, "_reduced_coeffs", counts)
+    A, B = _summable_pair(np.random.default_rng(12), 4, 5, 3)
+    res = parallel_sum(A, B)
+    assert res.sum.shape == (4, 5)
+    # the two reduced solutions of the route check
+    assert counts == {"_reduced_coeffs": 2}
+    assert res.route_reduced.shape == (4, 5)
+    assert counts == {"_reduced_coeffs": 3}
+    assert res.route_reduced is res.route_reduced and res.max_route_disagreement >= 0.0
+    assert counts == {"_reduced_coeffs": 3}
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 3)])

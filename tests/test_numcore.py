@@ -47,6 +47,22 @@ def test_as_operator_rejects_bad_input():
         as_operator([[np.inf]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(1.0, -np.inf)])
+def test_as_operator_rejects_each_non_finite_entry(bad):
+    entries = np.ones((3, 4), dtype=np.complex128)
+    entries[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_operator(entries)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0)])
+def test_as_operator_accepts_huge_finite_and_empty_input(shape):
+    huge = np.full((2, 3), 1e308) + 1j * np.array([[-1e308, 0.0, 1.7e308]] * 2)
+    assert np.array_equal(as_operator(huge), huge)
+    assert as_operator(np.zeros(shape)).shape == shape
+
+
 def test_rank_examples():
     assert rank(np.zeros((3, 3))) == 0
     assert rank(np.eye(4)) == 4
