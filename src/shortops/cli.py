@@ -101,59 +101,19 @@ def _envelope(argv: list[str], tol: Tolerance) -> dict:
     }
 
 
-def _maybe_matrix(M) -> dict | None:
-    return None if M is None else matrix_to_payload(M)
-
-
-def _complementability_payload(report) -> dict:
-    witnesses = None
-    if report.witnesses is not None:
-        w = report.witnesses
-        witnesses = {
-            "E": matrix_to_payload(w.E),
-            "F": matrix_to_payload(w.F),
-            "P_hat": matrix_to_payload(w.P_hat),
-            "Q_hat": matrix_to_payload(w.Q_hat),
-            "M_r": matrix_to_payload(w.M_r),
-            "M_l": matrix_to_payload(w.M_l),
-        }
-    return {
-        "weakly": report.weakly,
-        "strongly": report.strongly,
-        "angle_check": list(report.angle_check),
-        "witnesses": witnesses,
-    }
-
-
-def _summability_payload(report) -> dict:
-    d = report.defects
-    return {
-        "weakly": report.weakly,
-        "strongly": report.strongly,
-        "defects": {
-            "a_range": d.a_range,
-            "a_corange": d.a_corange,
-            "b_range": d.b_range,
-            "b_corange": d.b_corange,
-        },
-    }
-
-
-def _shorted_payload(result) -> dict:
-    d = result.diagnostics
-    return {
-        "shorted": matrix_to_payload(result.shorted),
-        "E": matrix_to_payload(result.E),
-        "F": matrix_to_payload(result.F),
-        "P": matrix_to_payload(result.P),
-        "Q": matrix_to_payload(result.Q),
-        "diagnostics": {
-            "route_disagreement": d.route_disagreement,
-            "qa_ap_gap": d.qa_ap_gap,
-            "qa_residual": d.qa_residual,
-            "ap_residual": d.ap_residual,
-        },
-    }
+def _payload(value, *lazy):
+    """``value`` as report JSON: a matrix becomes its matrix payload, a tuple
+    a list, and a result dataclass its public fields plus the first-read
+    attributes named in ``lazy``, each converted in turn; anything else is
+    passed through.  The report types thus define the JSON shape."""
+    if isinstance(value, np.ndarray):
+        return matrix_to_payload(value)
+    if isinstance(value, tuple):
+        return [_payload(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value) if not f.name.startswith("_")]
+        return {name: _payload(getattr(value, name)) for name in (*names, *lazy)}
+    return value
 
 
 def _emit(args, payload: dict) -> None:
@@ -170,20 +130,15 @@ def _cmd_short(args, tol, payload):
     A = load_matrix(args.operator)
     S = load_subspace(args.domain, tol)
     T = load_subspace(args.codomain, tol)
-    result = shorted(A, S, T, tol)
-    payload["result"] = _shorted_payload(result)
+    payload["result"] = _payload(shorted(A, S, T, tol), "E", "F", "P", "Q", "diagnostics")
     return 0
 
 
 def _cmd_psum(args, tol, payload):
     A = load_matrix(args.left)
     B = load_matrix(args.right)
-    result = parallel_sum(A, B, tol)
-    payload["result"] = {
-        "sum": matrix_to_payload(result.sum),
-        "route_reduced": matrix_to_payload(result.route_reduced),
-        "max_route_disagreement": result.max_route_disagreement,
-    }
+    payload["result"] = _payload(parallel_sum(A, B, tol),
+                                 "route_reduced", "max_route_disagreement")
     return 0
 
 
@@ -207,7 +162,7 @@ def _cmd_check(args, tol, payload):
         S = load_subspace(args.files[1], tol)
         T = load_subspace(args.files[2], tol)
         report = complementability(A, S, T, tol)
-        payload["report"] = _complementability_payload(report)
+        payload["report"] = _payload(report, "angle_check", "witnesses")
         holds = report.strongly
     elif args.what == "summable":
         if len(args.files) != 2:
@@ -215,7 +170,7 @@ def _cmd_check(args, tol, payload):
         A = load_matrix(args.files[0])
         B = load_matrix(args.files[1])
         report = summability(A, B, tol)
-        payload["report"] = _summability_payload(report)
+        payload["report"] = _payload(report, "defects")
         holds = report.strongly
     else:  # minus
         if len(args.files) != 2:
@@ -223,13 +178,7 @@ def _cmd_check(args, tol, payload):
         C = load_matrix(args.files[0])
         B = load_matrix(args.files[1])
         verdict = minus_leq(C, B, tol)
-        payload["report"] = {
-            "holds": verdict.holds,
-            "rank_route": verdict.rank_route,
-            "projection_route": verdict.projection_route,
-            "Q": _maybe_matrix(verdict.Q),
-            "P": _maybe_matrix(verdict.P),
-        }
+        payload["report"] = _payload(verdict)
         holds = verdict.holds
     payload["holds"] = holds
     return 0 if holds else 3
@@ -395,13 +344,13 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args, tol, payload)
     except NotComplementable as exc:
         payload["error"] = "not-complementable"
-        payload["report"] = _complementability_payload(exc.report)
+        payload["report"] = _payload(exc.report, "angle_check", "witnesses")
         _emit(args, payload)
         print("shortops: operator is not complementable w.r.t. (S, T)", file=sys.stderr)
         return 2
     except NotSummable as exc:
         payload["error"] = "not-summable"
-        payload["report"] = _summability_payload(exc.report)
+        payload["report"] = _payload(exc.report, "defects")
         _emit(args, payload)
         print("shortops: operators are not parallel summable", file=sys.stderr)
         return 2

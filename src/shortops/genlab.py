@@ -71,6 +71,10 @@ class GenConfig:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        # a condition number is at least 1, so a smaller cap rejects every
+        # draw it screens; a NaN or infinite cap cannot be written as JSON
+        if not 1 <= self.condition_cap < np.inf:
+            raise ValueError("condition_cap must be finite and >= 1")
 
 
 @dataclass

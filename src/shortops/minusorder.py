@@ -116,9 +116,7 @@ def _in_minus_set(C: np.ndarray, A: np.ndarray, S: Subspace, T: Subspace,
     """``in_minus_set`` on the SVDs a of A, as ``_spectrum`` returns it, and
     c of C, at any scale; either is made here, once C's range and corange
     pass, when the caller does not hold it."""
-    Cs = C.conj().T
-    if not (opnorm_leq(C - T.projection @ C, tol.eq_rel, C)
-            and opnorm_leq(Cs - S.projection @ Cs, tol.eq_rel, C)):
+    if not (T.contains(C, tol) and S.contains(C.conj().T, tol)):
         return False
     a = _spectrum(A, tol) if a is None else a
     c = _spectrum(C, tol) if c is None else c

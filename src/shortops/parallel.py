@@ -36,7 +36,7 @@ from .numcore import (
     _fro,
     _spectrum,
 )
-from .shorting import shorted_matrix, _complementable_blocks, _schur_complement
+from .shorting import shorted, _complementable, _schur_complement
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
 # most schedule points factored at once: memory stays at this many
@@ -270,7 +270,7 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     below 1.
     """
     A, B = _checked_pair(A, B)
-    target = shorted_matrix(A, S, T, tol)  # raises NotComplementable if unfit
+    target = shorted(A, S, T, tol).shorted  # raises NotComplementable if unfit
     _auxiliary_factors(B, S, T, tol)
     ns = sorted(int(k) for k in schedule)
     if ns and ns[0] < 1:
@@ -321,7 +321,7 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     L = as_operator(L)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _complementable_blocks(A, S, T, tol)
+    _complementable(A, S, T, tol)
     aux = _auxiliary_factors(L, S, T, tol)
 
     bound = n << 20

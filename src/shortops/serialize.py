@@ -69,6 +69,16 @@ def _plain_row(row: list, is_complex: bool) -> bool:
         return False
 
 
+def _require(payload: dict, key: str, kind: type) -> None:
+    """Reject ``payload[key]`` unless it is a JSON integer (``kind`` int,
+    booleans excluded) or a JSON boolean (``kind`` bool).  The loaders call
+    it after their parse, which coerces such values and would accept 2.7,
+    true or "2" as a dimension and read "false" as true."""
+    value = payload[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be {'an integer' if kind is int else 'a boolean'}")
+
+
 def matrix_from_payload(payload) -> np.ndarray:
     if not isinstance(payload, dict):
         raise ValueError("matrix payload must be an object")
@@ -79,6 +89,9 @@ def matrix_from_payload(payload) -> np.ndarray:
         data = payload["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
+    _require(payload, "rows", int)
+    _require(payload, "cols", int)
+    _require(payload, "complex", bool)
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if not isinstance(data, list) or len(data) != rows:
@@ -113,6 +126,7 @@ def subspace_from_payload(payload, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         data = payload["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed subspace payload: {exc}") from exc
+    _require(payload, "ambient", int)
     M = matrix_from_payload(data)
     if M.shape[0] != ambient:
         raise ValueError("subspace data rows do not match 'ambient'")

@@ -226,28 +226,28 @@ def complementability(A, S: Subspace, T: Subspace,
     taken from the corner's own factors and share its ranges, so in finite
     dimensions one residual per inclusion gives both verdicts; the
     randomized suite checks it against a re-factored root.
-    """
-    A = as_operator(A)
-    blocks = block_decompose(A, S, T, tol)
-    corner = _spectrum(blocks.A22, tol, _fro(A))
-    return _report_for(A, blocks, corner, _gate(blocks, corner, tol), tol)
-
-
-def _complementable_blocks(A: np.ndarray, S: Subspace, T: Subspace, tol: Tolerance):
-    """Blocks and corner factors of a weakly complementable triple.
 
     The corner's rank cutoff is anchored at ||A||_F, an upper bound of the
     whole operator's spectral norm: a corner that is rounding noise next to
     A has rank 0, whereas a cutoff taken from the corner's own largest
-    singular value would count that noise as full rank.  Raises
-    NotComplementable otherwise; its report, with the angle cross-check, is
-    built only then.
+    singular value would count that noise as full rank.
     """
+    A = as_operator(A)
     blocks = block_decompose(A, S, T, tol)
     corner = _spectrum(blocks.A22, tol, _fro(A))
-    if not _gate(blocks, corner, tol):
-        raise NotComplementable(_report_for(A, blocks, corner, False, tol))
-    return blocks, corner
+    included = _gate(blocks, corner, tol)
+    return ComplementabilityReport(weakly=included, strongly=included,
+                                   _operands=(A.copy(), blocks, corner, tol))
+
+
+def _complementable(A, S: Subspace, T: Subspace, tol: Tolerance):
+    """The report's copy of A, the blocks and the corner's factors of a
+    weakly complementable triple; raises NotComplementable with the report
+    otherwise."""
+    report = complementability(A, S, T, tol)
+    if not report.weakly:
+        raise NotComplementable(report)
+    return report._operands[:3]
 
 
 def _gate(blocks: BlockDecomposition, corner: FundamentalSubspaces,
@@ -269,14 +269,6 @@ def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.nd
     P_hat = (W_S - blocks.s_perp_basis @ E) @ W_S.conj().T
     Q_hat = W_T @ (W_T.conj().T - F_adj @ blocks.t_perp_basis.conj().T)
     return P_hat, Q_hat
-
-
-def _report_for(A, blocks: BlockDecomposition, corner: FundamentalSubspaces,
-                included: bool, tol: Tolerance) -> ComplementabilityReport:
-    """The report on the verdict ``included`` of ``_gate``, which the caller
-    has decided; its witnesses and angle check are formed on first read."""
-    return ComplementabilityReport(weakly=included, strongly=included,
-                                   _operands=(A.copy(), blocks, corner, tol))
 
 
 def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
@@ -322,19 +314,6 @@ def _check_route_gap(gap: np.ndarray, anchor, tol: Tolerance) -> None:
         )
 
 
-def shorted_matrix(A, S: Subspace, T: Subspace,
-                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The shorted operator alone, without witness projections or diagnostics.
-
-    Same gate, same primary formula and the same mandatory reduced-solution
-    cross-check as ``shorted``; use it where only the matrix is needed.
-    """
-    A = as_operator(A)
-    blocks, corner = _complementable_blocks(A, S, T, tol)
-    sigma, *_ = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
-    return blocks.t_basis @ sigma @ blocks.s_basis.conj().T
-
-
 def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> ShortedResult:
     """Bilateral shorted operator of A relative to (S, T).
 
@@ -344,18 +323,17 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     inconsistency, not bad input.  Raises NotComplementable (carrying the
     report) when the triple is not weakly complementable.
     """
-    A = as_operator(A)
-    blocks, corner = _complementable_blocks(A, S, T, tol)
+    A, blocks, corner = _complementable(A, S, T, tol)
     sigma, *parts = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
     return ShortedResult(shorted=blocks.t_basis @ sigma @ blocks.s_basis.conj().T,
-                         _parts=(blocks, *parts, A.copy(), sigma))
+                         _parts=(blocks, *parts, A, sigma))
 
 
 def schur_compression(A, S: Subspace, T: Subspace,
                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A minus its shorted operator; equals A (I - P_hat) for any witness."""
     A = as_operator(A)
-    return A - shorted_matrix(A, S, T, tol)
+    return A - shorted(A, S, T, tol).shorted
 
 
 def solve_shorting_direction(A, S: Subspace, T: Subspace, x,
@@ -371,8 +349,8 @@ def solve_shorting_direction(A, S: Subspace, T: Subspace, x,
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.shape[0] != S.ambient_dim:
         raise DimensionMismatch("x length differs from the ambient dimension of S")
-    if not opnorm_leq(x - S.projection @ x, tol.eq_rel, x):
+    if not S.contains(x[:, None], tol):
         raise ValueError("x does not lie in S")
-    blocks, corner = _complementable_blocks(A, S, T, tol)
+    _, blocks, corner = _complementable(A, S, T, tol)
     E_strong = corner.pinv() @ blocks.A21
     return -blocks.s_perp_basis @ (E_strong @ (blocks.s_basis.conj().T @ x))

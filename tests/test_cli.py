@@ -203,6 +203,17 @@ def test_cmd_verify_exit_four_on_failures(tmp_path, capsys, monkeypatch):
     assert report["report"]["failures"][0]["entropy"] == [20240801, 0, 0]
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "nan", "inf"])
+def test_cmd_verify_rejects_condition_cap(cap, tmp_path, capsys):
+    # refused before any trial runs, with a message and no report
+    out = tmp_path / "r.json"
+    assert main(["verify", "--trials", "1", "--condition-cap", cap,
+                 "--json-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "shortops: condition_cap must be finite and >= 1\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cmd_demo_impedance(capsys, tmp_path):
     assert main(["demo-impedance", "--resistors", "2", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -328,3 +339,50 @@ def test_import_leaves_suite_unloaded():
     done = subprocess.run([sys.executable, "-c", program], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _key_tree(obj):
+    """The nested keys of a report, with a matrix payload as the leaf
+    "matrix" and any other leaf as its type name."""
+    if isinstance(obj, dict):
+        if set(obj) == {"rows", "cols", "complex", "data"}:
+            return "matrix"
+        return {key: _key_tree(value) for key, value in obj.items()}
+    return type(obj).__name__
+
+
+_ENVELOPE = {"tool": "str", "version": "str", "invocation": "list",
+             "tolerance": {"rank_rel": "float", "eq_rel": "float", "psd_slack": "float"}}
+_COMPLEMENTABILITY = {"weakly": "bool", "strongly": "bool", "angle_check": "list"}
+_SUMMABILITY = {"weakly": "bool", "strongly": "bool", "defects": dict.fromkeys(
+    ("a_range", "a_corange", "b_range", "b_corange"), "float")}
+
+
+def test_report_key_trees(worked, tmp_path, capsys):
+    """Each report the CLI writes for a result type has the keys of that
+    type's public fields and first-read values, nested the same way."""
+    a, s = worked
+    bad = write_matrix(tmp_path / "bad.json", [[1.0, 1.0], [1.0, 0.0]])
+    x = write_matrix(tmp_path / "x.json", np.diag([1.0, 0.0]))
+    y = write_matrix(tmp_path / "y.json", np.diag([-1.0, 0.0]))
+    b = write_matrix(tmp_path / "b.json", np.diag([0.0, 1.0]))
+    witnesses = dict.fromkeys(("E", "F", "P_hat", "Q_hat", "M_r", "M_l"), "matrix")
+    runs = [
+        (["short", a, s, s], 0, {"result": {
+            **dict.fromkeys(("shorted", "E", "F", "P", "Q"), "matrix"),
+            "diagnostics": dict.fromkeys(
+                ("route_disagreement", "qa_ap_gap", "qa_residual", "ap_residual"), "float")}}),
+        (["check", a, s, s, "--what", "complementable"], 0, {
+            "holds": "bool", "report": {**_COMPLEMENTABILITY, "witnesses": witnesses}}),
+        (["check", x, y, "--what", "summable"], 3, {"holds": "bool", "report": _SUMMABILITY}),
+        # R(C) lies inside R(B - C): neither route holds, no projections
+        (["check", x, b, "--what", "minus"], 3, {"holds": "bool", "report": {
+            "holds": "bool", "rank_route": "bool", "projection_route": "bool",
+            "Q": "NoneType", "P": "NoneType"}}),
+        (["short", bad, s, s], 2, {"error": "str", "report": {
+            **_COMPLEMENTABILITY, "witnesses": "NoneType"}}),
+        (["psum", x, y], 2, {"error": "str", "report": _SUMMABILITY}),
+    ]
+    for argv, code, tree in runs:
+        assert main(argv) == code, argv
+        assert _key_tree(json.loads(capsys.readouterr().out)) == {**_ENVELOPE, **tree}, argv

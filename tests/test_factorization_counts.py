@@ -44,7 +44,6 @@ from shortops import (
     subspace_meet,
     summability,
 )
-from shortops.shorting import shorted_matrix
 from shortops.genlab import (
     INVARIANTS,
     GenConfig,
@@ -358,7 +357,6 @@ _FRAME_CALLS = {
     "shorted": lambda A, S, T, L: shorted(A, S, T),
     "complementability": lambda A, S, T, L: complementability(A, S, T).weakly,
     "complementability-false": lambda A, S, T, L: complementability(A, S, T).weakly,
-    "shorted_matrix": lambda A, S, T, L: shorted_matrix(A, S, T),
     "recover_shorted": lambda A, S, T, L: recover_shorted(A, S, T, L, 1),
     "shorted_via_limit": lambda A, S, T, L: shorted_via_limit(A, S, T, L, schedule=(1, 2)),
 }
@@ -375,10 +373,10 @@ def test_shorting_routes_build_no_subspace_and_no_block_matrix(name, builds):
         assert result is (name == "complementability")
     # the complements of S and T come from their frames, and the auxiliary's
     # range and corange are compared as projections (Subspaces built when
-    # each was validated: 2 for shorted, complementability and
-    # shorted_matrix, 4 for recover_shorted and shorted_via_limit); the
-    # witness projections multiply the frames out (np.block twice in shorted
-    # and a complementable report)
+    # each was validated: 2 for shorted and complementability, 4 for
+    # recover_shorted and shorted_via_limit); the witness projections
+    # multiply the frames out (np.block twice in shorted and a
+    # complementable report)
     assert builds == {"subspace": 0, "block": 0}
 
 

@@ -26,6 +26,12 @@ def test_gen_config_validation():
         GenConfig(trials=0)
     with pytest.raises(ValueError):
         GenConfig(seed=-1)
+    # a condition number is at least 1: a smaller cap skips every screened
+    # draw, and a NaN or infinite cap cannot be written in the JSON report
+    for cap in (0.0, -5.0, 0.999, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="condition_cap must be finite and >= 1"):
+            GenConfig(condition_cap=cap)
+    assert GenConfig(condition_cap=1.0).condition_cap == 1.0
 
 
 def test_gen_subspace():

@@ -36,7 +36,7 @@ from shortops.numcore import FundamentalSubspaces, max_opnorm, _spectrum
 from shortops.parallel import SummabilityDefects, _parallel_sum
 from shortops.shorting import (
     ShortedDiagnostics,
-    _complementable_blocks,
+    _complementable,
     _schur_complement,
     _witness_projections,
     block_decompose,
@@ -83,7 +83,7 @@ def _non_complementable_triple(rng):
 
 
 def _eager_diagnostics(A, S, T, res):
-    blocks, corner = _complementable_blocks(A, S, T, TOL)
+    _, blocks, corner = _complementable(A, S, T, TOL)
     _, gap, *_ = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, TOL)
     scale = max(opnorm(A), 1.0)
     QA = res.Q @ A
@@ -98,7 +98,7 @@ def _eager_diagnostics(A, S, T, res):
 
 def _eager_shorted_witnesses(A, S, T):
     """E, F, P and Q as ``shorted`` formed them eagerly."""
-    blocks, corner = _complementable_blocks(A, S, T, TOL)
+    _, blocks, corner = _complementable(A, S, T, TOL)
     corner_pinv = corner.pinv()
     E_weak = _reduced_coeffs(corner.root_factors, blocks.A21)
     F_weak = _reduced_coeffs(corner.abs_root_factors, blocks.A12.conj().T)
@@ -110,7 +110,7 @@ def _eager_shorted_witnesses(A, S, T):
 
 def _eager_witnesses(A, S, T):
     """The six complementability witnesses as the report formed them eagerly."""
-    blocks, corner = _complementable_blocks(A, S, T, TOL)
+    _, blocks, corner = _complementable(A, S, T, TOL)
     corner_pinv = corner.pinv()
     E, F_adj = corner_pinv @ blocks.A21, blocks.A12 @ corner_pinv
     P_hat, Q_hat = _witness_projections(blocks, E, F_adj)

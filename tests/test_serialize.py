@@ -57,6 +57,17 @@ def test_matrix_payload_validation():
         )
     with pytest.raises(ValueError):
         matrix_from_payload([1, 2, 3])
+    # the header's dimensions are JSON integers and its flag a JSON boolean,
+    # not values that int() or bool() would coerce
+    good = {"rows": 1, "cols": 1, "complex": False, "data": [[1.0]]}
+    for key, value, message in [("rows", 2.7, "'rows' must be an integer"),
+                                ("rows", 1.0, "'rows' must be an integer"),
+                                ("rows", "1", "'rows' must be an integer"),
+                                ("cols", True, "'cols' must be an integer"),
+                                ("complex", "false", "'complex' must be a boolean"),
+                                ("complex", 0, "'complex' must be a boolean")]:
+        with pytest.raises(ValueError, match=message):
+            matrix_from_payload(dict(good, **{key: value}))
 
 
 def test_subspace_payload_kinds():
@@ -79,6 +90,11 @@ def test_subspace_payload_kinds():
 
     with pytest.raises(ValueError):
         subspace_from_payload({"ambient": 2, "kind": "mystery", "data": bad["data"]})
+
+    # 'ambient' is a JSON integer, not a number int() would truncate
+    for ambient in (2.9, 2.0, "2", True):
+        with pytest.raises(ValueError, match="'ambient' must be an integer"):
+            subspace_from_payload(dict(proj_payload, ambient=ambient))
 
 
 def test_dumps_report_stable():

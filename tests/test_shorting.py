@@ -15,7 +15,6 @@ from shortops import (
 )
 from shortops.genlab import gauss, gen_complementable, gen_subspace, trial_rng
 from shortops.numcore import _fro, _spectrum
-from shortops.shorting import shorted_matrix
 
 
 def e1_subspace(n):
@@ -114,17 +113,6 @@ def test_shorted_degenerate_subspaces():
 
     res = shorted(np.eye(2), e1_subspace(2), e1_subspace(2))
     assert np.allclose(res.shorted, np.diag([1.0, 0.0]))
-
-
-def test_shorted_matrix_agrees_with_full_result():
-    rng = trial_rng(123, 1, 0)
-    for _ in range(20):
-        m, n = [int(v) for v in rng.integers(2, 7, size=2)]
-        s_dim = int(rng.integers(0, n + 1))
-        t_dim = int(rng.integers(0, m + 1))
-        r22 = int(rng.integers(0, min(n - s_dim, m - t_dim) + 1))
-        A, S, T = gen_complementable(m, n, s_dim, t_dim, r22, rng)
-        assert np.allclose(shorted_matrix(A, S, T), shorted(A, S, T).shorted)
 
 
 def _random_unitary(rng, n):

@@ -18,6 +18,7 @@ from shortops import (
     NotSummable,
     Subspace,
     opnorm,
+    shorted,
     shorted_via_limit,
 )
 from shortops import parallel
@@ -32,7 +33,6 @@ from shortops.genlab import (
 )
 from shortops.numcore import _fro, _spectrum, complement_basis, opnorm_leq
 from shortops.parallel import _loglog_slope, _parallel_sum, _summable
-from shortops.shorting import shorted_matrix
 
 TOL = DEFAULT_TOL
 
@@ -183,7 +183,7 @@ def test_in_span_on_a_stack_gives_the_scalar_verdict_per_item():
 def _per_point_limit(A, S, T, B, schedule=parallel.DEFAULT_SCHEDULE):
     """shorted_via_limit written one schedule point at a time on the 2-D
     core, as it was before the schedule was stacked."""
-    target = shorted_matrix(A, S, T, TOL)
+    target = shorted(A, S, T, TOL).shorted
     used, errors = [], []
     for n in sorted(int(k) for k in schedule):
         if n < 1:
