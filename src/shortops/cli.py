@@ -130,7 +130,8 @@ def _cmd_short(args, tol, payload):
     A = load_matrix(args.operator)
     S = load_subspace(args.domain, tol)
     T = load_subspace(args.codomain, tol)
-    payload["result"] = _payload(shorted(A, S, T, tol), "E", "F", "P", "Q", "diagnostics")
+    witnesses = ("E", "F", "P", "Q") if args.witnesses else ()
+    payload["result"] = _payload(shorted(A, S, T, tol), *witnesses, "diagnostics")
     return 0
 
 
@@ -194,8 +195,10 @@ def _cmd_converge(args, tol, payload):
         from .genlab import gen_with_ranges, trial_rng
         B = gen_with_ranges(T, S, trial_rng(args.seed, 0, 0))
     schedule = DEFAULT_SCHEDULE
-    if args.schedule:
+    if args.schedule is not None:
         schedule = tuple(int(part) for part in args.schedule.split(",") if part.strip())
+        if not schedule:
+            raise ValueError("--schedule needs at least one entry")
     record = shorted_via_limit(A, S, T, B, schedule, tol)
     payload["result"] = {
         "schedule": record.schedule,
@@ -216,7 +219,10 @@ def run_suite(config, tol):
 
 def _cmd_verify(args, tol, payload):
     from .genlab import GenConfig
-    lo, hi = (int(part) for part in args.dims.split(","))
+    try:
+        lo, hi = (int(part) for part in args.dims.split(","))
+    except ValueError:
+        raise ValueError(f"--dims takes 'lo,hi' (two integers), got {args.dims!r}") from None
     given = {"seed": args.seed, "trials": args.trials, "condition_cap": args.condition_cap}
     config = GenConfig(dim_range=(lo, hi),
                        **{key: value for key, value in given.items() if value is not None})
@@ -263,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operator", help="matrix JSON file for A")
     p.add_argument("domain", help="subspace JSON file for S (domain side)")
     p.add_argument("codomain", help="subspace JSON file for T (codomain side)")
+    p.add_argument("--witnesses", action="store_true",
+                   help="also write the witnesses E, F, P and Q")
     common(p)
 
     p = sub.add_parser("psum", help="parallel sum of two operators")
@@ -340,31 +348,34 @@ def main(argv=None) -> int:
         return 1
 
     payload = _envelope(argv, tol)
+    message = None  # printed after the report of a precondition failure
     try:
         code = _HANDLERS[args.command](args, tol, payload)
     except NotComplementable as exc:
         payload["error"] = "not-complementable"
         payload["report"] = _payload(exc.report, "angle_check", "witnesses")
-        _emit(args, payload)
-        print("shortops: operator is not complementable w.r.t. (S, T)", file=sys.stderr)
-        return 2
+        code, message = 2, "operator is not complementable w.r.t. (S, T)"
     except NotSummable as exc:
         payload["error"] = "not-summable"
         payload["report"] = _payload(exc.report, "defects")
-        _emit(args, payload)
-        print("shortops: operators are not parallel summable", file=sys.stderr)
-        return 2
+        code, message = 2, "operators are not parallel summable"
     except (NotInDA, BadAuxiliary, EscalationExhausted,
             RangeNotIncluded, ConsistencyError) as exc:
         payload["error"] = type(exc).__name__
-        _emit(args, payload)
-        print(f"shortops: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             DimensionMismatch, BadDims) as exc:
         print(f"shortops: {exc}", file=sys.stderr)
         return 1
-    _emit(args, payload)
+    try:
+        _emit(args, payload)
+    except OSError as exc:
+        target = args.json_out or "standard output"
+        print(f"shortops: cannot write report to {target}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
+    if message is not None:
+        print(f"shortops: {message}", file=sys.stderr)
     return code
 
 

@@ -42,6 +42,53 @@ def test_cmd_short_success(worked, capsys):
     assert report["result"]["diagnostics"]["qa_ap_gap"] <= 1e-9
 
 
+def test_cmd_short_witnesses_flag(worked, capsys):
+    # --witnesses adds E, F, P and Q to the same shorted and diagnostics; its
+    # P and Q are check --what complementable's P_hat and Q_hat
+    a, s = worked
+    assert main(["short", a, s, s]) == 0
+    lean = json.loads(capsys.readouterr().out)["result"]
+    assert main(["short", a, s, s, "--witnesses"]) == 0
+    full = json.loads(capsys.readouterr().out)["result"]
+    assert {k: full[k] for k in lean} == lean
+    assert main(["check", a, s, s, "--what", "complementable"]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["report"]["witnesses"]
+    assert (full["P"], full["Q"]) == (witnesses["P_hat"], witnesses["Q_hat"])
+
+
+@pytest.mark.parametrize("flag, forms", [([], 1), (["--witnesses"], 2)])
+def test_cmd_short_forms_witness_projections(flag, forms, worked, capsys, monkeypatch):
+    # diagnostics forms P and Q from the call's parts; the written P and Q
+    # are one more formation, made only when --witnesses asks for them
+    from shortops import shorting
+    real, calls = shorting._witness_projections, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(shorting, "_witness_projections", counted)
+    a, s = worked
+    assert main(["short", a, s, s, *flag]) == 0
+    capsys.readouterr()
+    assert len(calls) == forms
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_json_out_exits_one(target, worked, tmp_path, capsys):
+    # a missing directory or a directory: one message line, no traceback,
+    # and no precondition message after it on the exit-2 path
+    a, s = worked
+    bad = write_matrix(tmp_path / "bad.json", [[1.0, 1.0], [1.0, 0.0]])
+    out = str(tmp_path / target)
+    for operator in (a, bad):
+        assert main(["short", operator, s, s, "--json-out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"shortops: cannot write report to {out}: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_cmd_short_not_complementable(tmp_path, capsys):
     a = write_matrix(tmp_path / "A.json", [[1.0, 1.0], [1.0, 0.0]])
     s = write_subspace(tmp_path / "S.json", [[1.0], [0.0]])
@@ -165,6 +212,19 @@ def test_cmd_converge_single_point_schedule(worked, tmp_path, capsys):
     assert report["result"]["errors"] == pytest.approx([1 / 5], abs=1e-12)
 
 
+@pytest.mark.parametrize("schedule", [",", "", " , "])
+def test_cmd_converge_rejects_empty_schedule(schedule, worked, tmp_path, capsys):
+    # no point tried is an input error, not an exhausted escalation
+    a, s = worked
+    b = write_matrix(tmp_path / "B.json", np.diag([1.0, 0.0]))
+    assert main(["converge", a, s, s, b, "--schedule", schedule]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "shortops: --schedule needs at least one entry\n"
+    assert main(["converge", a, s, s, b, "--schedule", "0"]) == 1
+    assert capsys.readouterr().err == "shortops: schedule entries must be positive integers\n"
+
+
 def test_cmd_converge_not_complementable(tmp_path, capsys):
     a = write_matrix(tmp_path / "A.json", [[1.0, 1.0], [1.0, 0.0]])
     s = write_subspace(tmp_path / "S.json", [[1.0], [0.0]])
@@ -212,6 +272,22 @@ def test_cmd_verify_rejects_condition_cap(cap, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "shortops: condition_cap must be finite and >= 1\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("dims", ["2,3,4", "3", "", "2,x"])
+def test_cmd_verify_rejects_malformed_dims(dims, capsys):
+    assert main(["verify", "--trials", "1", "--dims", dims]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shortops: --dims takes 'lo,hi' (two integers), got {dims!r}\n"
+
+
+def test_cmd_verify_dims_out_of_order_keeps_its_message(capsys):
+    from shortops.genlab import GenConfig
+    with pytest.raises(ValueError) as raised:
+        GenConfig(dim_range=(5, 2))
+    assert main(["verify", "--trials", "1", "--dims", "5,2"]) == 1
+    assert capsys.readouterr().err == f"shortops: {raised.value}\n"
 
 
 def test_cmd_demo_impedance(capsys, tmp_path):
@@ -300,6 +376,7 @@ def test_every_report_kind_written_as_json_dumps(tmp_path, capsys, emitted):
     two = write_matrix(tmp_path / "two.json", [[2.0]])
     runs = [
         (["short", big, half, half], 0),
+        (["short", big, half, half, "--witnesses"], 0),
         (["short", bad, s, s], 2),
         (["psum", a, a], 0),
         (["psum", x, y], 2),
@@ -367,11 +444,14 @@ def test_report_key_trees(worked, tmp_path, capsys):
     y = write_matrix(tmp_path / "y.json", np.diag([-1.0, 0.0]))
     b = write_matrix(tmp_path / "b.json", np.diag([0.0, 1.0]))
     witnesses = dict.fromkeys(("E", "F", "P_hat", "Q_hat", "M_r", "M_l"), "matrix")
+    diagnostics = dict.fromkeys(
+        ("route_disagreement", "qa_ap_gap", "qa_residual", "ap_residual"), "float")
     runs = [
         (["short", a, s, s], 0, {"result": {
+            "shorted": "matrix", "diagnostics": diagnostics}}),
+        (["short", a, s, s, "--witnesses"], 0, {"result": {
             **dict.fromkeys(("shorted", "E", "F", "P", "Q"), "matrix"),
-            "diagnostics": dict.fromkeys(
-                ("route_disagreement", "qa_ap_gap", "qa_residual", "ap_residual"), "float")}}),
+            "diagnostics": diagnostics}}),
         (["check", a, s, s, "--what", "complementable"], 0, {
             "holds": "bool", "report": {**_COMPLEMENTABILITY, "witnesses": witnesses}}),
         (["check", x, y, "--what", "summable"], 3, {"holds": "bool", "report": _SUMMABILITY}),
