@@ -93,11 +93,7 @@ def _envelope(argv: list[str], tol: Tolerance) -> dict:
         "tool": "shortops",
         "version": __version__,
         "invocation": ["shortops", *argv],
-        "tolerance": {
-            "rank_rel": tol.rank_rel,
-            "eq_rel": tol.eq_rel,
-            "psd_slack": tol.psd_slack,
-        },
+        "tolerance": dataclasses.asdict(tol),
     }
 
 
@@ -191,12 +187,18 @@ def _cmd_converge(args, tol, payload):
     T = load_subspace(args.codomain, tol)
     if args.auxiliary is not None:
         B = load_matrix(args.auxiliary)
+    elif args.seed < 0:
+        raise ValueError(f"--seed takes a non-negative integer, got {args.seed}")
     else:
         from .genlab import gen_with_ranges, trial_rng
         B = gen_with_ranges(T, S, trial_rng(args.seed, 0, 0))
     schedule = DEFAULT_SCHEDULE
     if args.schedule is not None:
-        schedule = tuple(int(part) for part in args.schedule.split(",") if part.strip())
+        try:
+            schedule = tuple(int(part) for part in args.schedule.split(",") if part.strip())
+        except ValueError:
+            raise ValueError("--schedule takes comma-separated integers, "
+                             f"got {args.schedule!r}") from None
         if not schedule:
             raise ValueError("--schedule needs at least one entry")
     record = shorted_via_limit(A, S, T, B, schedule, tol)

@@ -21,7 +21,6 @@ from .geometry import (
     ortho_projection,
     subspace_join,
     subspace_meet,
-    _largest_cosine,
 )
 from .minusorder import _in_minus_set, _minus_leq, minus_leq
 from .numcore import (
@@ -47,8 +46,9 @@ from .shorting import block_decompose, complementability, shorted, solve_shortin
 
 RNG_NAME = "pcg64"
 
-# Dixmier cosines this close to 1 make the <1 predicate float-ambiguous;
-# randomized checks discard such draws instead of scoring them.
+# Least principal sines in this band bracket the overlap cutoff (sin θ₁ ≈ 2
+# rank_rel n, 2e-10 … 2e-9 at n <= 10), where randomized checks discard the
+# float-ambiguous draws; 1 - cos θ₁ cannot, being lost to rounding < 1e-16.
 _AMBIG_LO = 1e-12
 _AMBIG_HI = 1e-6
 
@@ -227,9 +227,7 @@ def draw_complementable(rng, cfg: GenConfig, tol: Tolerance):
     t_dim = int(rng.integers(0, m + 1))
     rank22 = int(rng.integers(0, min(n - s_dim, m - t_dim) + 1))
     A, S, T = gen_complementable(m, n, s_dim, t_dim, rank22, rng)
-    if not cond_ok(A, cfg.condition_cap, tol):
-        return None
-    return A, S, T
+    return (A, S, T) if cond_ok(A, cfg.condition_cap, tol) else None
 
 
 def draw_complementable_matched(rng, cfg: GenConfig, tol: Tolerance):
@@ -239,9 +237,7 @@ def draw_complementable_matched(rng, cfg: GenConfig, tol: Tolerance):
     dim = int(rng.integers(1, min(m, n) + 1))
     rank22 = int(rng.integers(0, min(n - dim, m - dim) + 1))
     A, S, T = gen_complementable(m, n, dim, dim, rank22, rng)
-    if not cond_ok(A, cfg.condition_cap, tol):
-        return None
-    return A, S, T
+    return (A, S, T) if cond_ok(A, cfg.condition_cap, tol) else None
 
 
 def draw_with_known_shorted(rng, cfg: GenConfig, tol: Tolerance,
@@ -256,9 +252,7 @@ def draw_with_known_shorted(rng, cfg: GenConfig, tol: Tolerance,
     sigma = gauss(rng, t_dim, sigma_rank) @ gauss(rng, sigma_rank, s_dim)
     A11 = sigma + Y @ (A22 @ X)
     A, S, T = _assemble_blocks(A11, Y @ A22, A22 @ X, A22, m, n, s_dim, t_dim, rng)
-    if not cond_ok(A, cfg.condition_cap, tol):
-        return None
-    return A, S, T
+    return (A, S, T) if cond_ok(A, cfg.condition_cap, tol) else None
 
 
 def draw_summable(rng, cfg: GenConfig, tol: Tolerance):
@@ -294,9 +288,17 @@ def _random_idempotent(rng, n: int, k: int, tol: Tolerance):
     """Random oblique projection of rank k, or None for a hostile draw."""
     R = gen_subspace(n, k, rng)
     N = gen_subspace(n, n - k, rng)
-    if _largest_cosine(R.basis, N.basis) >= 1.0 - _AMBIG_HI:
+    if _least_sine(R.basis, N.complement().basis) <= _AMBIG_HI:
         return None
     return oblique_projection(R, N, tol)
+
+
+def _least_sine(W1: np.ndarray, W2_perp: np.ndarray) -> float:
+    """sin θ₁ between R(W1) and R(W2), sigma_min of W2_perp* W1 for a basis
+    W2_perp of R(W2)⊥; 0 when the dimensions force a meet, 1 for empty W1."""
+    if W1.shape[1] > W2_perp.shape[1]:
+        return 0.0
+    return float(np.linalg.svd(W2_perp.conj().T @ W1, compute_uv=False)[-1]) if W1.size else 1.0
 
 
 def _svd_triple_subset(fs: FundamentalSubspaces, indices) -> np.ndarray:
@@ -309,10 +311,8 @@ def _svd_triple_subset(fs: FundamentalSubspaces, indices) -> np.ndarray:
 def _ambiguous_minus_angles(c: FundamentalSubspaces, d: FundamentalSubspaces) -> bool:
     """Whether the ranges or coranges of C and B - C, from their SVDs c and d
     each truncated at its own scale, meet at a float-ambiguous angle."""
-    for X, Y in ((c.range_basis, d.range_basis), (c.corange_basis, d.corange_basis)):
-        if _AMBIG_LO < 1.0 - _largest_cosine(X, Y) < _AMBIG_HI:
-            return True
-    return False
+    return any(_AMBIG_LO < _least_sine(X, Y) < _AMBIG_HI for X, Y in (
+        (c.range_basis, d.conull_basis), (c.corange_basis, d.null_basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +361,11 @@ def _inv_dixmier_intersection_criterion(rng, cfg, tol):
     m, n = _dims(rng, cfg)
     M = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
     N = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
-    dix = angles(M, N, tol).dixmier_cos
-    if _AMBIG_LO < 1.0 - dix < _AMBIG_HI:
+    # the Dixmier angle's sine; outside the band any threshold in it is the cutoff's verdict
+    sine = _least_sine(M.basis, N.complement().basis)
+    if _AMBIG_LO < sine < _AMBIG_HI:
         return None
-    separated = dix < 1.0 - tol.eq_rel
+    separated = sine >= _AMBIG_HI
     meet_trivial = subspace_meet(M, N, tol).dim == 0
     sum_full = subspace_join(M.complement(), N.complement(), tol).dim == n
     return separated == meet_trivial == sum_full

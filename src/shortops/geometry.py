@@ -27,6 +27,7 @@ from .numcore import (
     fundamental_subspaces,
     opnorm,
     opnorm_leq,
+    _cutoff,
     _fro,
     _spectrum,
 )
@@ -117,10 +118,14 @@ class Subspace:
         return opnorm_leq(V - self.projection @ V, tol.eq_rel, V)
 
     def equals(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Same subspace, decided by comparing orthogonal projections."""
+        """Same subspace, decided by ``_spanned_by`` on the other's basis."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
-        return opnorm_leq(self.projection - other.projection, 100 * tol.eq_rel)
+        return self._spanned_by(other.basis, tol)
+
+    def _spanned_by(self, basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """The one equality rule: orthonormal ``basis`` gives the projection within 100 eq_rel."""
+        return opnorm_leq(basis @ basis.conj().T - self.projection, 100 * tol.eq_rel)
 
 
 @dataclass(frozen=True)
@@ -158,16 +163,19 @@ def oblique_projection(range_sub: Subspace, nullsp: Subspace,
 def _split_along(W1: np.ndarray, W2_perp: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     """Projection onto R(W1) along R(W2) ⊕ (R(W1) + R(W2))⊥ for orthonormal
     W1 (n x a) and W2 (n x b), given an orthonormal basis W2_perp of R(W2)⊥,
-    or None when the ranges overlap: a > n - b, or 1 - (Dixmier cosine) =
-    sin^2 / (1 + cos) <= eq_rel at the least singular value of K = W2_perp* W1,
-    since K* K = I - G G* with G = W1* W2 makes those the sines of the
-    principal angles (Björck & Golub, 1973); else W1 K^+ W2_perp* is the projection."""
+    or None when the ranges meet by ``subspace_meet``'s rule: a > n - b, or
+    [W1 W2]'s least singular value sin / sqrt(1 + cos) at the least principal
+    angle is at or below the rank cutoff anchored at its largest, sqrt(1 +
+    cos).  The sine is sigma_min of K = W2_perp* W1, as K* K = I - G G* for
+    G = W1* W2 (Björck & Golub, 1973); else W1 K^+ W2_perp* is the projection."""
     if W1.shape[1] > W2_perp.shape[1]:
         return None
     Nh = W2_perp.conj().T
     spectrum = _spectrum(Nh @ W1, tol)
     sine = float(spectrum.s[-1]) if spectrum.s.size else 1.0
-    if sine * sine / (1.0 + math.sqrt(max(1.0 - sine * sine, 0.0))) <= tol.eq_rel:
+    top = math.sqrt(1.0 + math.sqrt(max(1.0 - sine * sine, 0.0)))
+    # [W1 W2] is n x (a + b) with a + b <= n: W1's longer side sets the cutoff
+    if sine / top <= _cutoff(W1.shape, top, tol):
         return None
     return W1 @ spectrum.pinv() @ Nh
 

@@ -30,8 +30,8 @@ from .numcore import (
     DEFAULT_TOL,
     FundamentalSubspaces,
     Tolerance,
-    as_operator,
     opnorm_leq,
+    _same_shape,
     _spectrum,
 )
 
@@ -54,10 +54,7 @@ class MinusVerdict:
 
 def minus_leq(C, B, tol: Tolerance = DEFAULT_TOL) -> MinusVerdict:
     """Decide C ≤⁻ B by rank additivity and by projection factorization."""
-    C = as_operator(C)
-    B = as_operator(B)
-    if C.shape != B.shape:
-        raise DimensionMismatch(f"shapes differ: {C.shape} vs {B.shape}")
+    C, B = _same_shape(C, B)
     return _minus_leq(C, B, _spectrum(B, tol), _spectrum(C, tol), _spectrum(B - C, tol), tol)
 
 
@@ -101,10 +98,7 @@ def in_minus_set(C, A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -
     The shorted operator of a complementable triple is the unique maximum of
     this set under ≤⁻.
     """
-    C = as_operator(C)
-    A = as_operator(A)
-    if C.shape != A.shape:
-        raise DimensionMismatch(f"shapes differ: {C.shape} vs {A.shape}")
+    C, A = _same_shape(C, A)
     if T.ambient_dim != C.shape[0] or S.ambient_dim != C.shape[1]:
         raise DimensionMismatch("subspace ambient dimensions do not match C")
     return _in_minus_set(C, A, S, T, None, None, tol)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPSD
+from .errors import DimensionMismatch, NotPSD
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,14 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
+def _same_shape(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """A and B through ``as_operator``; DimensionMismatch unless their shapes agree."""
+    A, B = as_operator(A), as_operator(B)
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
+    return A, B
+
+
 def opnorm(a) -> float:
     """Spectral norm, with the convention that empty matrices have norm 0.
 
@@ -208,11 +216,9 @@ def opnorm(a) -> float:
         return np.linalg.svd(arr, compute_uv=False)[..., 0]
     if arr.size == 0:
         return 0.0
-    if arr.ndim == 1:
+    if arr.ndim == 1 or 1 in arr.shape:
         return float(np.sqrt((arr.conj() * arr).real.sum()))
     m, n = arr.shape
-    if m == 1 or n == 1:
-        return float(np.sqrt((arr.conj() * arr).real.sum()))
     if min(m, n) == 2:
         # kept by measurement: it saves 4 of shorted's 10 SVDs at 2x2; small-ops speed is equal
         G = arr @ arr.conj().T if m <= n else arr.conj().T @ arr
@@ -312,11 +318,15 @@ def max_opnorm(mats) -> float:
     return best
 
 
+def _cutoff(shape, scale, tol: Tolerance):
+    """The one rank cutoff, rank_rel * max(shape) * scale."""
+    return tol.rank_rel * max(shape) * scale
+
+
 def _rank_rule(s: np.ndarray, shape, scale, tol: Tolerance):
-    """The one rank rule: singular values above rank_rel * max(shape) * scale;
-    per item for the (K, p) singular values of a stack, whose scale is one
-    number or one per item."""
-    cutoff = tol.rank_rel * max(shape) * scale
+    """The one rank rule: singular values above ``_cutoff``; per item for a
+    stack's (K, p) singular values, whose scale is one number or one per item."""
+    cutoff = _cutoff(shape, scale, tol)
     if s.ndim == 1:
         return int(np.count_nonzero(s > cutoff))
     return np.count_nonzero(s > np.reshape(cutoff, (-1, 1)), axis=-1)

@@ -32,8 +32,8 @@ from .numcore import (
     as_operator,
     max_opnorm,
     opnorm,
-    opnorm_leq,
     _fro,
+    _same_shape,
     _spectrum,
 )
 from .shorting import shorted, _complementable, _schur_complement
@@ -148,17 +148,9 @@ def _summability_report(A, B, total: FundamentalSubspaces,
                                         total.range_basis, total.corange_basis))
 
 
-def _checked_pair(A, B):
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    return A, B
-
-
 def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
     """Test weak and strong parallel summability of (A, B)."""
-    A, B = _checked_pair(A, B)
+    A, B = _same_shape(A, B)
     total = _spectrum(A + B, tol)
     return _summability_report(A, B, total, _summable(A, total, tol))
 
@@ -173,7 +165,7 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     Frobenius norm.  A (A+B)^+ B and the gaps to it and to B - B (A+B)^+ B
     are formed when first read.
     """
-    A, B = _checked_pair(A, B)
+    A, B = _same_shape(A, B)
     total = _spectrum(A + B, tol)
     if not _summable(A, total, tol):
         raise NotSummable(_summability_report(A, B, total, False))
@@ -214,7 +206,7 @@ def in_da(C, A, tol: Tolerance = DEFAULT_TOL) -> bool:
     This class is exactly where the equation A ∥ X = C has the distinguished
     solution C ∥ (-A).  It is the test of ``parallel_subtract``.
     """
-    C, A = _checked_pair(C, A)
+    C, A = _same_shape(C, A)
     return _da_factors(C, A, _spectrum(A, tol), tol) is not None
 
 
@@ -226,7 +218,7 @@ def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     summability decision.  The sum reuses in_da's factors of C - A, which
     equals C + (-A) bit for bit: two SVDs in all.
     """
-    C, A = _checked_pair(C, A)
+    C, A = _same_shape(C, A)
     d = _da_factors(C, A, _spectrum(A, tol), tol)
     if d is None:
         raise NotInDA("C - A does not have the same range/corange as A")
@@ -235,15 +227,13 @@ def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _auxiliary_factors(L: np.ndarray, S: Subspace, T: Subspace,
                        tol: Tolerance) -> FundamentalSubspaces:
-    """One SVD of L, whose range and corange projections are compared with
-    those of T and S as ``Subspace.equals`` does; raises BadAuxiliary unless
-    R(L) = T and R(L*) = S, and DimensionMismatch for a mis-shaped L."""
+    """One SVD of L, whose range and corange bases are compared with T and S
+    by ``Subspace.equals``' rule; raises BadAuxiliary unless R(L) = T and
+    R(L*) = S, and DimensionMismatch for a mis-shaped L."""
     if L.shape != (T.ambient_dim, S.ambient_dim):
         raise DimensionMismatch(f"auxiliary operator of shape {L.shape} does not fit (S, T)")
     aux = _spectrum(L, tol)
-    W, V = aux.range_basis, aux.corange_basis
-    if not (opnorm_leq(W @ W.conj().T - T.projection, 100 * tol.eq_rel)
-            and opnorm_leq(V @ V.conj().T - S.projection, 100 * tol.eq_rel)):
+    if not (T._spanned_by(aux.range_basis, tol) and S._spanned_by(aux.corange_basis, tol)):
         raise BadAuxiliary("auxiliary operator must have range T and corange S")
     return aux
 
@@ -269,7 +259,7 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     EscalationExhausted when no point is usable; ValueError for an entry
     below 1.
     """
-    A, B = _checked_pair(A, B)
+    A, B = _same_shape(A, B)
     target = shorted(A, S, T, tol).shorted  # raises NotComplementable if unfit
     _auxiliary_factors(B, S, T, tol)
     ns = sorted(int(k) for k in schedule)

@@ -22,15 +22,12 @@ from .numcore import DEFAULT_TOL, Tolerance, as_operator
 def matrix_to_payload(A) -> dict:
     A = as_operator(A)
     is_complex = bool(np.any(A.imag != 0.0))
-    if is_complex:
-        data = np.stack([A.real, A.imag], axis=-1).tolist()
-    else:
-        data = A.real.tolist()
+    data = np.stack([A.real, A.imag], axis=-1) if is_complex else A.real
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
         "complex": is_complex,
-        "data": data,
+        "data": data.tolist(),
     }
 
 
@@ -162,10 +159,8 @@ def _write(obj, depth: int) -> str:
         return _quote(obj)
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):

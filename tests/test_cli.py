@@ -225,6 +225,28 @@ def test_cmd_converge_rejects_empty_schedule(schedule, worked, tmp_path, capsys)
     assert capsys.readouterr().err == "shortops: schedule entries must be positive integers\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--schedule", "a"], "--schedule takes comma-separated integers, got 'a'"),
+    (["--schedule", "1,2.5"], "--schedule takes comma-separated integers, got '1,2.5'"),
+    (["--seed", "-1"], "--seed takes a non-negative integer, got -1"),
+])
+def test_cmd_converge_names_the_malformed_flag(argv, message, worked, capsys):
+    a, s = worked
+    assert main(["converge", a, s, s, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shortops: {message}\n"
+
+
+def test_cmd_converge_ignores_the_seed_beside_an_auxiliary(worked, tmp_path, capsys):
+    # the seed only generates B; with a B file given it is not read
+    a, s = worked
+    b = write_matrix(tmp_path / "B.json", np.diag([1.0, 0.0]))
+    assert main(["converge", a, s, s, b, "--seed", "-1", "--schedule", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["errors"] == pytest.approx(
+        [1 / 5], abs=1e-12)
+
+
 def test_cmd_converge_not_complementable(tmp_path, capsys):
     a = write_matrix(tmp_path / "A.json", [[1.0, 1.0], [1.0, 0.0]])
     s = write_subspace(tmp_path / "S.json", [[1.0], [0.0]])

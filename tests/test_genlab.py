@@ -189,3 +189,30 @@ def test_failures_carry_reproduction_entropy():
 def test_replayed_parallel_subtract_round_trip():
     report = run_suite(GenConfig(seed=7703226341779245175, trials=1))
     assert report.outcomes["parallel-subtract-round-trip"].failed == 0
+
+
+def test_skip_band_brackets_the_overlap_cutoff():
+    # the band is on sin θ₁, which resolves the cutoff where 1 - cos θ₁
+    # rounds to 0; planted sines a decade either side of the cutoff are
+    # skipped, exact and forced meets and generic angles are scored
+    from shortops.genlab import _AMBIG_HI, _AMBIG_LO, _ambiguous_minus_angles, _least_sine
+    from shortops.numcore import DEFAULT_TOL, complement_basis, fundamental_subspaces
+
+    rng = trial_rng(5, 0, 0)
+    for n in range(2, 11):
+        cutoff = 2.0 * np.arctan(DEFAULT_TOL.rank_rel * n)
+        assert _AMBIG_LO < np.sin(cutoff) / 10.0 and np.sin(cutoff) * 10.0 < _AMBIG_HI
+        F = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for theta in (cutoff / 10.0, cutoff * 10.0):
+            tilted = np.cos(theta) * F[:, :1] + np.sin(theta) * F[:, 1:2]
+            sine = _least_sine(F[:, :1], complement_basis(tilted))
+            assert abs(sine - np.sin(theta)) <= 1e-14  # rounding is absolute
+            C, D = F[:, :1] @ F[:, :1].conj().T, tilted @ F[:, 1:2].conj().T
+            assert _ambiguous_minus_angles(fundamental_subspaces(C), fundamental_subspaces(D))
+        assert _least_sine(F[:, :1], complement_basis(F[:, :1])) <= _AMBIG_LO
+        assert _least_sine(F[:, :2], F[:, 2:3]) == 0.0  # 2 > 1: the dimensions force a meet
+        assert _least_sine(F[:, :0], F[:, :1]) == 1.0
+        C = F[:, :1] @ F[:, :1].conj().T
+        assert not _ambiguous_minus_angles(fundamental_subspaces(C), fundamental_subspaces(C))
+        assert not _ambiguous_minus_angles(fundamental_subspaces(C),
+                                           fundamental_subspaces(F[:, 1:] @ F[:, 1:].conj().T))

@@ -159,25 +159,33 @@ def _unitary(rng, n):
 
 
 def _frame_inverse_split(W1, W2, tol=DEFAULT_TOL):
-    """Reference: the Dixmier test on W1* W2, then W1 times the first rows
-    of the inverse of the unitary-completed frame [W1 W2 W_rest]."""
+    """Reference: the rank cutoff on the stacked bases [W1 W2], the rule
+    ``subspace_meet`` applies, then W1 times the first rows of the inverse
+    of the unitary-completed frame [W1 W2 W_rest]."""
     n, a = W1.shape
     b = W2.shape[1]
     if a + b > n:
         return None
-    if a and b and np.linalg.norm(W1.conj().T @ W2, 2) >= 1.0 - tol.eq_rel:
+    U, s = np.linalg.svd(np.hstack([W1, W2]), full_matrices=True)[:2]
+    if s.size and s[-1] <= tol.rank_rel * n * s[0]:
         return None
-    U = np.linalg.svd(np.hstack([W1, W2]), full_matrices=True)[0]
     frame = np.hstack([W1, W2, U[:, a + b:]])
     return W1 @ np.linalg.inv(frame)[:a]
 
 
-def _pair_draw(rng, n, a, b, gap=None):
-    """Orthonormal W1 (n x a) and W2 (n x b); with ``gap``, the Dixmier
-    cosine between their ranges is 1 - gap (needs a, b >= 1, a + b <= n)."""
-    if gap is None:
+def _cutoff_angle(n, tol=DEFAULT_TOL):
+    """The least principal angle at the meet's cutoff in C^n (a + b <= n):
+    [W1 W2] has least and largest singular values sqrt(2) sin(θ/2) and
+    sqrt(2) cos(θ/2), so the ranges meet iff tan(θ/2) <= rank_rel n."""
+    return 2.0 * np.arctan(tol.rank_rel * n)
+
+
+def _pair_draw(rng, n, a, b, theta=None):
+    """Orthonormal W1 (n x a) and W2 (n x b); with ``theta``, the least
+    principal angle between their ranges (needs a, b >= 1, a + b <= n)."""
+    if theta is None:
         return _unitary(rng, n)[:, :a], _unitary(rng, n)[:, :b]
-    return _angle_pair(rng, n, a, b, [np.arccos(1.0 - gap)])
+    return _angle_pair(rng, n, a, b, [theta])
 
 
 def _angle_pair(rng, n, a, b, thetas):
@@ -193,22 +201,21 @@ def _angle_pair(rng, n, a, b, thetas):
 
 def test_stacked_split_matches_frame_inverse():
     rng = np.random.default_rng(2024)
-    eq_rel = DEFAULT_TOL.eq_rel
     near = decided = 0
     for trial in range(400):
         n = int(rng.integers(1, 9))
         a, b = (int(v) for v in rng.integers(0, n + 1, size=2))
-        gap = None
+        theta = None
         if trial % 3 == 0 and a and b and a + b <= n:
-            # within a decade of the threshold, on either side of it
-            gap = eq_rel * 10.0 ** (rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
+            # within a decade of the cutoff, on either side of it
+            theta = _cutoff_angle(n) * 10.0 ** (rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
             near += 1
-        W1, W2 = _pair_draw(rng, n, a, b, gap)
+        W1, W2 = _pair_draw(rng, n, a, b, theta)
         got = _split_along(W1, complement_basis(W2), DEFAULT_TOL)
         want = _frame_inverse_split(W1, W2)
-        assert (got is None) == (want is None), (n, a, b, gap)
-        if gap is not None:
-            assert (got is None) == (gap < eq_rel)
+        assert (got is None) == (want is None), (n, a, b, theta)
+        if theta is not None:
+            assert (got is None) == (theta < _cutoff_angle(n))
         if want is None:
             continue
         decided += 1
@@ -235,9 +242,8 @@ def test_stacked_least_singular_value_is_dixmier_gap():
 
 def test_oblique_projection_threshold_and_excess_dimension():
     rng = np.random.default_rng(5)
-    eq_rel = DEFAULT_TOL.eq_rel
-    for gap, raises in ((eq_rel / 10.0, True), (eq_rel * 10.0, False)):
-        W1, W2 = _pair_draw(rng, 4, 2, 2, gap)
+    for theta, raises in ((_cutoff_angle(4) / 10.0, True), (_cutoff_angle(4) * 10.0, False)):
+        W1, W2 = _pair_draw(rng, 4, 2, 2, theta)
         R, N = Subspace(4, W1), Subspace(4, W2)
         if raises:
             with pytest.raises(NotComplementary):
@@ -336,12 +342,9 @@ def test_angles_and_meet_match_complement_stack_reference():
     assert in_band >= 100 and nested >= 200
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "oblique_projection calls a pair overlapping when 1 - cos θ₁ <= eq_rel, "
-    "subspace_meet only below its rank cutoff; one overlap rule is open work"))
 def test_oblique_projection_and_meet_agree_on_overlap():
-    # two planes in C^4 with one principal angle θ between the cutoffs: the
-    # projection refuses them as intersecting while the meet is {0}
+    # two planes in C^4 with one principal angle θ above the meet's cutoff
+    # but with 1 - cos θ <= eq_rel: the projection exists and the meet is {0}
     rng = np.random.default_rng(4)
     for theta in (1e-8, 1e-6, 4e-5):
         M, N = (Subspace(4, W) for W in _angle_pair(rng, 4, 2, 2, [theta]))
@@ -351,3 +354,40 @@ def test_oblique_projection_and_meet_agree_on_overlap():
         except NotComplementary:
             overlapping = True
         assert overlapping == (subspace_meet(M, N).dim > 0), theta
+
+
+def test_split_projection_and_meet_share_one_overlap_rule():
+    # planted least principal angles, log-uniform over the decades around
+    # the cutoff and every tenth within a decade of it: the split, the meet
+    # and (for complementary dimensions) the oblique projection agree with
+    # each other and with the planted angle, outside a 1e-6 relative window
+    rng = np.random.default_rng(20)
+    near = straddled = complementary = 0
+    for trial in range(3000):
+        n = int(rng.integers(2, 10))
+        a = int(rng.integers(1, n))
+        b = int(rng.integers(1, n - a + 1))
+        cutoff = _cutoff_angle(n)
+        if trial % 10 == 0:
+            theta = cutoff * 10.0 ** rng.uniform(-1.0, 1.0)
+            near += 1
+        else:
+            theta = 10.0 ** rng.uniform(-12.0, -3.0)
+        rest = rng.uniform(0.05, np.pi / 2, size=min(a, b) - 1)
+        W1, W2 = _angle_pair(rng, n, a, b, np.concatenate([[theta], rest]))
+        if abs(theta / cutoff - 1.0) <= 1e-6:
+            continue
+        M, N = Subspace(n, W1), Subspace(n, W2)
+        meets = subspace_meet(M, N).dim > 0
+        assert meets == (theta < cutoff), (n, a, b, theta)
+        assert (_split_along(W1, N.complement().basis, DEFAULT_TOL) is None) == meets
+        straddled += meets
+        if a + b == n:
+            complementary += 1
+            try:
+                oblique_projection(M, N)
+                refused = False
+            except NotComplementary:
+                refused = True
+            assert refused == meets, (n, a, b, theta)
+    assert near == 300 and 300 <= straddled <= 2700 and complementary >= 500

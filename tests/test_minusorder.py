@@ -4,13 +4,13 @@ import pytest
 from shortops import (
     DimensionMismatch,
     Subspace,
-    angles,
     fundamental_subspaces,
     in_minus_set,
     minus_leq,
     opnorm,
     shorted,
     subspace_join,
+    subspace_meet,
 )
 from shortops.genlab import gauss, gen_complementable, trial_rng
 from shortops.geometry import _split_along
@@ -98,12 +98,11 @@ def test_route_agreement_on_mixed_pairs():
 
 
 def _frame_inverse_projection(W1, W2, tol):
-    """Reference splitting projection through the subspace API: the Dixmier
-    test from ``angles``, the complement of the join, and the inverse of the
-    frame [W1 W2 rest]."""
+    """Reference splitting projection through the subspace API: the meet,
+    the complement of the join, and the inverse of the frame [W1 W2 rest]."""
     n = W1.shape[0]
     R1, R2 = Subspace(n, W1), Subspace(n, W2)
-    if angles(R1, R2, tol).dixmier_cos >= 1.0 - tol.eq_rel:
+    if subspace_meet(R1, R2, tol).dim:
         return None
     rest = subspace_join(R1, R2, tol).complement()
     frame = np.hstack([W1, W2, rest.basis])
@@ -151,6 +150,41 @@ def test_split_matches_frame_inverse_construction():
 
 def _unitary(rng, n):
     return np.linalg.qr(gauss(rng, n, n))[0]
+
+
+def _nearly_meeting_ranges(rng, n, theta):
+    """Rank-one C and D in C^(n x n) with generic coranges and ranges theta
+    apart: R(C) ∩ R(D) = {0}, so C ≤⁻ C + D."""
+    F, G = _unitary(rng, n), _unitary(rng, n)
+    C = F[:, :1] @ G[:, :1].conj().T
+    D = (np.cos(theta) * F[:, :1] + np.sin(theta) * F[:, 1:2]) @ G[:, 1:2].conj().T
+    return C, D
+
+
+@pytest.mark.parametrize("theta", [1e-7, 1e-6, 1e-5])
+def test_minus_splits_follow_the_meet_when_ranges_nearly_meet(theta):
+    # 1 - cos θ <= eq_rel, which the splits once read as an overlap; the
+    # meet's cutoff (θ ≈ 2e-10 n) lies far below, so both splits exist
+    rng = trial_rng(20, 1, 0)
+    for _ in range(40):
+        C, D = _nearly_meeting_ranges(rng, int(rng.integers(2, 7)), theta)
+        c, d = fundamental_subspaces(C), fundamental_subspaces(D)
+        assert minus_leq(C, C + D).rank_route
+        assert _split_along(c.range_basis, d.conull_basis, DEFAULT_TOL) is not None
+        assert _split_along(c.corange_basis, d.null_basis, DEFAULT_TOL) is not None
+
+
+@pytest.mark.parametrize("theta", [
+    pytest.param(1e-7, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the projection route tests Q B - C against eq_rel max(||B||, ||C||), "
+        "while its rounding is about eps ||Q|| ||B|| with ||Q|| = 1/sin θ"))),
+    1e-6, 1e-5])
+def test_minus_routes_agree_when_ranges_nearly_meet(theta):
+    rng = trial_rng(20, 2, 0)
+    for _ in range(40):
+        C, D = _nearly_meeting_ranges(rng, int(rng.integers(2, 7)), theta)
+        v = minus_leq(C, C + D)
+        assert v.rank_route and v.projection_route and v.holds
 
 
 def _minus_draw(rng, trial):

@@ -19,6 +19,8 @@ from shortops import (
     summability,
 )
 from shortops.genlab import gauss, gen_da_member, trial_rng
+from shortops.numcore import as_operator
+from shortops.parallel import _auxiliary_factors
 
 
 def e1_subspace(n):
@@ -204,6 +206,25 @@ def test_shorted_via_limit_bad_auxiliary():
     S = T = e1_subspace(2)
     with pytest.raises(BadAuxiliary):
         shorted_via_limit(A, S, T, np.eye(2))
+
+
+@pytest.mark.parametrize("tilt", [1e-8, 5e-8, 2e-7, 1e-6])
+@pytest.mark.parametrize("side", ["range", "corange"])
+def test_auxiliary_check_is_subspace_equality(tilt, side):
+    # R(L) or R(L*) tilted off span(e1) by an angle whose sine is the gap
+    # between the projections, on either side of the 100 eq_rel rule
+    S = T = e1_subspace(3)
+    u = np.array([[np.cos(tilt)], [np.sin(tilt)], [0.0]])
+    e1 = T.basis.real
+    L = u @ e1.T if side == "range" else e1 @ u.T
+    same = (Subspace.range_of(L).equals(T)
+            and Subspace.range_of(L.conj().T).equals(S))
+    assert same == (tilt < 1e-7)
+    if same:
+        _auxiliary_factors(as_operator(L), S, T, DEFAULT_TOL)
+    else:
+        with pytest.raises(BadAuxiliary, match="must have range T and corange S"):
+            _auxiliary_factors(as_operator(L), S, T, DEFAULT_TOL)
 
 
 def test_recover_shorted_examples():
