@@ -35,6 +35,8 @@ from .minusorder import minus_leq
 from .numcore import Tolerance, opnorm
 from .parallel import (
     DEFAULT_SCHEDULE,
+    ParallelSumResult,
+    SummabilityReport,
     parallel_subtract,
     parallel_sum,
     shorted_via_limit,
@@ -46,7 +48,7 @@ from .serialize import (
     load_subspace,
     matrix_to_payload,
 )
-from .shorting import complementability, shorted
+from .shorting import ComplementabilityReport, ShortedResult, complementability, shorted
 
 TOLERANCE_ENV = "SHORTOPS_TOL"
 
@@ -97,17 +99,27 @@ def _envelope(argv: list[str], tol: Tolerance) -> dict:
     }
 
 
-def _payload(value, *lazy):
+# The first-read attributes each report type writes after its public fields.
+_FIRST_READ = {
+    ComplementabilityReport: ("angle_check", "witnesses"),
+    SummabilityReport: ("defects",),
+    ParallelSumResult: ("route_reduced", "max_route_disagreement"),
+    ShortedResult: ("diagnostics",),
+}
+
+
+def _payload(value, *extra):
     """``value`` as report JSON: a matrix becomes its matrix payload, a tuple
-    a list, and a result dataclass its public fields plus the first-read
-    attributes named in ``lazy``, each converted in turn; anything else is
-    passed through.  The report types thus define the JSON shape."""
+    a list, and a result dataclass its public fields, the attributes named
+    in ``extra`` and its type's ``_FIRST_READ``, each converted in turn;
+    anything else is passed through.  The report types define the JSON."""
     if isinstance(value, np.ndarray):
         return matrix_to_payload(value)
     if isinstance(value, tuple):
         return [_payload(item) for item in value]
     if dataclasses.is_dataclass(value):
         names = [f.name for f in dataclasses.fields(value) if not f.name.startswith("_")]
+        lazy = (*extra, *_FIRST_READ.get(type(value), ()))
         return {name: _payload(getattr(value, name)) for name in (*names, *lazy)}
     return value
 
@@ -127,15 +139,14 @@ def _cmd_short(args, tol, payload):
     S = load_subspace(args.domain, tol)
     T = load_subspace(args.codomain, tol)
     witnesses = ("E", "F", "P", "Q") if args.witnesses else ()
-    payload["result"] = _payload(shorted(A, S, T, tol), *witnesses, "diagnostics")
+    payload["result"] = _payload(shorted(A, S, T, tol), *witnesses)
     return 0
 
 
 def _cmd_psum(args, tol, payload):
     A = load_matrix(args.left)
     B = load_matrix(args.right)
-    payload["result"] = _payload(parallel_sum(A, B, tol),
-                                 "route_reduced", "max_route_disagreement")
+    payload["result"] = _payload(parallel_sum(A, B, tol))
     return 0
 
 
@@ -151,33 +162,23 @@ def _cmd_psub(args, tol, payload):
     return 0
 
 
+# Each check's predicate and operand files; S- and T-files hold subspaces.
+_CHECKS = {
+    "complementable": (complementability, "A-file", "S-file", "T-file"),
+    "summable": (summability, "A-file", "B-file"),
+    "minus": (minus_leq, "C-file", "B-file"),
+}
+
+
 def _cmd_check(args, tol, payload):
-    if args.what == "complementable":
-        if len(args.files) != 3:
-            raise ValueError("complementable check needs A-file S-file T-file")
-        A = load_matrix(args.files[0])
-        S = load_subspace(args.files[1], tol)
-        T = load_subspace(args.files[2], tol)
-        report = complementability(A, S, T, tol)
-        payload["report"] = _payload(report, "angle_check", "witnesses")
-        holds = report.strongly
-    elif args.what == "summable":
-        if len(args.files) != 2:
-            raise ValueError("summable check needs A-file B-file")
-        A = load_matrix(args.files[0])
-        B = load_matrix(args.files[1])
-        report = summability(A, B, tol)
-        payload["report"] = _payload(report, "defects")
-        holds = report.strongly
-    else:  # minus
-        if len(args.files) != 2:
-            raise ValueError("minus check needs C-file B-file")
-        C = load_matrix(args.files[0])
-        B = load_matrix(args.files[1])
-        verdict = minus_leq(C, B, tol)
-        payload["report"] = _payload(verdict)
-        holds = verdict.holds
-    payload["holds"] = holds
+    predicate, *files = _CHECKS[args.what]
+    if len(args.files) != len(files):
+        raise ValueError(f"{args.what} check needs {' '.join(files)}")
+    operands = [load_subspace(path, tol) if name[0] in "ST" else load_matrix(path)
+                for name, path in zip(files, args.files)]
+    report = predicate(*operands, tol)
+    payload["report"] = _payload(report)
+    payload["holds"] = holds = report.holds if args.what == "minus" else report.strongly
     return 0 if holds else 3
 
 
@@ -355,11 +356,11 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args, tol, payload)
     except NotComplementable as exc:
         payload["error"] = "not-complementable"
-        payload["report"] = _payload(exc.report, "angle_check", "witnesses")
+        payload["report"] = _payload(exc.report)
         code, message = 2, "operator is not complementable w.r.t. (S, T)"
     except NotSummable as exc:
         payload["error"] = "not-summable"
-        payload["report"] = _payload(exc.report, "defects")
+        payload["report"] = _payload(exc.report)
         code, message = 2, "operators are not parallel summable"
     except (NotInDA, BadAuxiliary, EscalationExhausted,
             RangeNotIncluded, ConsistencyError) as exc:

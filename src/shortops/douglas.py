@@ -22,6 +22,7 @@ from .numcore import (
     as_operator,
     opnorm,
     opnorm_leq,
+    _relative,
     _spectrum,
 )
 
@@ -44,7 +45,7 @@ class ReducedSolution:
     @cached_property
     def residual(self) -> float:
         A, B, D, _ = self._operands
-        return opnorm(A @ D - B) / max(opnorm(B), 1.0)
+        return _relative(A @ D - B, B)
 
     @cached_property
     def norm_sq(self) -> float:
@@ -70,7 +71,7 @@ def range_residual(B, A, tol: Tolerance = DEFAULT_TOL) -> float:
     """Relative size ||N* B|| / max(||B||, 1) of B off R(A), N a basis of R(A)-perp."""
     B, A = _checked_pair(B, A)
     N = _spectrum(A, tol).conull_basis
-    return opnorm(N.conj().T @ B) / max(opnorm(B), 1.0)
+    return _relative(N.conj().T @ B, B)
 
 
 def _in_span(B: np.ndarray, N: np.ndarray, tol: Tolerance) -> bool:
@@ -79,6 +80,19 @@ def _in_span(B: np.ndarray, N: np.ndarray, tol: Tolerance) -> bool:
     ``null_basis``)?  ||N* B|| is B's residual off R(N)⊥, with no subtraction
     and nothing to test at full rank; a stack of N or of B gives per-item verdicts."""
     return opnorm_leq(N.conj().swapaxes(-1, -2) @ B, tol.eq_rel, B)
+
+
+def _gate(left: np.ndarray, right: np.ndarray, factors: FundamentalSubspaces,
+          tol: Tolerance) -> bool:
+    """The one inclusion gate, R(right) ⊆ R(M) and R(left*) ⊆ R(M*) on the
+    factors of M, which make left M^- right one matrix for every generalized
+    inverse M^-: complementability, summability, D_A both ways and the minus
+    order decide through it.  Stops at a failing inclusion, except on a
+    stack's factors, where both are tested and the verdicts are per item."""
+    in_range = _in_span(right, factors.conull_basis, tol)
+    if not (factors.stacked or in_range):
+        return False
+    return in_range & _in_span(left.conj().swapaxes(-1, -2), factors.null_basis, tol)
 
 
 def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -102,9 +116,8 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     """
     B, A = _checked_pair(B, A)
     spectrum = _spectrum(A, tol)
-    leftover = spectrum.conull_basis.conj().T @ B
-    if not opnorm_leq(leftover, tol.eq_rel, B):
-        resid = opnorm(leftover) / max(opnorm(B), 1.0)
+    if not _in_span(B, spectrum.conull_basis, tol):
+        resid = _relative(spectrum.conull_basis.conj().T @ B, B)
         raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
     D = _reduced_coeffs(spectrum, B)
     return ReducedSolution(D=D, _operands=(A.copy(), B.copy(), D.copy(),

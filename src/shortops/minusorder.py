@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .douglas import _in_span
+from .douglas import _gate
 from .errors import DimensionMismatch
 from .geometry import Subspace, _split_along
 from .numcore import (
@@ -73,13 +73,12 @@ def _minus_leq(C: np.ndarray, B: np.ndarray, b: FundamentalSubspaces,
     Q = _split_along(c.range_basis, d.conull_basis, tol)
     Padj = None if Q is None else _split_along(c.corange_basis, d.null_basis, tol)
     P = None if Padj is None else Padj.conj().T
-    # range_leq(C, B) and its adjoint, on B's own rank cutoff
+    # R(C) ⊆ R(B) and R(C*) ⊆ R(B*), on B's own rank cutoff
     projection_route = (
         P is not None
         and opnorm_leq(Q @ B - C, tol.eq_rel * scale)
         and opnorm_leq(B @ P - C, tol.eq_rel * scale)
-        and _in_span(C, b.conull_basis, tol)
-        and _in_span(C.conj().T, b.null_basis, tol)
+        and _gate(C, C, b, tol)
     )
     if not projection_route:
         Q = P = None

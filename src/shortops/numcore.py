@@ -302,6 +302,13 @@ def _opnorm_leq_items(X: np.ndarray, rel: float, anchor) -> np.ndarray:
     return verdicts
 
 
+def _relative(X, anchor) -> float:
+    """The report floor, ||X|| / max(||anchor||, 1), of a residual that decides
+    nothing; ``anchor`` is a matrix or a norm the caller holds."""
+    scale = opnorm(anchor) if isinstance(anchor, np.ndarray) else anchor
+    return opnorm(X) / max(scale, 1.0)
+
+
 def max_opnorm(mats) -> float:
     """Largest spectral norm among ``mats``.
 

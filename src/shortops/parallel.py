@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .douglas import _in_span, _reduced_coeffs
+from .douglas import _gate, _reduced_coeffs
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
@@ -33,6 +33,7 @@ from .numcore import (
     max_opnorm,
     opnorm,
     _fro,
+    _relative,
     _same_shape,
     _spectrum,
 )
@@ -78,12 +79,12 @@ class SummabilityReport:
     def defects(self) -> SummabilityDefects:
         A, B, W, V = self._operands
 
-        def off(X, basis):  # the norm of X minus its projection onto R(basis)
-            return opnorm(X - basis @ (basis.conj().T @ X))
+        def off(X, basis, norm):  # X minus its projection onto R(basis), relative
+            return _relative(X - basis @ (basis.conj().T @ X), norm)
 
-        na, nb = max(opnorm(A), 1.0), max(opnorm(B), 1.0)
-        return SummabilityDefects(off(A, W) / na, off(A.conj().T, V) / na,
-                                  off(B, W) / nb, off(B.conj().T, V) / nb)
+        na, nb = opnorm(A), opnorm(B)
+        return SummabilityDefects(off(A, W, na), off(A.conj().T, V, na),
+                                  off(B, W, nb), off(B.conj().T, V, nb))
 
 
 @dataclass(frozen=True)
@@ -129,20 +130,10 @@ class ConvergenceRecord:
     fitted_slope: float
 
 
-def _summable(A, total: FundamentalSubspaces, tol: Tolerance) -> bool:
-    """R(A) ⊆ R(A+B) and R(A*) ⊆ R((A+B)*), the verdict of the a_range and
-    a_corange defects without their exact norms, weak and strong alike; one
-    verdict per item on the factors of a stack of sums."""
-    in_range = _in_span(A, total.conull_basis, tol)
-    if not (total.stacked or in_range):
-        return False
-    return in_range & _in_span(A.conj().T, total.null_basis, tol)
-
-
 def _summability_report(A, B, total: FundamentalSubspaces,
                         summable: bool) -> SummabilityReport:
-    """The report on the verdict ``summable`` of ``_summable``, which the
-    caller has decided; its defects are formed on their first read."""
+    """The report on ``summable``, the caller's ``_gate(A, A, total, tol)``,
+    weak and strong alike; its defects are formed on their first read."""
     return SummabilityReport(weakly=summable, strongly=summable,
                              _operands=(A.copy(), B.copy(),
                                         total.range_basis, total.corange_basis))
@@ -152,7 +143,7 @@ def summability(A, B, tol: Tolerance = DEFAULT_TOL) -> SummabilityReport:
     """Test weak and strong parallel summability of (A, B)."""
     A, B = _same_shape(A, B)
     total = _spectrum(A + B, tol)
-    return _summability_report(A, B, total, _summable(A, total, tol))
+    return _summability_report(A, B, total, _gate(A, A, total, tol))
 
 
 def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
@@ -167,7 +158,7 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     """
     A, B = _same_shape(A, B)
     total = _spectrum(A + B, tol)
-    if not _summable(A, total, tol):
+    if not _gate(A, A, total, tol):
         raise NotSummable(_summability_report(A, B, total, False))
     block, F_A = _parallel_sum(A, total, tol)
     return ParallelSumResult(sum=block, _routes=(block.copy(), F_A, B.copy(), total))
@@ -189,15 +180,13 @@ def _parallel_sum(A, total: FundamentalSubspaces, tol: Tolerance) -> tuple:
 
 def _da_factors(C: np.ndarray, A: np.ndarray, a: FundamentalSubspaces,
                 tol: Tolerance) -> FundamentalSubspaces | None:
-    """The factors of D = C - A when C is in D_A, else None, from the
-    factors ``a`` of A and one SVD of D, made once R(D) ⊆ R(A) holds."""
+    """The factors of D = C - A when C is in D_A, else None, from the factors
+    ``a`` of A and one SVD of D, made once D passes the gate against A."""
     D = C - A
-    if not _in_span(D, a.conull_basis, tol):
+    if not _gate(D, D, a, tol):
         return None
     d = _spectrum(D, tol)
-    return d if (_in_span(A, d.conull_basis, tol)
-                 and _in_span(D.conj().T, a.null_basis, tol)
-                 and _in_span(A.conj().T, d.null_basis, tol)) else None
+    return d if _gate(A, A, d, tol) else None
 
 
 def in_da(C, A, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -272,7 +261,7 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
         points = ns[start:start + _SLICE_POINTS]
         scaled = np.array(points, dtype=np.complex128)[:, None, None] * B
         total = _spectrum(A + scaled, tol)
-        summable = _summable(A, total, tol).tolist()
+        summable = _gate(A, A, total, tol).tolist()
         first = 0 if used else next((i for i, ok in enumerate(summable) if ok), len(points))
         stop = next((i for i in range(first, len(points)) if not summable[i]), len(points))
         if first < stop:
@@ -319,7 +308,7 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     while current <= bound:
         scaled = current * L
         total = _spectrum(A + scaled, tol)
-        if _summable(A, total, tol):
+        if _gate(A, A, total, tol):
             blend = _parallel_sum(A, total, tol)[0]
             d = _da_factors(blend, scaled, FundamentalSubspaces(
                 aux.U, current * aux.s, aux.Vh, aux.rank), tol)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .douglas import _in_span, _reduced_coeffs
+from .douglas import _gate, _reduced_coeffs
 from .errors import DimensionMismatch, NotComplementable, ConsistencyError
 from .geometry import Subspace, _largest_cosine
 from .numcore import (
@@ -25,6 +25,7 @@ from .numcore import (
     opnorm,
     opnorm_leq,
     _fro,
+    _relative,
     _spectrum,
 )
 
@@ -190,8 +191,8 @@ class ShortedResult:
         P, Q = self._projections()
         QA, AP = Q @ A, A @ P
         shorted = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
-        scale = max(opnorm(A), 1.0)
-        return ShortedDiagnostics(*(opnorm(r) / scale
+        norm = opnorm(A)
+        return ShortedDiagnostics(*(_relative(r, norm)
                                     for r in (gap, QA - AP, QA - shorted, AP - shorted)))
 
 
@@ -235,7 +236,7 @@ def complementability(A, S: Subspace, T: Subspace,
     A = as_operator(A)
     blocks = block_decompose(A, S, T, tol)
     corner = _spectrum(blocks.A22, tol, _fro(A))
-    included = _gate(blocks, corner, tol)
+    included = _gate(blocks.A12, blocks.A21, corner, tol)
     return ComplementabilityReport(weakly=included, strongly=included,
                                    _operands=(A.copy(), blocks, corner, tol))
 
@@ -248,16 +249,6 @@ def _complementable(A, S: Subspace, T: Subspace, tol: Tolerance):
     if not report.weakly:
         raise NotComplementable(report)
     return report._operands[:3]
-
-
-def _gate(blocks: BlockDecomposition, corner: FundamentalSubspaces,
-          tol: Tolerance) -> bool:
-    """Weak and strong complementability, one verdict: A21 against the
-    complement of the corner's range, A12* against that of its corange.  The
-    root factors keep the corner's rank, so its roots have these ranges too;
-    the suite compares this with re-factored root matrices."""
-    return (_in_span(blocks.A21, corner.conull_basis, tol)
-            and _in_span(blocks.A12.conj().T, corner.null_basis, tol))
 
 
 def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.ndarray):
@@ -307,9 +298,8 @@ def _check_route_gap(gap: np.ndarray, anchor, tol: Tolerance) -> None:
         fits, gap = fits[item], gap[item]
         anchor = anchor[item] if np.ndim(anchor) in (1, 3) else anchor
     if not fits:
-        scale = opnorm(anchor) if isinstance(anchor, np.ndarray) else anchor
         raise ConsistencyError(
-            f"Schur-complement routes disagree by {opnorm(gap) / max(scale, 1.0):.3e} "
+            f"Schur-complement routes disagree by {_relative(gap, anchor):.3e} "
             "(relative); the corner is likely at the edge of its rank cutoff"
         )
 

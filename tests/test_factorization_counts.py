@@ -12,10 +12,12 @@ shorted_range_nullspace_ok 6x6, minus-route-agreement,
 reduced-solution-minimal-norm and limit-convergence trials,
 oblique_projection 4x4, angles and subspace_meet on a pair of planes in C^4
 that share one line, and complementability on a 4x4 triple that is not
-complementable.
-The summability decisions (``parallel._summable`` calls) of parallel_sum,
-parallel_subtract, recover_shorted and shorted_via_limit are pinned too:
-each sum decides once, in its public call.
+complementable, and in_da 3x3 on a C - A whose range lies in R(A) but whose
+corange does not.
+The inclusion gates in parallel (``douglas._gate`` calls made there) of
+parallel_sum, parallel_subtract, recover_shorted and shorted_via_limit are
+pinned too: each sum decides summability once, in its public call, and a
+D_A test gates both ways.
 A count that rises means a factorization came back; one that falls is a
 gain to pin here.  Reported norms that decide nothing (shorted's
 diagnostics, summability defects, the route disagreement, the
@@ -33,6 +35,7 @@ from shortops import (
     Subspace,
     angles,
     complementability,
+    in_da,
     minus_leq,
     oblique_projection,
     parallel_subtract,
@@ -157,17 +160,18 @@ def builds(monkeypatch):
 
 
 @pytest.fixture
-def summable_calls(monkeypatch):
-    """Count of summability decisions (parallel._summable calls), as a
-    one-item list."""
+def gate_calls(monkeypatch):
+    """Count of the inclusion gates parallel decides (``_gate`` calls in
+    that module: summability, and each way of a D_A test), as a one-item
+    list."""
     count = [0]
-    real = shortops.parallel._summable
+    real = shortops.parallel._gate
 
     def counting(*args, **kwargs):
         count[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(shortops.parallel, "_summable", counting)
+    monkeypatch.setattr(shortops.parallel, "_gate", counting)
     return count
 
 
@@ -288,11 +292,12 @@ def test_complementability_report_4x4(svd_calls):
     assert svd_calls == {"factor": 3, "norm": 0, "qr": 2}
 
 
-def test_parallel_sum_64x64(svd_calls, summable_calls):
+def test_parallel_sum_64x64(svd_calls, gate_calls):
     rng = np.random.default_rng(0)
     res = parallel_sum(_gauss(rng, 64, 64), _gauss(rng, 64, 64))
     assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
-    assert summable_calls == [1]
+    # summability, decided once on the factors of A + B
+    assert gate_calls == [1]
     # the exact route disagreement needs at most one norm per pair of the
     # three distinct routes; how many the Frobenius pruning skips depends on
     # rounding
@@ -302,7 +307,7 @@ def test_parallel_sum_64x64(svd_calls, summable_calls):
     assert 1 <= svd_calls["norm"] <= 3
 
 
-def test_parallel_subtract_64x64(svd_calls, summable_calls):
+def test_parallel_subtract_64x64(svd_calls, gate_calls):
     rng = np.random.default_rng(0)
     A = _gauss(rng, 64, 48) @ _gauss(rng, 48, 64)
     C = gen_da_member(A, np.random.default_rng(1))
@@ -311,8 +316,20 @@ def test_parallel_subtract_64x64(svd_calls, summable_calls):
     # A and C - A for the D_A test; the parallel sum C ∥ (-A) reuses the
     # factors of C - A (3 SVDs before they were shared)
     assert svd_calls == {"factor": 2, "norm": 0, "qr": 0}
-    # the D_A test is the summability decision (1 when the sum tested again)
-    assert summable_calls == [0]
+    # the D_A test is the summability decision: C - A against A, then A
+    # against C - A; the sum tests nothing again (the D_A test wrote its
+    # four inclusions inline, so no gate was counted)
+    assert gate_calls == [2]
+
+
+def test_in_da_stops_before_factoring_d(svd_calls):
+    u, v, w = np.eye(3)
+    A = np.outer(u, v)
+    D = np.outer(u, w)  # R(D) = R(A), but R(D*) is not R(A*)
+    assert not in_da(A + D, A)
+    # A alone: the corange inclusion fails before D is factored (2 SVDs
+    # when D was factored once its range inclusion held)
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
 
 
 def _triple_with_auxiliary(rng, n, k):
@@ -324,7 +341,7 @@ def _triple_with_auxiliary(rng, n, k):
     return _gauss(rng, n, n), S, T, L
 
 
-def test_recover_shorted_64x64(svd_calls, summable_calls):
+def test_recover_shorted_64x64(svd_calls, gate_calls):
     A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
     svd_calls.update(factor=0, norm=0, qr=0)
     recover_shorted(A, S, T, L, 1)
@@ -332,12 +349,13 @@ def test_recover_shorted_64x64(svd_calls, summable_calls):
     # checks and, scaled, for the D_A test; A + L; the blend minus L, whose
     # factors the subtraction reuses (9 SVDs when each call factored anew)
     assert svd_calls == {"factor": 4, "norm": 0, "qr": 2}
-    # (A, L) once; the D_A test decides the subtraction (3 when the blend
-    # and the subtraction each tested again)
-    assert summable_calls == [1]
+    # the summability of (A, L) once, then the D_A test, which decides the
+    # subtraction, both ways (1 while the D_A test wrote its inclusions
+    # inline)
+    assert gate_calls == [3]
 
 
-def test_shorted_via_limit_64x64(svd_calls, summable_calls):
+def test_shorted_via_limit_64x64(svd_calls, gate_calls):
     A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
     schedule = (1, 2, 4)
     svd_calls.update(factor=0, norm=0, qr=0)
@@ -348,9 +366,9 @@ def test_shorted_via_limit_64x64(svd_calls, summable_calls):
     # A + n L for the whole schedule (2 + len(schedule) when each entry was
     # factored apart), and one singular-value call for every error
     assert svd_calls == {"factor": 3, "norm": 1, "qr": 2}
-    # one decision for the whole stack ([len(schedule)] when each entry
-    # decided apart, 4 when the first usable one was tested twice)
-    assert summable_calls == [1]
+    # one summability decision for the whole stack ([len(schedule)] when
+    # each entry decided apart, 4 when the first usable one was tested twice)
+    assert gate_calls == [1]
 
 
 _FRAME_CALLS = {

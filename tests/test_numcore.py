@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,11 @@ def test_rank_rule_lives_in_numcore():
         for banned in ("np.linalg.svd", "np.linalg.inv", "np.linalg.qr", "_svd(",
                        "rank_rel", "root_left", "root_right", "polar_root"):
             assert banned not in source, f"{module.__name__} uses {banned}"
+        # a reported residual takes its floor from numcore._relative
+        assert not re.search(r"max\(.*, 1\.0\)", source), module.__name__
+        # every inclusion outside douglas goes through douglas._gate
+        if module is not douglas:
+            assert "_in_span(" not in source, f"{module.__name__} uses _in_span("
     # the parallel sum reads the doubled matrix's blocks by slicing
     assert "np.block(" not in inspect.getsource(parallel)
 

@@ -304,8 +304,8 @@ def _pair_near_summability_threshold(rng, rho):
 
 
 def test_summability_verdict_is_the_exact_defect_verdict():
-    """summability decides through _summable's Frobenius-bounded residual
-    tests; its verdict must be that of the exact a_range and a_corange
+    """summability decides through the Frobenius-bounded residual tests of
+    the inclusion gate douglas._gate(A, A, A + B); its verdict must be that of the exact a_range and a_corange
     defects, and parallel_sum must raise NotSummable exactly when it is
     False.  A third of the draws sit within a decade of eq_rel."""
     rng = np.random.default_rng(20260418)

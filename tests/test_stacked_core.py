@@ -22,7 +22,7 @@ from shortops import (
     shorted_via_limit,
 )
 from shortops import parallel
-from shortops.douglas import _in_span, _reduced_coeffs
+from shortops.douglas import _gate, _in_span, _reduced_coeffs
 from shortops.genlab import (
     INVARIANTS,
     GenConfig,
@@ -32,7 +32,7 @@ from shortops.genlab import (
     trial_rng,
 )
 from shortops.numcore import _fro, _spectrum, complement_basis, opnorm_leq
-from shortops.parallel import _loglog_slope, _parallel_sum, _summable
+from shortops.parallel import _loglog_slope, _parallel_sum
 
 TOL = DEFAULT_TOL
 
@@ -190,7 +190,7 @@ def _per_point_limit(A, S, T, B, schedule=parallel.DEFAULT_SCHEDULE):
             raise ValueError("schedule entries must be positive integers")
         scaled = n * B
         total = _spectrum(A + scaled, TOL)
-        if not _summable(A, total, TOL):
+        if not _gate(A, A, total, TOL):
             if not used:
                 continue
             raise NotSummable(parallel._summability_report(A, scaled, total, False))
