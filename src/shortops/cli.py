@@ -134,10 +134,18 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _load_subspace(role: str, path: str, tol: Tolerance):
+    """``load_subspace``, whose input errors name the operand and its file."""
+    try:
+        return load_subspace(path, tol)
+    except ValueError as exc:
+        raise ValueError(f"{role} {path}: {exc}") from None
+
+
 def _cmd_short(args, tol, payload):
     A = load_matrix(args.operator)
-    S = load_subspace(args.domain, tol)
-    T = load_subspace(args.codomain, tol)
+    S = _load_subspace("domain", args.domain, tol)
+    T = _load_subspace("codomain", args.codomain, tol)
     witnesses = ("E", "F", "P", "Q") if args.witnesses else ()
     payload["result"] = _payload(shorted(A, S, T, tol), *witnesses)
     return 0
@@ -174,7 +182,7 @@ def _cmd_check(args, tol, payload):
     predicate, *files = _CHECKS[args.what]
     if len(args.files) != len(files):
         raise ValueError(f"{args.what} check needs {' '.join(files)}")
-    operands = [load_subspace(path, tol) if name[0] in "ST" else load_matrix(path)
+    operands = [_load_subspace(name, path, tol) if name[0] in "ST" else load_matrix(path)
                 for name, path in zip(files, args.files)]
     report = predicate(*operands, tol)
     payload["report"] = _payload(report)
@@ -184,8 +192,8 @@ def _cmd_check(args, tol, payload):
 
 def _cmd_converge(args, tol, payload):
     A = load_matrix(args.operator)
-    S = load_subspace(args.domain, tol)
-    T = load_subspace(args.codomain, tol)
+    S = _load_subspace("domain", args.domain, tol)
+    T = _load_subspace("codomain", args.codomain, tol)
     if args.auxiliary is not None:
         B = load_matrix(args.auxiliary)
     elif args.seed < 0:

@@ -128,11 +128,12 @@ def gauss(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def gen_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspace:
-    """Random subspace of the given dimension (QR of a complex Gaussian)."""
+    """Random subspace of the given dimension, framed by the complete QR of a
+    complex Gaussian (whose leading columns are the reduced QR's)."""
     if not 0 <= dim <= ambient:
         raise BadDims(f"cannot place a {dim}-dim subspace in C^{ambient}")
-    q, _ = np.linalg.qr(gauss(rng, ambient, dim))
-    return Subspace(ambient, q)
+    q, _ = np.linalg.qr(gauss(rng, ambient, dim), mode="complete")
+    return Subspace._framed(q, dim)
 
 
 def gen_complementable(m: int, n: int, s_dim: int, t_dim: int, rank22: int,
@@ -162,7 +163,7 @@ def _assemble_blocks(A11, A12, A21, A22, m, n, s_dim, t_dim, rng):
     blocks[:t_dim, :s_dim], blocks[:t_dim, s_dim:] = A11, A12
     blocks[t_dim:, :s_dim], blocks[t_dim:, s_dim:] = A21, A22
     A = t_frame @ blocks @ s_frame.conj().T
-    return A, Subspace(n, s_frame[:, :s_dim]), Subspace(m, t_frame[:, :t_dim])
+    return A, Subspace._framed(s_frame, s_dim), Subspace._framed(t_frame, t_dim)
 
 
 def gen_with_ranges(T: Subspace, S: Subspace, rng: np.random.Generator) -> np.ndarray:
@@ -523,7 +524,7 @@ def _inv_shorted_hermitian(rng, cfg, tol):
     A11 = H + H.conj().T
     frame = gen_subspace(n, n, rng).basis
     A = frame @ np.block([[A11, A21.conj().T], [A21, A22]]) @ frame.conj().T
-    S = Subspace(n, frame[:, :s_dim])
+    S = Subspace._framed(frame, s_dim)
     if not cond_ok(A, cfg.condition_cap, tol):
         return None
     sig = shorted(A, S, S, tol).shorted

@@ -57,8 +57,8 @@ class Subspace:
     @classmethod
     def from_spanning(cls, columns, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         """Orthonormalize arbitrary spanning columns (rank-revealing)."""
-        cols = as_operator(columns)
-        return cls(cols.shape[0], fundamental_subspaces(cols, tol).range_basis)
+        fs = fundamental_subspaces(columns, tol)
+        return cls._framed(fs.U, fs.rank)
 
     @classmethod
     def from_projection(cls, P, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
@@ -75,16 +75,25 @@ class Subspace:
     @classmethod
     def range_of(cls, A, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         """R(A) as a subspace of the codomain."""
-        A = as_operator(A)
-        return cls(A.shape[0], fundamental_subspaces(A, tol).range_basis)
+        fs = fundamental_subspaces(A, tol)
+        return cls._framed(fs.U, fs.rank)
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, np.eye(n, dtype=np.complex128))
+        return cls._framed(np.eye(n, dtype=np.complex128), n)
 
     @classmethod
     def trivial(cls, n: int) -> "Subspace":
-        return cls(n, np.zeros((n, 0), dtype=np.complex128))
+        return cls._framed(np.eye(n, dtype=np.complex128), 0)
+
+    @classmethod
+    def _framed(cls, frame: np.ndarray, dim: int) -> "Subspace":
+        """The span of the leading ``dim`` columns of the unitary ``frame`` of
+        a complete factorization, validated as any basis is, with ``frame``
+        kept as its ``extended_frame``."""
+        subspace = cls(frame.shape[0], frame[:, :dim])
+        subspace.__dict__["extended_frame"] = as_operator(frame)
+        return subspace
 
     @property
     def dim(self) -> int:
@@ -98,16 +107,19 @@ class Subspace:
     @cached_property
     def extended_frame(self) -> np.ndarray:
         """Unitary [basis | complement basis], the frame of block decompositions
-        (cached): the complement is sliced from the basis's one complete QR."""
+        (cached): kept from the factorization that made the subspace, or for a
+        caller's basis completed by one QR."""
         return np.hstack([self.basis, complement_basis(self.basis)])
 
     @cached_property
     def _complement(self) -> "Subspace":
-        return Subspace(self.ambient_dim, self.extended_frame[:, self.dim:])
+        frame = self.extended_frame
+        return Subspace._framed(np.hstack([frame[:, self.dim:], frame[:, :self.dim]]),
+                                self.ambient_dim - self.dim)
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement (cached), validated as a Subspace: the
-        trailing columns of ``extended_frame``, so no QR of its own."""
+        """Orthogonal complement (cached), validated as a Subspace: framed by
+        ``extended_frame`` with its two column blocks swapped, so no QR."""
         return self._complement
 
     def contains(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -206,8 +218,9 @@ def subspace_meet(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Sub
 
 
 def subspace_join(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of M + N, the range basis of the stacked bases [W1 W2]."""
-    return Subspace(M.ambient_dim, _stacked(M, N, tol).range_basis)
+    """Span of M + N, the range basis of the stacked bases [W1 W2] in their U."""
+    spectrum = _stacked(M, N, tol)
+    return Subspace._framed(spectrum.U, spectrum.rank)
 
 
 def _largest_cosine(B1: np.ndarray, B2: np.ndarray) -> float:

@@ -4,7 +4,8 @@ Operators are plain 2-D ``numpy`` arrays promoted to complex128.  Every rank
 decision in the toolkit is made here, by one rule applied to one factorization
 value (``FundamentalSubspaces``), so that range tests, pseudoinverses, roots
 and subspace extractions stay mutually consistent; the complement of an
-orthonormal basis needs none and comes from one QR (``complement_basis``).
+orthonormal basis needs none, and a caller's basis takes one QR for it
+(``complement_basis``).
 
 The factorization core also takes a stack of K matrices of one shape, as a
 (K, m, n) array: ``_spectrum`` factors it in one SVD call and truncates each
@@ -363,7 +364,8 @@ def _spectrum(A: np.ndarray, tol: Tolerance,
 def complement_basis(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of R(basis)-perp for an orthonormal ``basis``: the
     trailing columns of its complete Householder QR.  The basis has full
-    column rank by construction, so no rank decision is made."""
+    column rank by construction, so no rank decision is made.  A Subspace
+    made by a complete factorization keeps its frame and never calls this."""
     return np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
 
 

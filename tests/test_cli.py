@@ -107,6 +107,17 @@ def test_cmd_short_malformed_input(tmp_path, capsys):
     assert main(["short", missing, s, s]) == 1
 
 
+@pytest.mark.parametrize("slot, role", [(1, "domain"), (2, "codomain")])
+def test_cmd_short_names_a_matrix_file_in_a_subspace_slot(slot, role, worked, capsys):
+    a, s = worked
+    files = [a, s, s]
+    files[slot] = a
+    assert main(["short", *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shortops: {role} {a}: malformed subspace payload: 'ambient'\n"
+
+
 def test_cmd_psum(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.json", [[2.0]])
     b = write_matrix(tmp_path / "b.json", [[2.0]])
@@ -167,6 +178,17 @@ def test_cmd_check_complementable(worked, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["holds"] is True
     assert report["report"]["witnesses"] is not None
+
+
+@pytest.mark.parametrize("slot, role", [(1, "S-file"), (2, "T-file")])
+def test_cmd_check_names_a_matrix_file_in_a_subspace_slot(slot, role, worked, capsys):
+    a, s = worked
+    files = [a, s, s]
+    files[slot] = a
+    assert main(["check", *files, "--what", "complementable"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shortops: {role} {a}: malformed subspace payload: 'ambient'\n"
 
 
 def test_cmd_check_minus_and_summable(tmp_path, capsys):

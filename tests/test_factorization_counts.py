@@ -1,8 +1,10 @@
 """SVDs and QRs made by single public calls, pinned as counts.
 
 Each call is the first of its kind and shape, on fresh Subspace objects
-(whose frames [basis | complement], one QR each, are cached per object)
-and fixed inputs:
+and fixed inputs.  A Subspace built from a caller's basis takes one QR for
+its frame [basis | complement], cached per object; one made by a complete
+factorization (from_spanning, range_of, subspace_join, complement, genlab's
+draws) keeps that factorization's unitary frame and takes none.  Pinned:
 parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset and 64x64 (with the shapes it factors),
 parallel_sum 64x64, parallel_subtract
@@ -34,6 +36,7 @@ import shortops
 from shortops import (
     Subspace,
     angles,
+    block_decompose,
     complementability,
     in_da,
     minus_leq,
@@ -206,6 +209,60 @@ def test_shorted_64x64(svd_calls):
     assert svd_calls == {"factor": 1, "norm": 0, "qr": 2}
     res.diagnostics
     assert svd_calls == {"factor": 1, "norm": 5, "qr": 2}
+
+
+_FRAMED_TRIPLES = {
+    # S is spanned by five columns of rank 3, the range of a rank-3 product
+    # is 3-dimensional, and so is T: the 3x3 corner is invertible
+    "from_spanning": lambda rng: (_gauss(rng, 6, 6),
+                                  Subspace.from_spanning(_gauss(rng, 6, 3) @ _gauss(rng, 3, 5)),
+                                  Subspace.from_spanning(_gauss(rng, 6, 3))),
+    "range_of": lambda rng: (_gauss(rng, 6, 6),
+                             Subspace.range_of(_gauss(rng, 6, 3) @ _gauss(rng, 3, 6)),
+                             Subspace.range_of(_gauss(rng, 6, 3))),
+    "gen_complementable": lambda rng: gen_complementable(6, 6, 3, 2, 2, rng),
+}
+
+
+@pytest.mark.parametrize("source", list(_FRAMED_TRIPLES))
+def test_framed_subspaces_take_no_complement_qr(source, svd_calls):
+    A, S, T = _FRAMED_TRIPLES[source](np.random.default_rng(0))
+    svd_calls.update(factor=0, norm=0, qr=0)
+    block_decompose(A, S, T)
+    # the frames of the SVDs or QRs that made S and T (one QR each when
+    # every frame was completed from its basis)
+    assert svd_calls == {"factor": 0, "norm": 0, "qr": 0}
+    shorted(A, S, T)
+    # the corner alone
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
+
+
+def test_caller_built_subspace_takes_one_qr_per_frame(svd_calls):
+    A, S, T = gen_complementable(6, 6, 3, 3, 2, np.random.default_rng(0))
+    built_S, built_T = Subspace(6, S.basis), Subspace(6, T.basis)
+    svd_calls.update(factor=0, norm=0, qr=0)
+    block_decompose(A, built_S, T)
+    assert svd_calls["qr"] == 1
+    # built_S's frame is cached; built_T's is its first
+    shorted(A, built_S, built_T)
+    assert svd_calls["qr"] == 2
+    shorted(A, built_S, built_T)
+    assert svd_calls["qr"] == 2
+
+
+def test_complement_frame_takes_no_qr(svd_calls):
+    rng = np.random.default_rng(0)
+    framed = Subspace.from_spanning(_gauss(rng, 5, 2))
+    built = Subspace(5, framed.basis)
+    svd_calls.update(factor=0, norm=0, qr=0)
+    framed.complement().extended_frame
+    framed.complement().complement().extended_frame
+    assert svd_calls == {"factor": 0, "norm": 0, "qr": 0}
+    # the caller's basis takes its one QR; its complement's frame is that
+    # frame with the blocks swapped
+    built.complement().extended_frame
+    built.complement().complement().extended_frame
+    assert svd_calls == {"factor": 0, "norm": 0, "qr": 1}
 
 
 def test_minus_leq_3x3(svd_calls, inv_calls):

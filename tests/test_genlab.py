@@ -14,7 +14,7 @@ from shortops import (
     in_da,
     run_suite,
 )
-from shortops.genlab import INVARIANTS, trial_rng
+from shortops.genlab import INVARIANTS, gauss, trial_rng
 
 
 def test_gen_config_validation():
@@ -44,6 +44,18 @@ def test_gen_subspace():
     assert np.allclose(S.basis.conj().T @ S.basis, np.eye(2))
     with pytest.raises(BadDims):
         gen_subspace(3, 4, rng)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 64])
+def test_gen_subspace_basis_is_the_reduced_qr(n):
+    # the complete QR of the draw frames the subspace, and its leading
+    # columns are the reduced QR's bit for bit: the same draw, the same
+    # basis and the same rng stream afterwards
+    for dim in range(n + 1):
+        rng, reference = trial_rng(n, dim, 0), trial_rng(n, dim, 0)
+        S = gen_subspace(n, dim, rng)
+        assert np.array_equal(S.basis, np.linalg.qr(gauss(reference, n, dim))[0])
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_gen_complementable_soundness():
@@ -116,6 +128,21 @@ def test_run_suite_covers_all_invariants_cleanly():
     assert report.total_failures == 0
     for name, outcome in report.outcomes.items():
         assert outcome.passed + outcome.failed + outcome.skipped == 8, name
+
+
+# Per-invariant (passed, failed, skipped) of run_suite(GenConfig(seed=11,
+# trials=30)); every invariant not listed passes all 30 trials.  A change
+# that moves a suite verdict updates this golden and lists the move.
+_GOLDEN_SEED_11 = {
+    "iterated-shorting": (20, 0, 10),
+    "shorting-direction": (22, 0, 8),
+}
+
+
+def test_run_suite_golden_counts():
+    report = run_suite(GenConfig(seed=11, trials=30))
+    counts = {name: (o.passed, o.failed, o.skipped) for name, o in report.outcomes.items()}
+    assert counts == {name: _GOLDEN_SEED_11.get(name, (30, 0, 0)) for name, _ in INVARIANTS}
 
 
 # Registration order: a trial's entropy is (seed, position, trial), so this

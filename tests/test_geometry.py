@@ -11,7 +11,7 @@ from shortops import (
     subspace_join,
     subspace_meet,
 )
-from shortops.genlab import gen_subspace
+from shortops.genlab import gen_complementable, gen_subspace
 from shortops.geometry import _largest_cosine, _split_along
 from shortops.numcore import DEFAULT_TOL, complement_basis, fundamental_subspaces
 
@@ -83,8 +83,10 @@ def test_de_morgan_duality():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
 def test_qr_complement_matches_svd_complement(n):
-    # the complement from the complete QR of the basis against the null
-    # space of basis* from its SVD, on every dimension 0..n
+    # the complement from the complete QR of the draw (gen_subspace's frame)
+    # against the null space of basis* from its SVD, and against the one
+    # from the complete QR of the basis (a caller's basis), on every
+    # dimension 0..n
     rng = np.random.default_rng(300 + n)
     for dim in range(n + 1):
         S = gen_subspace(n, dim, rng)
@@ -96,9 +98,52 @@ def test_qr_complement_matches_svd_complement(n):
         assert np.linalg.norm(S.basis.conj().T @ comp) <= 1e-12
         assert np.linalg.norm(S.projection + P_perp - np.eye(n)) <= 1e-12
         assert np.linalg.norm(P_perp - svd_comp @ svd_comp.conj().T) <= 1e-12
+        qr_comp = Subspace(n, S.basis).complement().basis
+        assert np.linalg.norm(P_perp - qr_comp @ qr_comp.conj().T) <= 1e-12
     for S in (Subspace.trivial(n), Subspace.full(n)):
         comp = S.complement().basis
         assert np.linalg.norm(S.projection + comp @ comp.conj().T - np.eye(n)) <= 1e-12
+
+
+def _framed_subspaces(n, rng):
+    """Subspaces of C^n that keep the frame of the factorization that made
+    them, and one built from a caller's basis, by how each was made."""
+    W = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2)
+    M = Subspace.from_spanning(W)
+    A, S, T = gen_complementable(n, n, 2, 1, 1, rng)
+    return {
+        "from_spanning": M,
+        "range_of": Subspace.range_of(A),
+        "from_projection": Subspace.from_projection(M.projection),
+        "full": Subspace.full(n),
+        "trivial": Subspace.trivial(n),
+        "subspace_join": subspace_join(M, T),
+        "complement": M.complement(),
+        "complement of a caller's basis": Subspace(n, M.basis).complement(),
+        "gen_subspace": gen_subspace(n, 2, rng),
+        "gen_complementable S": S,
+        "gen_complementable T": T,
+        "caller's basis": Subspace(n, M.basis),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_extended_frame_is_unitary_and_leads_with_the_basis(n):
+    for how, S in _framed_subspaces(n, np.random.default_rng(n)).items():
+        frame = S.extended_frame
+        assert frame.shape == (n, n), how
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(n), 2) <= 1e-12, how
+        assert np.array_equal(frame[:, :S.dim], S.basis), how
+        # the complement's frame is the same columns, blocks swapped
+        swapped = S.complement().extended_frame
+        assert np.array_equal(swapped[:, :n - S.dim], frame[:, S.dim:]), how
+        assert np.array_equal(swapped[:, n - S.dim:], frame[:, :S.dim]), how
+
+
+def test_framed_basis_is_validated():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace._framed(2.0 * np.eye(3, dtype=np.complex128), 1)
+    assert Subspace._framed(np.eye(3, dtype=np.complex128), 3).dim == 3
 
 
 def test_angle_examples():
