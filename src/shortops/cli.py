@@ -81,13 +81,21 @@ def parse_tolerance(text: str | None, base: Tolerance | None = None) -> Toleranc
         key = key.strip()
         if not sep or key not in ("rank_rel", "eq_rel", "psd_slack"):
             raise ValueError(f"bad tolerance override {piece!r}")
-        overrides[key] = float(value)
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{key} takes a number, got {value.strip()!r}") from None
     return dataclasses.replace(tol, **overrides)
 
 
 def _effective_tolerance(args) -> Tolerance:
-    tol = parse_tolerance(os.environ.get(TOLERANCE_ENV))
-    return parse_tolerance(getattr(args, "tol", None), tol)
+    tol = Tolerance()  # the defaults, then the environment's overrides, then --tol's
+    for source, text in ((TOLERANCE_ENV, os.environ.get(TOLERANCE_ENV)), ("--tol", args.tol)):
+        try:
+            tol = parse_tolerance(text, tol)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+    return tol
 
 
 def _envelope(argv: list[str], tol: Tolerance) -> dict:
@@ -134,33 +142,34 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load_subspace(role: str, path: str, tol: Tolerance):
-    """``load_subspace``, whose input errors name the operand and its file."""
+def _load(kind: str, role: str, path: str, tol: Tolerance):
+    """The ``kind`` ("matrix" or "subspace") of operand in ``path``; input
+    errors, bad JSON included, name the operand's role and its file."""
     try:
-        return load_subspace(path, tol)
+        return load_subspace(path, tol) if kind == "subspace" else load_matrix(path)
     except ValueError as exc:
         raise ValueError(f"{role} {path}: {exc}") from None
 
 
 def _cmd_short(args, tol, payload):
-    A = load_matrix(args.operator)
-    S = _load_subspace("domain", args.domain, tol)
-    T = _load_subspace("codomain", args.codomain, tol)
+    A = _load("matrix", "operator", args.operator, tol)
+    S = _load("subspace", "domain", args.domain, tol)
+    T = _load("subspace", "codomain", args.codomain, tol)
     witnesses = ("E", "F", "P", "Q") if args.witnesses else ()
     payload["result"] = _payload(shorted(A, S, T, tol), *witnesses)
     return 0
 
 
 def _cmd_psum(args, tol, payload):
-    A = load_matrix(args.left)
-    B = load_matrix(args.right)
+    A = _load("matrix", "left", args.left, tol)
+    B = _load("matrix", "right", args.right, tol)
     payload["result"] = _payload(parallel_sum(A, B, tol))
     return 0
 
 
 def _cmd_psub(args, tol, payload):
-    C = load_matrix(args.minuend)
-    A = load_matrix(args.subtrahend)
+    C = _load("matrix", "minuend", args.minuend, tol)
+    A = _load("matrix", "subtrahend", args.subtrahend, tol)
     X = parallel_subtract(C, A, tol)
     round_trip = opnorm(parallel_sum(A, X, tol).sum - C)
     payload["result"] = {
@@ -170,20 +179,20 @@ def _cmd_psub(args, tol, payload):
     return 0
 
 
-# Each check's predicate and operand files; S- and T-files hold subspaces.
+# Each check's predicate and its operand files, as (kind, role) pairs.
 _CHECKS = {
-    "complementable": (complementability, "A-file", "S-file", "T-file"),
-    "summable": (summability, "A-file", "B-file"),
-    "minus": (minus_leq, "C-file", "B-file"),
+    "complementable": (complementability, ("matrix", "A-file"),
+                       ("subspace", "S-file"), ("subspace", "T-file")),
+    "summable": (summability, ("matrix", "A-file"), ("matrix", "B-file")),
+    "minus": (minus_leq, ("matrix", "C-file"), ("matrix", "B-file")),
 }
 
 
 def _cmd_check(args, tol, payload):
     predicate, *files = _CHECKS[args.what]
     if len(args.files) != len(files):
-        raise ValueError(f"{args.what} check needs {' '.join(files)}")
-    operands = [_load_subspace(name, path, tol) if name[0] in "ST" else load_matrix(path)
-                for name, path in zip(files, args.files)]
+        raise ValueError(f"{args.what} check needs {' '.join(role for _, role in files)}")
+    operands = [_load(kind, role, path, tol) for (kind, role), path in zip(files, args.files)]
     report = predicate(*operands, tol)
     payload["report"] = _payload(report)
     payload["holds"] = holds = report.holds if args.what == "minus" else report.strongly
@@ -191,11 +200,11 @@ def _cmd_check(args, tol, payload):
 
 
 def _cmd_converge(args, tol, payload):
-    A = load_matrix(args.operator)
-    S = _load_subspace("domain", args.domain, tol)
-    T = _load_subspace("codomain", args.codomain, tol)
+    A = _load("matrix", "operator", args.operator, tol)
+    S = _load("subspace", "domain", args.domain, tol)
+    T = _load("subspace", "codomain", args.codomain, tol)
     if args.auxiliary is not None:
-        B = load_matrix(args.auxiliary)
+        B = _load("matrix", "auxiliary", args.auxiliary, tol)
     elif args.seed < 0:
         raise ValueError(f"--seed takes a non-negative integer, got {args.seed}")
     else:
@@ -250,7 +259,7 @@ def _cmd_demo_impedance(args, tol, payload):
     else:
         if len(args.ports) < 2:
             raise ValueError("need at least two impedance matrix files")
-        operands = [load_matrix(path) for path in args.ports]
+        operands = [_load("matrix", "port", path, tol) for path in args.ports]
     joint = operands[0]
     for Z in operands[1:]:
         joint = parallel_sum(joint, Z, tol).sum
@@ -348,13 +357,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"shortops: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         tol = _effective_tolerance(args)
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"shortops: {exc}", file=sys.stderr)
         return 1
 

@@ -118,6 +118,32 @@ def test_cmd_short_names_a_matrix_file_in_a_subspace_slot(slot, role, worked, ca
     assert captured.err == f"shortops: {role} {a}: malformed subspace payload: 'ambient'\n"
 
 
+# One case per command: a file in a matrix slot that is no matrix payload,
+# or no JSON at all, is named with its operand's role.
+@pytest.mark.parametrize("argv, role, culprit, reason", [
+    (["short", "S", "S", "S"], "operator", "S", "malformed matrix payload: 'rows'"),
+    (["short", "bad", "S", "S"], "operator", "bad", "Expecting property name"),
+    (["psum", "A", "S"], "right", "S", "malformed matrix payload: 'rows'"),
+    (["psub", "A", "bad"], "subtrahend", "bad", "Expecting property name"),
+    (["check", "S", "A", "--what", "summable"], "A-file", "S",
+     "malformed matrix payload: 'rows'"),
+    (["converge", "A", "S", "S", "S"], "auxiliary", "S", "malformed matrix payload: 'rows'"),
+    (["demo-impedance", "--ports", "A", "S"], "port", "S", "malformed matrix payload: 'rows'"),
+], ids=["short", "short-not-json", "psum", "psub-not-json", "check", "converge",
+        "demo-impedance"])
+def test_matrix_slots_name_the_operand_and_file(argv, role, culprit, reason, worked,
+                                                tmp_path, capsys):
+    a, s = worked
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    files = {"A": a, "S": s, "bad": str(bad)}
+    assert main([files.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"shortops: {role} {files[culprit]}: {reason}")
+    assert captured.err.count("\n") == 1
+
+
 def test_cmd_psum(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.json", [[2.0]])
     b = write_matrix(tmp_path / "b.json", [[2.0]])
@@ -373,6 +399,29 @@ def test_parse_tolerance():
     assert tol.eq_rel == 1e-7 and tol.rank_rel == 1e-10
     with pytest.raises(ValueError):
         parse_tolerance("nope")
+    with pytest.raises(ValueError, match="^eq_rel takes a number, got 'abc'$"):
+        parse_tolerance("eq_rel=abc")
+
+
+@pytest.mark.parametrize("env, flag, message", [
+    (None, "eq_rel=abc", "--tol: eq_rel takes a number, got 'abc'"),
+    (None, "bogus", "--tol: bad tolerance override 'bogus'"),
+    ("bogus", None, "SHORTOPS_TOL: bad tolerance override 'bogus'"),
+    ("rank_rel=abc", None, "SHORTOPS_TOL: rank_rel takes a number, got 'abc'"),
+    ("eq_rel=2", None, "SHORTOPS_TOL: eq_rel must lie in (0, 1), got 2.0"),
+    ("eq_rel=1e-8", "psd_slack=2", "--tol: psd_slack must lie in (0, 1), got 2.0"),
+], ids=["flag-value", "flag-piece", "env-piece", "env-value", "env-range", "flag-range"])
+def test_tolerance_errors_name_their_source(env, flag, message, worked, capsys, monkeypatch):
+    a, _ = worked
+    if env is None:
+        monkeypatch.delenv("SHORTOPS_TOL", raising=False)
+    else:
+        monkeypatch.setenv("SHORTOPS_TOL", env)
+    argv = ["psum", a, a] + (["--tol", flag] if flag else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"shortops: {message}\n"
 
 
 def test_usage_errors_exit_one(capsys):

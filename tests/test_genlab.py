@@ -14,6 +14,8 @@ from shortops import (
     in_da,
     run_suite,
 )
+from shortops import genlab
+from shortops.errors import NotComplementable
 from shortops.genlab import INVARIANTS, gauss, trial_rng
 
 
@@ -137,12 +139,55 @@ _GOLDEN_SEED_11 = {
     "iterated-shorting": (20, 0, 10),
     "shorting-direction": (22, 0, 8),
 }
+# The factorizations the same run makes: full SVDs, singular values alone
+# and QRs.  A change that moves a count updates it and says why.
+_GOLDEN_SEED_11_CALLS = {"factor": 3790, "norm": 1172, "qr": 1546}
 
 
-def test_run_suite_golden_counts():
+def test_run_suite_golden_counts(svd_calls):
     report = run_suite(GenConfig(seed=11, trials=30))
     counts = {name: (o.passed, o.failed, o.skipped) for name, o in report.outcomes.items()}
     assert counts == {name: _GOLDEN_SEED_11.get(name, (30, 0, 0)) for name, _ in INVARIANTS}
+    assert svd_calls == _GOLDEN_SEED_11_CALLS
+
+
+def test_iterated_shorting_skip_is_the_library_gate(monkeypatch):
+    # seed 11, trial 0 skips: shorted(A, S, T) succeeds and shorted(first,
+    # S_hat, T_hat) raises NotComplementable, the (first, S_hat, T_hat) gate
+    real, calls = genlab.shorted, []
+
+    def recorded(A, S, T, tol):
+        calls.append(A)
+        try:
+            result = real(A, S, T, tol)
+        except NotComplementable as exc:
+            calls.append(exc)
+            raise
+        calls.append(result.shorted)
+        return result
+
+    monkeypatch.setattr(genlab, "shorted", recorded)
+    index = _REGISTERED.index("iterated-shorting")
+    check = INVARIANTS[index][1]
+    assert check(trial_rng(11, index, 0), GenConfig(seed=11), genlab.DEFAULT_TOL) is None
+    _, first, operand, raised = calls
+    assert operand is first
+    assert isinstance(raised, NotComplementable) and not raised.report.weakly
+
+
+def test_psd_shorted_dominated_counts_not_complementable_as_failure(monkeypatch):
+    # positive operators are always complementable, so the library's
+    # NotComplementable is a failure through run_suite's error mapping
+    def refuse(A, S, T, tol):
+        raise NotComplementable(None)
+
+    monkeypatch.setattr(genlab, "shorted", refuse)
+    monkeypatch.setattr(genlab, "INVARIANTS", [
+        (name, check if name == "psd-shorted-dominated" else lambda *_: True)
+        for name, check in INVARIANTS])
+    outcome = run_suite(GenConfig(seed=11, trials=5)).outcomes["psd-shorted-dominated"]
+    assert outcome.passed == 0 and outcome.failed > 0
+    assert outcome.failed + outcome.skipped == 5
 
 
 # Registration order: a trial's entropy is (seed, position, trial), so this

@@ -285,15 +285,15 @@ def test_geometry_reads_pairs_from_the_stacked_bases():
 
 
 # Exact spectral norms genlab uses as values, not as a residual against a
-# threshold: a rank scale, eigenvalue floors, a reported error against the
-# rounding floor, and the minimal-norm inequality (a lower bound).
+# threshold: eigenvalue floors, a reported error against the rounding floor,
+# and the minimal-norm inequality (a lower bound).  A norm the factors in
+# hand already carry is read from them instead.
 _GENLAB_NORM_VALUE_USES = {
     ("_lambda_exists_oracle",
      "certificate >= -tol.psd_slack * (lam_hat * wmax + opnorm(B) ** 2 + 1.0)"),
     ("_inv_reduced_solution_minimal_norm",
      "opnorm(other) >= np.sqrt(sol.norm_sq) - tol.eq_rel"),
     ("_inv_psd_shorted_dominated", "max(opnorm(A), 1.0)"),
-    ("_inv_mitra_maximality", "max(opnorm(A), fs.s[0])"),
     ("_inv_limit_convergence", "record.errors[-1] < 1e-13 * max(opnorm(A), 1.0)"),
     ("_inv_limit_convergence", "max(opnorm(A), 1.0)"),
 }
