@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -144,11 +143,14 @@ def _emit(args, payload: dict) -> None:
 
 def _load(kind: str, role: str, path: str, tol: Tolerance):
     """The ``kind`` ("matrix" or "subspace") of operand in ``path``; input
-    errors, bad JSON included, name the operand's role and its file."""
+    errors name the operand's role and its file.  They include bad JSON, a
+    file that cannot be opened, an integer entry beyond float range and
+    nesting deeper than the JSON reader's recursion limit."""
     try:
         return load_subspace(path, tol) if kind == "subspace" else load_matrix(path)
-    except ValueError as exc:
-        raise ValueError(f"{role} {path}: {exc}") from None
+    except (OSError, OverflowError, RecursionError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ValueError(f"{role} {path}: {reason}") from None
 
 
 def _cmd_short(args, tol, payload):
@@ -378,8 +380,7 @@ def main(argv=None) -> int:
             RangeNotIncluded, ConsistencyError) as exc:
         payload["error"] = type(exc).__name__
         code, message = 2, str(exc)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            DimensionMismatch, BadDims) as exc:
+    except (OSError, ValueError, KeyError, DimensionMismatch, BadDims) as exc:
         print(f"shortops: {exc}", file=sys.stderr)
         return 1
     try:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .douglas import range_leq, reduced_solution
-from .errors import (BadDims, NotComplementable, NotSummable, RangeNotIncluded,
-                     ShortopsError, ZeroOperator)
+from .errors import (BadDims, NotComplementable, NotComplementary, NotSummable,
+                     RangeNotIncluded, ShortopsError, ZeroOperator)
 from .geometry import (
     Subspace,
     angles,
@@ -206,9 +206,7 @@ def cond_ok(M, cap: float, tol: Tolerance = DEFAULT_TOL) -> bool:
         s, r = M.s, M.rank
     else:
         s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
-        if len(s) == 0 or s[0] == 0.0:
-            return True
-        r = _rank_rule(s, M.shape, s[0], tol)
+        r = _rank_rule(s, M.shape, s.max(initial=0.0), tol)
     return r == 0 or s[0] / s[r - 1] <= cap
 
 
@@ -259,17 +257,16 @@ def draw_with_known_shorted(rng, cfg: GenConfig, tol: Tolerance,
 
 def draw_summable(rng, cfg: GenConfig, tol: Tolerance):
     """Summable pair: the summand is compressed onto the range and corange of
-    a prescribed sum, which is exactly the summability condition."""
+    a prescribed sum, which is exactly the summability condition.  Only the
+    sum's condition number screens the draw; the bodies' parallel_sum decides
+    summability, so a construction that misses it counts as a failure."""
     m, n = _dims(rng, cfg)
     full = rng.integers(0, 2) == 0
     r = min(m, n) if full else int(rng.integers(1, min(m, n) + 1))
     total = gauss(rng, m, r) @ gauss(rng, r, n)
     basis = fundamental_subspaces(total, tol)
     A = basis.range_basis @ gauss(rng, r, r) @ basis.corange_basis.conj().T
-    B = total - A
-    if not (cond_ok(basis, cfg.condition_cap) and summability(A, B, tol).strongly):
-        return None
-    return A, B
+    return (A, total - A) if cond_ok(basis, cfg.condition_cap) else None
 
 
 def _draw_inclusion_instance(rng, cfg, tol):
@@ -287,12 +284,13 @@ def _draw_inclusion_instance(rng, cfg, tol):
 
 
 def _random_idempotent(rng, n: int, k: int, tol: Tolerance):
-    """Random oblique projection of rank k, or None for a hostile draw."""
-    R = gen_subspace(n, k, rng)
-    N = gen_subspace(n, n - k, rng)
-    if _least_sine(R.basis, N.complement().basis) <= _AMBIG_HI:
+    """Random oblique projection of rank k, or None for a hostile draw: one
+    whose least principal sine, 1 / ||Q|| (Galántai 2004), is below _AMBIG_HI."""
+    try:
+        Q = oblique_projection(gen_subspace(n, k, rng), gen_subspace(n, n - k, rng), tol)
+    except NotComplementary:
         return None
-    return oblique_projection(R, N, tol)
+    return Q if opnorm_leq(Q, 1 / _AMBIG_HI) else None
 
 
 def _least_sine(W1: np.ndarray, W2_perp: np.ndarray) -> float:
@@ -615,11 +613,12 @@ def _inv_psd_shorted_dominated(rng, cfg, tol):
     r = int(rng.integers(0, n + 1))
     G = gauss(rng, r, n)
     A = G.conj().T @ G
-    if not cond_ok(A, cfg.condition_cap, tol):
+    a = fundamental_subspaces(A, tol)
+    if not cond_ok(a, cfg.condition_cap):
         return None
     S = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
     sig = shorted(A, S, S, tol).shorted  # positive A is always complementable
-    scale = max(opnorm(A), 1.0)
+    scale = max(a.s[0], 1.0)
     herm = 0.5 * (sig + sig.conj().T)
     if not opnorm_leq(sig - herm, tol.eq_rel, scale):
         return False

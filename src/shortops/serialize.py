@@ -31,14 +31,19 @@ def matrix_to_payload(A) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, not a bool (which Python counts as int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _entry(value, is_complex: bool) -> None:
     if is_complex:
         if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or not all(isinstance(v, (int, float)) for v in value)):
+                or not all(map(_is_number, value))):
             raise ValueError("complex entries must be [re, im] pairs")
         z = complex(value[0], value[1])
     else:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ValueError("real entries must be plain numbers")
         z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

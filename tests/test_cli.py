@@ -144,6 +144,31 @@ def test_matrix_slots_name_the_operand_and_file(argv, role, culprit, reason, wor
     assert captured.err.count("\n") == 1
 
 
+# A file the reader cannot turn into an operand is named with its role and
+# one reason line, never a traceback or a plausible matrix: an entry beyond
+# float range, nesting past the JSON reader's recursion limit, a file that
+# cannot be opened, a complex entry of booleans (no JSON numbers, as a real
+# true is not).
+@pytest.mark.parametrize("content, reason", [
+    ('{"rows": 1, "cols": 1, "complex": false, "data": [[' + "9" * 401 + "]]}",
+     "int too large to convert to float"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+    (None, "No such file or directory"),
+    ('{"rows": 1, "cols": 1, "complex": true, "data": [[[true, false]]]}',
+     "complex entries must be [re, im] pairs"),
+], ids=["huge-int", "deep-nesting", "missing", "boolean-pair"])
+def test_unreadable_operand_files_name_the_operand(content, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    two = write_matrix(tmp_path / "two.json", [[2.0]])
+    assert main(["psum", str(bad), two]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"shortops: left {bad}: {reason}")
+    assert captured.err.count("\n") == 1
+
+
 def test_cmd_psum(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.json", [[2.0]])
     b = write_matrix(tmp_path / "b.json", [[2.0]])

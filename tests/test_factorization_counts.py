@@ -9,7 +9,8 @@ parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset and 64x64 (with the shapes it factors),
 parallel_sum 64x64, parallel_subtract
 64x64, recover_shorted and shorted_via_limit on a 64x64 triple,
-summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4,
+summability 8x8, schur_compression 3x3, genlab's gen_da_member 4x4 and
+_random_idempotent at n = 1..8,
 shorted_range_nullspace_ok 6x6, minus-route-agreement,
 reduced-solution-minimal-norm and limit-convergence trials,
 oblique_projection 4x4, angles and subspace_meet on a pair of planes in C^4
@@ -56,6 +57,7 @@ from shortops.genlab import (
     gen_complementable,
     gen_da_member,
     gen_with_ranges,
+    _random_idempotent,
     shorted_range_nullspace_ok,
     trial_rng,
 )
@@ -460,6 +462,18 @@ def test_gen_da_member_4x4(svd_calls):
     gen_da_member(A, np.random.default_rng(1))
     # one factorization gives both the rank and the singular vectors
     assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
+
+
+def test_random_idempotent_takes_one_svd(svd_calls):
+    for n in range(1, 9):
+        for k in range(n + 1):
+            before = dict(svd_calls)
+            assert _random_idempotent(trial_rng(3, n, k), n, k, shortops.DEFAULT_TOL) is not None
+            # the two drawn frames, then oblique_projection's one SVD of
+            # N-perp* R, which also gives the least sine through ||Q||
+            # (none for k = 0; a separate sine took one more at k >= 1)
+            made = {key: svd_calls[key] - before[key] for key in svd_calls}
+            assert made == {"factor": int(k > 0), "norm": 0, "qr": 2}, (n, k)
 
 
 def test_shorted_range_nullspace_ok_6x6(svd_calls):

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from shortops import (
     run_suite,
 )
 from shortops import genlab
-from shortops.errors import NotComplementable
+from shortops.errors import NotComplementable, NotSummable
 from shortops.genlab import INVARIANTS, gauss, trial_rng
 
 
@@ -141,7 +144,7 @@ _GOLDEN_SEED_11 = {
 }
 # The factorizations the same run makes: full SVDs, singular values alone
 # and QRs.  A change that moves a count updates it and says why.
-_GOLDEN_SEED_11_CALLS = {"factor": 3790, "norm": 1172, "qr": 1546}
+_GOLDEN_SEED_11_CALLS = {"factor": 3688, "norm": 1021, "qr": 1546}
 
 
 def test_run_suite_golden_counts(svd_calls):
@@ -188,6 +191,50 @@ def test_psd_shorted_dominated_counts_not_complementable_as_failure(monkeypatch)
     outcome = run_suite(GenConfig(seed=11, trials=5)).outcomes["psd-shorted-dominated"]
     assert outcome.passed == 0 and outcome.failed > 0
     assert outcome.failed + outcome.skipped == 5
+
+
+def test_summable_draws_count_not_summable_as_failure(monkeypatch):
+    # draw_summable screens only the condition number: a pair its
+    # construction fails to make summable is a failure of the body's
+    # parallel_sum, never a skip
+    def refuse(A, B, tol):
+        raise NotSummable(None)
+
+    summed = {"parallel-commutativity", "parallel-route-agreement",
+              "parallel-rank-intersection", "strong-sum-direction"}
+    monkeypatch.setattr(genlab, "parallel_sum", refuse)
+    monkeypatch.setattr(genlab, "INVARIANTS", [
+        (name, check if name in summed else lambda *_: True) for name, check in INVARIANTS])
+    outcomes = run_suite(GenConfig(seed=11, trials=5)).outcomes
+    for name in summed:
+        assert outcomes[name].passed == 0 and outcomes[name].failed > 0, name
+        assert outcomes[name].failed + outcomes[name].skipped == 5, name
+
+
+# The library decisions a draw leaves to the body that uses its operands.
+_LIBRARY_DECISIONS = {"summability", "complementability", "in_da", "parallel_sum", "shorted"}
+
+
+def test_draws_decide_no_library_precondition():
+    # walk each draw and every genlab function it calls, transitively
+    tree = ast.parse(inspect.getsource(genlab))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(node):
+        return {sub.func.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+
+    draws = [name for name in functions if name.lstrip("_").startswith("draw_")]
+    assert {"draw_summable", "draw_complementable", "_draw_inclusion_instance"} <= set(draws)
+    for draw in draws:
+        seen, todo = set(), [draw]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(called(functions[name]) & functions.keys())
+        names = set().union(*(called(functions[name]) for name in seen))
+        assert not names & _LIBRARY_DECISIONS, (draw, names & _LIBRARY_DECISIONS)
 
 
 # Registration order: a trial's entropy is (seed, position, trial), so this

@@ -436,3 +436,20 @@ def test_split_projection_and_meet_share_one_overlap_rule():
                 refused = True
             assert refused == meets, (n, a, b, theta)
     assert near == 300 and 300 <= straddled <= 2700 and complementary >= 500
+
+
+def test_dimension_and_projection_errors():
+    e1 = Subspace(2, np.eye(2)[:, :1])
+    e1_in_3 = Subspace(3, np.eye(3)[:, :1])
+    with pytest.raises(DimensionMismatch, match="more basis columns than ambient dimension"):
+        Subspace(2, np.eye(3)[:2])
+    with pytest.raises(DimensionMismatch, match="projection matrix must be square"):
+        Subspace.from_projection(np.eye(3)[:2])
+    with pytest.raises(ValueError, match="projection matrix is not idempotent"):
+        Subspace.from_projection(np.diag([0.5, 0.0]))
+    with pytest.raises(DimensionMismatch, match="vector length != ambient dimension"):
+        e1.contains(np.ones((3, 1)))
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        e1.equals(e1_in_3)
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        oblique_projection(e1, Subspace(3, np.eye(3)[:, 1:]))

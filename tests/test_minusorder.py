@@ -237,3 +237,14 @@ def test_minus_leq_is_frame_and_adjoint_invariant():
         assert opnorm(adjoint.Q - v.P.conj().T) <= p_bound
         assert opnorm(adjoint.P - v.Q.conj().T) <= q_bound
     assert holds >= 200
+
+
+def test_in_minus_set_dimension_errors():
+    A = np.diag([1.0, 2.0, 3.0])
+    S = Subspace(3, np.eye(3)[:, :1])
+    with pytest.raises(DimensionMismatch, match="subspace ambient dimensions do not match C"):
+        in_minus_set(np.zeros((3, 3)), A, S, Subspace(2, np.eye(2)[:, :1]))
+    with pytest.raises(DimensionMismatch, match="subspace ambient dimensions do not match C"):
+        in_minus_set(np.zeros((3, 3)), A, Subspace(2, np.eye(2)[:, :1]), S)
+    with pytest.raises(DimensionMismatch, match="shapes differ"):
+        in_minus_set(np.zeros((2, 2)), A, S, S)

@@ -6,6 +6,7 @@ from shortops import (
     BadAuxiliary,
     ConsistencyError,
     DimensionMismatch,
+    EscalationExhausted,
     NotInDA,
     NotSummable,
     Subspace,
@@ -242,6 +243,39 @@ def test_recover_shorted_examples():
     D = np.diag([2.0, 3.0])
     got = recover_shorted(D, e1_subspace(2), e1_subspace(2), L, 8)
     assert np.allclose(got, np.diag([2.0, 0.0]), atol=1e-9)
+
+
+def test_recover_shorted_doubles_past_a_singular_sum(svd_calls):
+    # A + L = diag(0, 1) is singular where A is not, so (A, L) is not
+    # summable and n = 1 doubles to 2, where A + 2L = I
+    A = np.diag([-1.0, 1.0])
+    S = T = e1_subspace(2)
+    L = np.diag([1.0, 0.0])
+    assert not summability(A, L).strongly and summability(A, 2 * L).strongly
+    svd_calls.update(factor=0, norm=0, qr=0)
+    assert np.allclose(recover_shorted(A, S, T, L, 1), np.diag([-1.0, 0.0]), atol=1e-12)
+    # the corner, L, A + L, A + 2L and the D_A test of the blend, and the
+    # frame of the caller-built S = T
+    assert svd_calls == {"factor": 5, "norm": 0, "qr": 1}
+    svd_calls.update(factor=0, norm=0, qr=0)
+    assert np.allclose(recover_shorted(A, S, T, L, 2), np.diag([-1.0, 0.0]), atol=1e-12)
+    # started at 2, the failed scale is not tried
+    assert svd_calls == {"factor": 4, "norm": 0, "qr": 0}
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            recover_shorted(A, S, T, L, n)
+
+
+def test_recover_shorted_exhausts_from_a_scale_above_the_operator():
+    # doubling only grows n: from n L = 1e10 e1 e1*, A's e2 part (1) is under
+    # the rank cutoff 1e-10 * 2 * sigma_max(A + n L) at every scale, so no
+    # sum is summable, although a smaller start recovers diag(-1, 0)
+    A = np.diag([-1.0, 1.0])
+    S = T = e1_subspace(2)
+    with pytest.raises(EscalationExhausted, match="between n=1 and n=1048576"):
+        recover_shorted(A, S, T, np.diag([1e10, 0.0]), 1)
+    assert np.allclose(recover_shorted(A, S, T, np.diag([1e8, 0.0]), 1),
+                       np.diag([-1.0, 0.0]), atol=1e-6)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 3), (1, 1)])

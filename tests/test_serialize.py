@@ -91,6 +91,12 @@ def test_subspace_payload_kinds():
     with pytest.raises(ValueError):
         subspace_from_payload({"ambient": 2, "kind": "mystery", "data": bad["data"]})
 
+    for payload in ([1.0], "basis", None):
+        with pytest.raises(ValueError, match="subspace payload must be an object"):
+            subspace_from_payload(payload)
+    with pytest.raises(ValueError, match="subspace data rows do not match 'ambient'"):
+        subspace_from_payload(dict(proj_payload, ambient=3))
+
     # 'ambient' is a JSON integer, not a number int() would truncate
     for ambient in (2.9, 2.0, "2", True):
         with pytest.raises(ValueError, match="'ambient' must be an integer"):
@@ -172,14 +178,18 @@ def test_dumps_report_rejects_arrays():
         dumps_report([np.int64(1)])
 
 
+def _is_json_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _reference_entry(value, is_complex):
     if is_complex:
         if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or not all(isinstance(v, (int, float)) for v in value)):
+                or not all(_is_json_number(v) for v in value)):
             raise ValueError("complex entries must be [re, im] pairs")
         z = complex(value[0], value[1])
     else:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_json_number(value):
             raise ValueError("real entries must be plain numbers")
         z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -248,6 +258,8 @@ def _complex(data):
     _real([[1.0, 10 ** 400]]),
     _real([[float("nan"), 10 ** 400]]),
     _complex([[[float("nan"), 10 ** 400]]]),
+    # a boolean is no JSON number, in a pair as in a real entry
+    _complex([[(-0.0, 1), [True, False]]]),
 ])
 def test_matrix_from_payload_faults_match_entry_loop(payload):
     with pytest.raises(Exception) as theirs:
@@ -261,7 +273,7 @@ def test_matrix_from_payload_faults_match_entry_loop(payload):
 @pytest.mark.parametrize("payload", [
     _real([[-0.0, 0.0], [5e-324, -5e-324]]),
     _complex([[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1.5, -2.5]]]),
-    _complex([[(-0.0, 1), [True, False]]]),
+    _complex([[(-0.0, 1), [1, 0]]]),
     _real([[1, -2], [3, 2 ** 53 + 1]]),
     _real([[2 ** 64 + 1, -(2 ** 70), 2 ** 1000]]),
     {"rows": 0, "cols": 3, "complex": True, "data": []},

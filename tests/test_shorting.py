@@ -254,3 +254,13 @@ def test_block_bases_are_the_subspace_bases():
             k = frame.shape[0]
             assert frame.shape == (k, k)
             assert opnorm(frame.conj().T @ frame - np.eye(k)) <= 1e-13
+
+
+def test_dimension_errors_on_the_codomain_side_and_of_x():
+    A = np.ones((3, 2))
+    S = Subspace(2, np.eye(2)[:, :1])
+    with pytest.raises(DimensionMismatch, match="T lives in C\\^2, A has 3 rows"):
+        block_decompose(A, S, Subspace(2, np.eye(2)[:, :1]))
+    T = Subspace(3, np.eye(3)[:, :1])
+    with pytest.raises(DimensionMismatch, match="x length differs"):
+        solve_shorting_direction(A, S, T, np.ones(3))
