@@ -77,8 +77,13 @@ def range_residual(B, A, tol: Tolerance = DEFAULT_TOL) -> float:
 def _in_span(B: np.ndarray, N: np.ndarray, tol: Tolerance) -> bool:
     """Do the columns of B lie in R(N)⊥, for an orthonormal basis N of the
     complement that the caller's full SVD holds (``conull_basis`` or
-    ``null_basis``)?  ||N* B|| is B's residual off R(N)⊥, with no subtraction
-    and nothing to test at full rank; a stack of N or of B gives per-item verdicts."""
+    ``null_basis``)?  ||N* B|| is B's residual off R(N)⊥, with no
+    subtraction.  A basis with no columns (full rank) leaves nothing to
+    test: the empty product has norm 0, so the answer is True and nothing
+    is multiplied.  A stack of N or of B gives per-item verdicts."""
+    if N.shape[-1] == 0:
+        items = np.broadcast_shapes(N.shape[:-2], B.shape[:-2])
+        return np.ones(items, dtype=bool) if items else True
     return opnorm_leq(N.conj().swapaxes(-1, -2) @ B, tol.eq_rel, B)
 
 

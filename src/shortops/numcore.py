@@ -3,9 +3,12 @@
 Operators are plain 2-D ``numpy`` arrays promoted to complex128.  Every rank
 decision in the toolkit is made here, by one rule applied to one factorization
 value (``FundamentalSubspaces``), so that range tests, pseudoinverses, roots
-and subspace extractions stay mutually consistent; the complement of an
-orthonormal basis needs none, and a caller's basis takes one QR for it
-(``complement_basis``).
+and subspace extractions stay mutually consistent.  The complement of an
+orthonormal basis needs no rank decision: the SVD's own U and Vh hold the
+complements of its ranges, a subspace made by a complete factorization
+keeps that factorization's frame, and only a basis a caller passes in is
+completed, by one QR (``complement_basis``).  An empty complement basis
+(full rank) makes a range test free.
 
 The factorization core also takes a stack of K matrices of one shape, as a
 (K, m, n) array: ``_spectrum`` factors it in one SVD call and truncates each

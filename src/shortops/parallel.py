@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
+import operator
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     BadAuxiliary,
     DimensionMismatch,
     EscalationExhausted,
+    NotComplementable,
     NotInDA,
     NotSummable,
 )
@@ -37,7 +39,13 @@ from .numcore import (
     _same_shape,
     _spectrum,
 )
-from .shorting import shorted, _complementable, _schur_complement
+from .shorting import (
+    shorted,
+    _blocks,
+    _check_fits,
+    _complementability,
+    _schur_complement,
+)
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
 # most schedule points factored at once: memory stays at this many
@@ -214,6 +222,21 @@ def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _parallel_sum(C, d, tol)[0]
 
 
+def _positive_int(value, message: str) -> int:
+    """``value`` as an int when ``operator.index`` takes it, it is not a
+    bool and it is at least 1; otherwise ValueError with ``message``, whose
+    note names the value.  Nothing is truncated or parsed."""
+    try:
+        k = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # numpy's bool is refused here too
+        k = 0
+    if k < 1:
+        error = ValueError(message)
+        error.add_note(f"got {value!r}")
+        raise error
+    return k
+
+
 def _auxiliary_factors(L: np.ndarray, S: Subspace, T: Subspace,
                        tol: Tolerance) -> FundamentalSubspaces:
     """One SVD of L, whose range and corange bases are compared with T and S
@@ -245,15 +268,15 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     After the first usable point, the first error in schedule order is
     raised: ConsistencyError from a point's route-gap check, or NotSummable,
     with the point's report, at a later point that is not summable.
-    EscalationExhausted when no point is usable; ValueError for an entry
-    below 1.
+    EscalationExhausted when no point is usable; ValueError, before
+    anything is factored, for an entry that is not an integer of at least 1
+    (a bool, a float or a string included: nothing is truncated or parsed).
     """
     A, B = _same_shape(A, B)
+    ns = sorted(_positive_int(k, "schedule entries must be positive integers")
+                for k in schedule)
     target = shorted(A, S, T, tol).shorted  # raises NotComplementable if unfit
     _auxiliary_factors(B, S, T, tol)
-    ns = sorted(int(k) for k in schedule)
-    if ns and ns[0] < 1:
-        raise ValueError("schedule entries must be positive integers")
 
     used: list[int] = []
     errors: list[float] = []
@@ -293,15 +316,27 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     L must have range T and corange S.  The given n is doubled (up to
     2^20 * n) until both the summability of (A, n L) and the subtraction
     domain condition hold; the identity is then exact up to rounding.  L's
-    one SVD, scaled, serves every D_A test, and the subtraction reuses the
-    D_A test's factors.  The D_A test is the subtraction's one summability test.
+    one SVD checks both subspaces, frames the complementability decision
+    (its singular vectors are unitary frames of S ⊕ S⊥ and T ⊕ T⊥, so no
+    complement of S or T is formed) and, scaled, serves every D_A test;
+    the subtraction reuses the D_A test's factors.  The D_A test is the
+    subtraction's one summability test.
+
+    Raises, in this order: ValueError unless n is an integer of at least 1
+    (a bool or a float included), DimensionMismatch for a mis-shaped A or
+    L, BadAuxiliary for an L of another range or corange, and
+    NotComplementable (carrying the report) for a triple that is not
+    weakly complementable.
     """
+    n = _positive_int(n, "n must be a positive integer")
     A = as_operator(A)
     L = as_operator(L)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _complementable(A, S, T, tol)
+    _check_fits(A, S, T)
     aux = _auxiliary_factors(L, S, T, tol)
+    blocks = _blocks(A, aux.Vh.conj().T, aux.rank, aux.U, aux.rank)
+    report = _complementability(A, blocks, tol)
+    if not report.weakly:
+        raise NotComplementable(report)
 
     bound = n << 20
     current = n

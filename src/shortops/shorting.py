@@ -36,8 +36,10 @@ class BlockDecomposition:
 
     A11 maps S-coordinates to T-coordinates, A22 maps S-perp to T-perp, and
     the off-diagonal blocks mix them.  The frames [W_S W_S-perp] and
-    [W_T W_T-perp] are the subspaces' ``extended_frame``s, and the four bases
-    are column views of them.  ``assemble`` maps block matrices back.
+    [W_T W_T-perp] are unitary, with leading columns spanning S and T: the
+    subspaces' ``extended_frame``s, or in ``recover_shorted`` the singular
+    vectors of the auxiliary L.  The four bases are column views of them.
+    ``assemble`` maps block matrices back.
     """
 
     A11: np.ndarray
@@ -196,26 +198,37 @@ class ShortedResult:
                                     for r in (gap, QA - AP, QA - shorted, AP - shorted)))
 
 
-def block_decompose(A, S: Subspace, T: Subspace,
-                    tol: Tolerance = DEFAULT_TOL) -> BlockDecomposition:
-    """Split A into the four compressions determined by (S, T)."""
-    A = as_operator(A)
+def _check_fits(A: np.ndarray, S: Subspace, T: Subspace) -> None:
+    """DimensionMismatch unless S lives in A's domain and T in its codomain."""
     m, n = A.shape
     if S.ambient_dim != n:
         raise DimensionMismatch(f"S lives in C^{S.ambient_dim}, A has {n} columns")
     if T.ambient_dim != m:
         raise DimensionMismatch(f"T lives in C^{T.ambient_dim}, A has {m} rows")
-    t, s = T.dim, S.dim
-    s_frame, t_frame = S.extended_frame, T.extended_frame
+
+
+def _blocks(A: np.ndarray, s_frame: np.ndarray, s_dim: int,
+            t_frame: np.ndarray, t_dim: int) -> BlockDecomposition:
+    """The four blocks of A in unitary frames whose leading ``s_dim`` and
+    ``t_dim`` columns span S and T: any such frames give the same shorted
+    operator and the same verdicts."""
     coords = t_frame.conj().T @ A @ s_frame
     return BlockDecomposition(
-        A11=coords[:t, :s],
-        A12=coords[:t, s:],
-        A21=coords[t:, :s],
-        A22=coords[t:, s:],
+        A11=coords[:t_dim, :s_dim],
+        A12=coords[:t_dim, s_dim:],
+        A21=coords[t_dim:, :s_dim],
+        A22=coords[t_dim:, s_dim:],
         s_frame=s_frame,
         t_frame=t_frame,
     )
+
+
+def block_decompose(A, S: Subspace, T: Subspace,
+                    tol: Tolerance = DEFAULT_TOL) -> BlockDecomposition:
+    """Split A into the four compressions determined by (S, T)."""
+    A = as_operator(A)
+    _check_fits(A, S, T)
+    return _blocks(A, S.extended_frame, S.dim, T.extended_frame, T.dim)
 
 
 def complementability(A, S: Subspace, T: Subspace,
@@ -234,7 +247,13 @@ def complementability(A, S: Subspace, T: Subspace,
     singular value would count that noise as full rank.
     """
     A = as_operator(A)
-    blocks = block_decompose(A, S, T, tol)
+    return _complementability(A, block_decompose(A, S, T, tol), tol)
+
+
+def _complementability(A: np.ndarray, blocks: BlockDecomposition,
+                       tol: Tolerance) -> ComplementabilityReport:
+    """The report of ``complementability`` on A's blocks in any frames of
+    S and T: the corner factored at ||A||_F and decided by the one gate."""
     corner = _spectrum(blocks.A22, tol, _fro(A))
     included = _gate(blocks.A12, blocks.A21, corner, tol)
     return ComplementabilityReport(weakly=included, strongly=included,

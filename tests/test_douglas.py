@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from shortops import (
+    DEFAULT_TOL,
     DimensionMismatch,
     RangeNotIncluded,
+    Subspace,
+    douglas,
     fundamental_subspaces,
     opnorm,
+    parallel,
+    parallel_sum,
     range_leq,
     range_residual,
     reduced_solution,
+    shorted_via_limit,
 )
+from shortops.douglas import _gate, _in_span
+from shortops.genlab import gauss
+from shortops.numcore import _spectrum, opnorm_leq
 
 
 def test_range_leq_examples():
@@ -120,3 +129,81 @@ def test_range_leq_full_row_rank_and_zero_edges():
         assert not range_leq(B, Z)
         assert range_leq(np.zeros((m, 2)), Z)
         assert range_leq(np.zeros((m, 2)), A)
+
+
+def _reference_gate(left, right, factors, tol):
+    """The gate as ||N* B|| <= eq_rel max(||B||, 1) on both sides, with the
+    product formed even when the complement basis N has no columns."""
+    return bool(opnorm_leq(factors.conull_basis.conj().T @ right, tol.eq_rel, right)
+                and opnorm_leq(factors.null_basis.conj().T @ left.conj().T,
+                               tol.eq_rel, left.conj().T))
+
+
+def _gate_draw(rng):
+    """An operator M (square or rectangular, of full or deficient rank, empty
+    or zero) and operands whose ranges lie in M's or poke out of them."""
+    m, n = (int(v) for v in rng.integers(0, 6, size=2))
+    kind = rng.integers(4)
+    r = min(m, n) if kind == 0 else int(rng.integers(0, min(m, n) + 1))
+    M = gauss(rng, m, r) @ gauss(rng, r, n) if kind < 3 else np.zeros((m, n))
+    c, q = (int(v) for v in rng.integers(0, 4, size=2))
+    right = M @ gauss(rng, n, c) if rng.random() < 0.5 else gauss(rng, m, c)
+    left = gauss(rng, q, m) @ M if rng.random() < 0.5 else gauss(rng, q, n)
+    if rng.random() < 0.1:
+        right = np.zeros_like(right)
+    return M, left, right
+
+
+def test_gate_keeps_its_verdict_when_a_complement_is_empty():
+    # an empty complement basis (full rank, or an empty side) decides True
+    # with no product formed; the verdict is that of the product's norm
+    rng = np.random.default_rng(2025)
+    empties = 0
+    for _ in range(2000):
+        M, left, right = _gate_draw(rng)
+        factors = _spectrum(M, DEFAULT_TOL)
+        empties += 0 in (factors.conull_basis.shape[1], factors.null_basis.shape[1])
+        assert _gate(left, right, factors, DEFAULT_TOL) == _reference_gate(
+            left, right, factors, DEFAULT_TOL)
+    assert empties > 500
+
+
+def test_in_span_on_an_empty_basis_is_per_item_on_a_stack():
+    stack, empty = np.ones((3, 4, 2)), np.zeros((4, 0))
+    assert _in_span(np.ones((4, 2)), empty, DEFAULT_TOL) is True
+    for got in (_in_span(stack, empty, DEFAULT_TOL),
+                _in_span(np.ones((4, 2)), np.zeros((3, 4, 0)), DEFAULT_TOL)):
+        assert got.dtype == bool and got.tolist() == [True] * 3
+
+
+def test_full_rank_parallel_sum_decides_no_norm_in_the_gate(monkeypatch):
+    # A + B of full rank: both complement bases are empty, so summability
+    # costs no comparison (two when each empty product was measured)
+    calls = [0]
+    real = douglas.opnorm_leq
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(douglas, "opnorm_leq", counting)
+    rng = np.random.default_rng(4)
+    parallel_sum(gauss(rng, 4, 4), gauss(rng, 4, 4))
+    assert calls == [0]
+
+
+def test_stacked_gate_gives_one_verdict_per_schedule_point(monkeypatch):
+    verdicts = []
+    real = parallel._gate
+
+    def recording(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(parallel, "_gate", recording)
+    S = Subspace(2, np.eye(2)[:, :1])
+    record = shorted_via_limit(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S,
+                               np.diag([1.0, 0.0]), schedule=(1, 2, 4))
+    assert record.schedule == [1, 2, 4]
+    assert len(verdicts) == 1
+    assert verdicts[0].dtype == bool and verdicts[0].tolist() == [True] * 3

@@ -4,7 +4,9 @@ Each call is the first of its kind and shape, on fresh Subspace objects
 and fixed inputs.  A Subspace built from a caller's basis takes one QR for
 its frame [basis | complement], cached per object; one made by a complete
 factorization (from_spanning, range_of, subspace_join, complement, genlab's
-draws) keeps that factorization's unitary frame and takes none.  Pinned:
+draws) keeps that factorization's unitary frame and takes none, and
+recover_shorted blocks A in its auxiliary's singular frames, so it takes
+none for either kind.  Pinned:
 parallel_sum 2x2, shorted 2x2 (the README example) and 64x64, minus_leq
 3x3 on a singular-triple subset and 64x64 (with the shapes it factors),
 parallel_sum 64x64, parallel_subtract
@@ -35,6 +37,8 @@ import pytest
 
 import shortops
 from shortops import (
+    BadAuxiliary,
+    NotComplementable,
     Subspace,
     angles,
     block_decompose,
@@ -383,14 +387,43 @@ def test_recover_shorted_64x64(svd_calls, gate_calls):
     A, S, T, L = _triple_with_auxiliary(np.random.default_rng(0), 64, 40)
     svd_calls.update(factor=0, norm=0, qr=0)
     recover_shorted(A, S, T, L, 1)
-    # the corner and the complements of S and T; L once, for both subspace
-    # checks and, scaled, for the D_A test; A + L; the blend minus L, whose
-    # factors the subtraction reuses (9 SVDs when each call factored anew)
-    assert svd_calls == {"factor": 4, "norm": 0, "qr": 2}
+    # L once, for both subspace checks, for the frames of the corner and,
+    # scaled, for the D_A test; the corner; A + L; the blend minus L, whose
+    # factors the subtraction reuses (9 SVDs when each call factored anew).
+    # L's singular vectors frame S and T, so the caller-built subspaces take
+    # no complement QR (2 when the corner was split in their own frames)
+    assert svd_calls == {"factor": 4, "norm": 0, "qr": 0}
     # the summability of (A, L) once, then the D_A test, which decides the
     # subtraction, both ways (1 while the D_A test wrote its inclusions
     # inline)
     assert gate_calls == [3]
+
+
+def test_recover_shorted_decides_complementability_in_the_auxiliary_frames(
+        svd_calls, gate_calls):
+    A, S, T = _not_complementable_4x4()
+    L = gen_with_ranges(T, S, np.random.default_rng(0))
+    svd_calls.update(factor=0, norm=0, qr=0)
+    with pytest.raises(NotComplementable) as info:
+        recover_shorted(A, S, T, L, 1)
+    # L, then the corner in L's singular frames: the caller-built S and T
+    # take no complement QR, and no sum is factored or gated
+    assert svd_calls == {"factor": 2, "norm": 0, "qr": 0}
+    assert gate_calls == [0]
+    want = complementability(A, S, T)
+    got = info.value.report
+    assert not got.weakly
+    assert (got.weakly, got.strongly) == (want.weakly, want.strongly)
+
+
+def test_recover_shorted_checks_the_auxiliary_before_complementability(svd_calls):
+    # an invalid L and a triple that is not complementable: BadAuxiliary,
+    # from L's one SVD, before any corner is factored
+    A, S, T = _not_complementable_4x4()
+    svd_calls.update(factor=0, norm=0, qr=0)
+    with pytest.raises(BadAuxiliary):
+        recover_shorted(A, S, T, np.eye(4), 1)
+    assert svd_calls == {"factor": 1, "norm": 0, "qr": 0}
 
 
 def test_shorted_via_limit_64x64(svd_calls, gate_calls):
@@ -427,8 +460,9 @@ def test_shorting_routes_build_no_subspace_and_no_block_matrix(name, builds):
     result = _FRAME_CALLS[name](A, S, T, L)
     if name.startswith("complementability"):
         assert result is (name == "complementability")
-    # the complements of S and T come from their frames, and the auxiliary's
-    # range and corange are compared as projections (Subspaces built when
+    # the complements of S and T come from their frames (from L's singular
+    # vectors in recover_shorted), and the auxiliary's range and corange
+    # are compared as projections (Subspaces built when
     # each was validated: 2 for shorted and complementability, 4 for
     # recover_shorted and shorted_via_limit); the witness projections
     # multiply the frames out (np.block twice in shorted and a

@@ -7,9 +7,12 @@ from shortops import (
     ConsistencyError,
     DimensionMismatch,
     EscalationExhausted,
+    NotComplementable,
     NotInDA,
     NotSummable,
     Subspace,
+    block_decompose,
+    complementability,
     in_da,
     opnorm,
     parallel_subtract,
@@ -19,7 +22,13 @@ from shortops import (
     shorted_via_limit,
     summability,
 )
-from shortops.genlab import gauss, gen_da_member, trial_rng
+from shortops.genlab import (
+    gauss,
+    gen_complementable,
+    gen_da_member,
+    gen_with_ranges,
+    trial_rng,
+)
 from shortops.numcore import as_operator
 from shortops.parallel import _auxiliary_factors
 
@@ -254,9 +263,10 @@ def test_recover_shorted_doubles_past_a_singular_sum(svd_calls):
     assert not summability(A, L).strongly and summability(A, 2 * L).strongly
     svd_calls.update(factor=0, norm=0, qr=0)
     assert np.allclose(recover_shorted(A, S, T, L, 1), np.diag([-1.0, 0.0]), atol=1e-12)
-    # the corner, L, A + L, A + 2L and the D_A test of the blend, and the
-    # frame of the caller-built S = T
-    assert svd_calls == {"factor": 5, "norm": 0, "qr": 1}
+    # L, the corner in L's singular frames, A + L, A + 2L and the D_A test
+    # of the blend; the caller-built S = T takes no frame QR (1 when the
+    # corner was split in S's and T's own frames)
+    assert svd_calls == {"factor": 5, "norm": 0, "qr": 0}
     svd_calls.update(factor=0, norm=0, qr=0)
     assert np.allclose(recover_shorted(A, S, T, L, 2), np.diag([-1.0, 0.0]), atol=1e-12)
     # started at 2, the failed scale is not tried
@@ -287,6 +297,113 @@ def test_recover_shorted_rejects_a_misshaped_auxiliary(shape):
     L[0, 0] = 1.0
     with pytest.raises(DimensionMismatch):
         recover_shorted(np.diag([2.0, 1.0, 1.0]), S, S, L, 1)
+
+
+def test_recover_shorted_is_the_shorted_operator_on_caller_bases(svd_calls):
+    # complementability is decided in L's singular frames, so the
+    # caller-built S and T take no complement QR; the recovered operator is
+    # still the one shorted computes in their own frames
+    for trial in range(200):
+        rng = trial_rng(25, 0, trial)
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(0, n + 1))
+        A, S, T = gen_complementable(n, n, k, k, int(rng.integers(0, n - k + 1)), rng)
+        S, T = Subspace(n, S.basis), Subspace(n, T.basis)
+        L = gen_with_ranges(T, S, rng)
+        svd_calls.update(qr=0)
+        got = recover_shorted(A, S, T, L, 1)
+        assert svd_calls["qr"] == 0
+        assert opnorm(got - shorted(A, S, T).shorted) <= 1e-9 * max(opnorm(A), 1.0)
+
+
+def test_recover_shorted_decides_complementability_as_complementability_does():
+    # S and T apart and the corner rank-deficient; half the draws get an
+    # A21 part off the corner's range, which makes them not complementable
+    verdicts = []
+    for trial in range(200):
+        rng = trial_rng(25, 1, trial)
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n))
+        A, S, T = gen_complementable(n, n, k, k, int(rng.integers(0, n - k)), rng)
+        if trial % 2:
+            A = A + T.complement().basis @ gauss(rng, n - k, k) @ S.basis.conj().T
+        S, T = Subspace(n, S.basis), Subspace(n, T.basis)
+        L = gen_with_ranges(T, S, rng)
+        want = complementability(A, S, T)
+        verdicts.append(want.weakly)
+        if want.weakly:
+            got = recover_shorted(A, S, T, L, 1)
+            assert opnorm(got - shorted(A, S, T).shorted) <= 1e-9 * max(opnorm(A), 1.0)
+        else:
+            with pytest.raises(NotComplementable) as info:
+                recover_shorted(A, S, T, L, 1)
+            assert (info.value.report.weakly, info.value.report.strongly) == (False, False)
+    assert verdicts == [trial % 2 == 0 for trial in range(200)]
+
+
+def test_recover_shorted_is_the_shorted_operator_at_64():
+    # the identity's rounding grows with L's condition on its range: a flat
+    # 1e-9 misses about one generic draw in 30, where that condition is
+    # several hundred, while error / cond(L) stays below 2e-11
+    for trial in range(20):
+        rng = trial_rng(25, 64, trial)
+        k = int(rng.integers(1, 64))
+        S, T = (Subspace(64, np.linalg.qr(gauss(rng, 64, k))[0]) for _ in range(2))
+        A, L = gauss(rng, 64, 64), gen_with_ranges(T, S, rng)
+        s = np.linalg.svd(L, compute_uv=False)
+        got = recover_shorted(A, S, T, L, 1)
+        assert opnorm(got - shorted(A, S, T).shorted) <= (
+            1e-9 * (s[0] / s[k - 1]) * max(opnorm(A), 1.0))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (2, 2)])
+def test_recover_shorted_keeps_the_block_message_for_a_misshaped_operator(shape):
+    S = e1_subspace(3)
+    A = np.ones(shape)
+    with pytest.raises(DimensionMismatch) as want:
+        block_decompose(A, S, S)
+    with pytest.raises(DimensionMismatch) as got:
+        recover_shorted(A, S, S, np.diag([1.0, 0.0, 0.0]), 1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [2.0, "3", True, np.True_, None, 0, -1])
+def test_recover_shorted_rejects_n_that_is_not_a_positive_integer(n, svd_calls):
+    # ValueError, not a TypeError from n << 20 or n < 1, before any SVD
+    S = e1_subspace(2)
+    with pytest.raises(ValueError) as info:
+        recover_shorted(np.eye(2), S, S, np.diag([1.0, 0.0]), n)
+    assert str(info.value) == "n must be a positive integer"
+    assert info.value.__notes__ == [f"got {n!r}"]
+    assert svd_calls == {"factor": 0, "norm": 0, "qr": 0}
+    assert np.allclose(recover_shorted(np.eye(2), S, S, np.diag([1.0, 0.0]), np.int64(2)),
+                       np.diag([1.0, 0.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("schedule, bad", [
+    ((1.5, 3.7), 1.5), (("8",), "8"), ((True, 2), True), ((2, np.True_), np.True_),
+    ((4, 0), 0),
+])
+def test_shorted_via_limit_rejects_a_schedule_entry_that_is_not_a_positive_integer(
+        schedule, bad, svd_calls):
+    # each of these once gave a plausible record on truncated entries:
+    # [1, 3], [8] and [1, 2]
+    S = e1_subspace(2)
+    with pytest.raises(ValueError) as info:
+        shorted_via_limit(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S, np.diag([1.0, 0.0]),
+                          schedule=schedule)
+    # the message the CLI prints is unchanged; the note names the entry
+    assert str(info.value) == "schedule entries must be positive integers"
+    assert info.value.__notes__ == [f"got {bad!r}"]
+    assert svd_calls == {"factor": 0, "norm": 0, "qr": 0}
+
+
+def test_shorted_via_limit_takes_numpy_integer_entries():
+    S = e1_subspace(2)
+    record = shorted_via_limit(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S,
+                               np.diag([1.0, 0.0]), schedule=np.array([4, 1, 2]))
+    assert record.schedule == [1, 2, 4]
+    assert all(type(k) is int for k in record.schedule)
 
 
 def test_commutativity_and_rank_random():
