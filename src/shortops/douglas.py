@@ -78,12 +78,10 @@ def _in_span(B: np.ndarray, N: np.ndarray, tol: Tolerance) -> bool:
     """Do the columns of B lie in R(N)⊥, for an orthonormal basis N of the
     complement that the caller's full SVD holds (``conull_basis`` or
     ``null_basis``)?  ||N* B|| is B's residual off R(N)⊥, with no
-    subtraction.  A basis with no columns (full rank) leaves nothing to
-    test: the empty product has norm 0, so the answer is True and nothing
-    is multiplied.  A stack of N or of B gives per-item verdicts."""
-    if N.shape[-1] == 0:
-        items = np.broadcast_shapes(N.shape[:-2], B.shape[:-2])
-        return np.ones(items, dtype=bool) if items else True
+    subtraction.  An empty N (full rank) gives True, on 2-D operands with
+    nothing formed.  A stack of N or of B gives per-item verdicts."""
+    if N.shape[-1] == 0 and N.ndim == B.ndim == 2:
+        return True
     return opnorm_leq(N.conj().swapaxes(-1, -2) @ B, tol.eq_rel, B)
 
 
@@ -93,11 +91,18 @@ def _gate(left: np.ndarray, right: np.ndarray, factors: FundamentalSubspaces,
     factors of M, which make left M^- right one matrix for every generalized
     inverse M^-: complementability, summability, D_A both ways and the minus
     order decide through it.  Stops at a failing inclusion, except on a
-    stack's factors, where both are tested and the verdicts are per item."""
-    in_range = _in_span(right, factors.conull_basis, tol)
-    if not (factors.stacked or in_range):
-        return False
-    return in_range & _in_span(left.conj().swapaxes(-1, -2), factors.null_basis, tol)
+    stack's factors, where both are tested and the verdicts are per item.
+    A side where ``rank`` is its length (on a stack, for every item) has an
+    empty complement: it is True, with no basis read and no operand touched."""
+    stacked, rank = factors.stacked, factors.rank
+    least, verdict = (rank.min(), np.ones(rank.shape, dtype=bool)) if stacked else (rank, True)
+    if least < factors.U.shape[-1]:
+        verdict = verdict & _in_span(right, factors.conull_basis, tol)
+        if not (stacked or verdict):
+            return False
+    if least < factors.Vh.shape[-1]:
+        verdict = verdict & _in_span(left.conj().swapaxes(-1, -2), factors.null_basis, tol)
+    return verdict
 
 
 def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -199,15 +199,21 @@ def _dims(rng, cfg: GenConfig) -> tuple[int, int]:
     return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))
 
 
-def cond_ok(M, cap: float, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Spread of the nonzero singular values stays below the cap; M is a
-    matrix, or the factors of one that the caller already holds."""
+def _screened_norm(M, cap: float, tol: Tolerance = DEFAULT_TOL):
+    """sigma_max of M if ``cond_ok(M, cap)``, else None: a matrix M takes one
+    values-only SVD, the factors of one are read as they are."""
     if isinstance(M, FundamentalSubspaces):
         s, r = M.s, M.rank
     else:
         s = np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False)
         r = _rank_rule(s, M.shape, s.max(initial=0.0), tol)
-    return r == 0 or s[0] / s[r - 1] <= cap
+    return None if r and s[0] / s[r - 1] > cap else s.max(initial=0.0)
+
+
+def cond_ok(M, cap: float, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Spread of the nonzero singular values stays below the cap; M is a
+    matrix, or the factors of one that the caller already holds."""
+    return _screened_norm(M, cap, tol) is not None
 
 
 def rank_at_scale(M, scale: float, tol: Tolerance) -> int:
@@ -613,12 +619,12 @@ def _inv_psd_shorted_dominated(rng, cfg, tol):
     r = int(rng.integers(0, n + 1))
     G = gauss(rng, r, n)
     A = G.conj().T @ G
-    a = fundamental_subspaces(A, tol)
-    if not cond_ok(a, cfg.condition_cap):
+    norm = _screened_norm(A, cfg.condition_cap, tol)
+    if norm is None:
         return None
     S = gen_subspace(n, int(rng.integers(0, n + 1)), rng)
     sig = shorted(A, S, S, tol).shorted  # positive A is always complementable
-    scale = max(a.s[0], 1.0)
+    scale = max(norm, 1.0)
     herm = 0.5 * (sig + sig.conj().T)
     if not opnorm_leq(sig - herm, tol.eq_rel, scale):
         return False

@@ -7,8 +7,8 @@ and subspace extractions stay mutually consistent.  The complement of an
 orthonormal basis needs no rank decision: the SVD's own U and Vh hold the
 complements of its ranges, a subspace made by a complete factorization
 keeps that factorization's frame, and only a basis a caller passes in is
-completed, by one QR (``complement_basis``).  An empty complement basis
-(full rank) makes a range test free.
+completed, by one QR (``complement_basis``).  A full-rank side needs no
+range test: the inclusion gate decides it from ``rank`` alone.
 
 The factorization core also takes a stack of K matrices of one shape, as a
 (K, m, n) array: ``_spectrum`` factors it in one SVD call and truncates each
@@ -69,8 +69,8 @@ class FundamentalSubspaces:
     ``rank`` counts the singular values above the one cutoff,
     ``rank_rel * max(rows, cols) * scale``; ``at_scale`` re-truncates the
     same factors at another scale.  ``kept`` lists the ``rank`` nonzero
-    singular values of ``s``, and the root factors keep only those.  The
-    formulas are written for a stack too (``FundamentalSubspacesStack``).
+    singular values of ``s``.  The formulas are written for a stack too
+    (``FundamentalSubspacesStack``).
     """
 
     U: np.ndarray
@@ -121,19 +121,6 @@ class FundamentalSubspaces:
         """|A|^(1/2) = (A* A)^(1/4), of rank exactly ``rank``."""
         V = self.corange_basis
         return (V * np.sqrt(self.kept)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-
-    @property
-    def root_factors(self) -> "FundamentalSubspaces":
-        """Factors of W s^(1/2) Vh, |A*|^(1/2) times the polar partial isometry,
-        from A's own singular vectors: no factorization, and A's rank and
-        four subspaces."""
-        return type(self)(self.U, np.sqrt(self.kept), self.Vh, self.rank)
-
-    @property
-    def abs_root_factors(self) -> "FundamentalSubspaces":
-        """Factors (V, s^(1/2), V*) of |A|^(1/2), of rank exactly ``rank``."""
-        V = self.Vh.conj().swapaxes(-1, -2)
-        return type(self)(V, np.sqrt(self.kept), self.Vh, self.rank)
 
 
 class FundamentalSubspacesStack(FundamentalSubspaces):

@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .douglas import _gate, _reduced_coeffs
+from .douglas import _gate
 from .errors import (
     BadAuxiliary,
     DimensionMismatch,
@@ -45,6 +45,7 @@ from .shorting import (
     _check_fits,
     _complementability,
     _schur_complement,
+    _weak_solutions,
 )
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
@@ -118,7 +119,7 @@ class ParallelSumResult:
     def _reduced(self) -> np.ndarray:
         _, F_A, B, total = self._routes
         # B = (A+B) - A lies in R(A+B) once A does: no test of its own
-        return F_A.conj().T @ _reduced_coeffs(total.root_factors, B)
+        return F_A.conj().T @ _weak_solutions(total, B)[0]
 
     route_reduced = cached_property(lambda self: self._reduced.copy())
 
@@ -338,9 +339,7 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
     if not report.weakly:
         raise NotComplementable(report)
 
-    bound = n << 20
-    current = n
-    while current <= bound:
+    for current in (n << k for k in range(21)):
         scaled = current * L
         total = _spectrum(A + scaled, tol)
         if _gate(A, A, total, tol):
@@ -350,7 +349,4 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
             if d is not None:
                 # parallel_subtract(blend, scaled) on the factors in hand
                 return _parallel_sum(blend, d, tol)[0]
-        current *= 2
-    raise EscalationExhausted(
-        f"no usable scale found between n={n} and n={bound}"
-    )
+    raise EscalationExhausted(f"no usable scale found between n={n} and n={n << 20}")

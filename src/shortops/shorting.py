@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .douglas import _gate, _reduced_coeffs
+from .douglas import _gate
 from .errors import DimensionMismatch, NotComplementable, ConsistencyError
 from .geometry import Subspace, _largest_cosine
 from .numcore import (
@@ -213,14 +213,9 @@ def _blocks(A: np.ndarray, s_frame: np.ndarray, s_dim: int,
     ``t_dim`` columns span S and T: any such frames give the same shorted
     operator and the same verdicts."""
     coords = t_frame.conj().T @ A @ s_frame
-    return BlockDecomposition(
-        A11=coords[:t_dim, :s_dim],
-        A12=coords[:t_dim, s_dim:],
-        A21=coords[t_dim:, :s_dim],
-        A22=coords[t_dim:, s_dim:],
-        s_frame=s_frame,
-        t_frame=t_frame,
-    )
+    top, bottom = coords[:t_dim], coords[t_dim:]
+    return BlockDecomposition(A11=top[:, :s_dim], A12=top[:, s_dim:], A21=bottom[:, :s_dim],
+                              A22=bottom[:, s_dim:], s_frame=s_frame, t_frame=t_frame)
 
 
 def block_decompose(A, S: Subspace, T: Subspace,
@@ -281,6 +276,17 @@ def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.nd
     return P_hat, Q_hat
 
 
+def _weak_solutions(corner: FundamentalSubspaces, A21: np.ndarray, A12=None):
+    """The corner equations' reduced solutions through the polar factor of
+    A22 = W s V*, from its bases: E_weak = V (W* A21) / s^(1/2) and, unless
+    A12 is None, F_weak = V (V* A12*) / s^(1/2) (else None); per item on a stack."""
+    V, root = corner.corange_basis, np.sqrt(corner.kept)[..., :, None]
+    E_weak = V @ ((corner.range_basis.conj().swapaxes(-1, -2) @ A21) / root)
+    if A12 is None:
+        return E_weak, None
+    return E_weak, V @ ((V.conj().swapaxes(-1, -2) @ A12.conj().swapaxes(-1, -2)) / root)
+
+
 def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
                       corner: FundamentalSubspaces, anchor, tol: Tolerance):
     """A11 - A12 A22^+ A21 from the corner's factors, with its mandatory
@@ -289,7 +295,7 @@ def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
     The caller has decided R(A21) ⊆ R(A22) and R(A12*) ⊆ R(A22*) on the
     corner's bases.  sigma comes from the corner pseudoinverse and is
     recomputed through the reduced solutions of the corner equations
-    (through the polar factor of A22); a disagreement beyond
+    (``_weak_solutions``, read from the corner's bases); a disagreement beyond
     10 * eq_rel * max(||anchor||, 1) raises ConsistencyError.  Returns sigma,
     the route gap, the strong corner solution E = A22^+ A21, the corner
     pseudoinverse A22^+ and the reduced solutions.  On the factors of a
@@ -301,8 +307,7 @@ def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
     E_strong = corner_pinv @ A21
     sigma = A11 - A12 @ E_strong
 
-    E_weak = _reduced_coeffs(corner.root_factors, A21)
-    F_weak = _reduced_coeffs(corner.abs_root_factors, A12.conj().T)
+    E_weak, F_weak = _weak_solutions(corner, A21, A12)
     gap = sigma - (A11 - F_weak.conj().swapaxes(-1, -2) @ E_weak)
     _check_route_gap(gap, anchor, tol)
     return sigma, gap, E_strong, corner_pinv, E_weak, F_weak

@@ -144,7 +144,9 @@ _GOLDEN_SEED_11 = {
 }
 # The factorizations the same run makes: full SVDs, singular values alone
 # and QRs.  A change that moves a count updates it and says why.
-_GOLDEN_SEED_11_CALLS = {"factor": 3688, "norm": 1021, "qr": 1546}
+# psd-shorted-dominated screens A on its singular values alone: 30 full
+# SVDs became norm-only ones.
+_GOLDEN_SEED_11_CALLS = {"factor": 3658, "norm": 1051, "qr": 1546}
 
 
 def test_run_suite_golden_counts(svd_calls):

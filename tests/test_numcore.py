@@ -21,6 +21,8 @@ from shortops import (
 from shortops import douglas, genlab, geometry, minusorder, parallel, shorting
 from shortops.numcore import max_opnorm, opnorm_leq, _spectrum
 
+from _roots import abs_root_factors, root_factors
+
 
 def _random_complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -235,7 +237,7 @@ def _check_root_factors(A):
     tol = Tolerance()
     fs = fundamental_subspaces(A)
     polar_root = (fs.range_basis * np.sqrt(fs.s[:fs.rank])) @ fs.Vh[:fs.rank]
-    root, abs_root = fs.root_factors, fs.abs_root_factors
+    root, abs_root = root_factors(fs), abs_root_factors(fs)
 
     def rebuild(U, s, Vh):
         return (U[:, :len(s)] * s) @ Vh[:len(s)]

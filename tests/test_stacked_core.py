@@ -21,7 +21,7 @@ from shortops import (
     shorted,
     shorted_via_limit,
 )
-from shortops import parallel
+from shortops import douglas, parallel
 from shortops.douglas import _gate, _in_span, _reduced_coeffs
 from shortops.genlab import (
     INVARIANTS,
@@ -33,6 +33,9 @@ from shortops.genlab import (
 )
 from shortops.numcore import _fro, _spectrum, complement_basis, opnorm_leq
 from shortops.parallel import _loglog_slope, _parallel_sum
+from shortops.shorting import _weak_solutions
+
+from _roots import abs_root_factors, root_factors
 
 TOL = DEFAULT_TOL
 
@@ -91,18 +94,35 @@ def test_stacked_roots_and_reduced_solutions_match_each_item():
     stack = _mixed_stack(rng, 5, 5)
     B = _gauss(rng, 5, 3)
     total = _spectrum(stack, TOL)
-    stacked_coeffs = (_reduced_coeffs(total.root_factors, B),
-                      _reduced_coeffs(total.abs_root_factors, B))
+    stacked_coeffs = (_reduced_coeffs(root_factors(total), B),
+                      _reduced_coeffs(abs_root_factors(total), B))
     for i, item in enumerate(stack):
         alone = _spectrum(item, TOL)
         for stacked, single in zip(stacked_coeffs,
-                                   (_reduced_coeffs(alone.root_factors, B),
-                                    _reduced_coeffs(alone.abs_root_factors, B))):
+                                   (_reduced_coeffs(root_factors(alone), B),
+                                    _reduced_coeffs(abs_root_factors(alone), B))):
             scale = max(np.abs(single).max(), 1.0)
             assert np.allclose(stacked[i], single, rtol=0, atol=1e-12 * scale)
         assert np.allclose(total.root_left[i], alone.root_left, atol=1e-12 * max(opnorm(item), 1))
         assert np.allclose(total.root_right[i], alone.root_right,
                            atol=1e-12 * max(opnorm(item), 1))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 5), (6, 4), (8, 8)])
+def test_weak_solutions_are_the_reduced_solutions_on_the_root_factors(m, n):
+    # the route check's weak solutions, read from the corner's bases, equal
+    # the reduced solutions on the root factor values bit for bit, on 2-D
+    # factors and on a stack
+    rng = np.random.default_rng(100 + 10 * m + n)
+    stack = _mixed_stack(rng, m, n)
+    A21, A12 = _gauss(rng, m, 3), _gauss(rng, 2, n)
+    for factors in [_spectrum(stack, TOL)] + [_spectrum(item, TOL) for item in stack]:
+        E_weak, F_weak = _weak_solutions(factors, A21, A12)
+        assert np.array_equal(E_weak, _reduced_coeffs(root_factors(factors), A21))
+        assert np.array_equal(F_weak, _reduced_coeffs(abs_root_factors(factors),
+                                                      A12.conj().T))
+        assert np.array_equal(_weak_solutions(factors, A21)[0], E_weak)
+        assert _weak_solutions(factors, A21)[1] is None
 
 
 # spectral norms relative to the threshold: inside the Frobenius band for
@@ -307,3 +327,33 @@ def test_shorted_via_limit_factors_the_schedule_in_bounded_slices(monkeypatch):
     # norm call for each
     assert stacks == [17, 17, 17, 17, 6, 6]
     assert parallel._SLICE_POINTS == len(parallel.DEFAULT_SCHEDULE)
+
+
+def test_stacked_gate_gives_the_2d_verdict_per_item(monkeypatch):
+    # mixed stacks test both sides per item; a stack of full rank on a side
+    # decides it True for every item with no product formed
+    rng = np.random.default_rng(26)
+    products = []
+    real = douglas.opnorm_leq
+
+    def counting(X, *args):
+        products.append(X.shape)
+        return real(X, *args)
+
+    for m, n in ((3, 3), (2, 5), (5, 2), (4, 4)):
+        mixed = _mixed_stack(rng, m, n)
+        full = np.stack([_gauss(rng, m, n) for _ in range(4)])
+        for stack in (mixed, full):
+            total = _spectrum(stack, TOL)
+            for left, right in ((_gauss(rng, 2, n), _gauss(rng, m, 3)),
+                                (_gauss(rng, 2, m) @ stack[0], stack[0] @ _gauss(rng, n, 3))):
+                products.clear()
+                monkeypatch.setattr(douglas, "opnorm_leq", counting)
+                got = _gate(left, right, total, TOL)
+                monkeypatch.setattr(douglas, "opnorm_leq", real)
+                assert got.dtype == bool and got.tolist() == [
+                    _gate(left, right, _spectrum(item, TOL), TOL) for item in stack]
+                # a side is tested only when some item's rank falls short of it
+                assert len(products) == int((total.rank < m).any()) + int((total.rank < n).any())
+                if stack is full:
+                    assert len(products) == (m > n) + (n > m)
