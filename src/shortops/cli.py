@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 I/O or parse problem (including malformed or
 mismatched inputs), 2 precondition failure (not complementable / not
 summable / not in D_A / BadAuxiliary / EscalationExhausted /
-RangeNotIncluded) or ConsistencyError, 3 a checked predicate is cleanly
-false, 4 the verification suite reports failures.  Every report embeds the
+RangeNotIncluded; ConsistencyError keeps this code, though no computation
+raises it), 3 a checked predicate is cleanly false, 4 the verification
+suite reports failures.  Every report embeds the
 tool version, the full invocation and the effective tolerance.
 """
 

@@ -69,5 +69,9 @@ class EscalationExhausted(ShortopsError):
 
 
 class ConsistencyError(ShortopsError):
-    """Two internal computation routes disagreed beyond tolerance: a bug, or an
-    operand too ill-conditioned at its rank cutoff for the routes to agree."""
+    """Two internal computation routes disagreed beyond tolerance.
+
+    Kept for compatibility (the CLI still maps it to exit code 2): no
+    computation raises it.  A gap between two association orders of one
+    product measures conditioning, not a fault, so it is reported
+    (``ShortedDiagnostics.route_disagreement``), not raised."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import math
 import operator
 
 import numpy as np
@@ -34,7 +33,6 @@ from .numcore import (
     as_operator,
     max_opnorm,
     opnorm,
-    _fro,
     _relative,
     _same_shape,
     _spectrum,
@@ -98,28 +96,29 @@ class SummabilityReport:
 
 @dataclass(frozen=True)
 class ParallelSumResult:
-    """Parallel sum with its cross-check route retained.
+    """Parallel sum with its cross-check routes, formed on read.
 
     ``sum`` is the shorted block of [[A, A], [A, A+B]] read by slicing,
-    A - A (A+B)^+ A.  route_reduced is A (A+B)^+ B, F_A* E_B from the
+    A - A (A+B)^+ A.  route_reduced is A (A+B)^+ B, F_A* E_B from the weak
     reduced solutions through the polar factor of A + B.
     max_route_disagreement is the largest gap in operator norm among
     ``sum``, route_reduced and the arguments-swapped B - B (A+B)^+ B, which
     checks commutativity.  Neither decides anything, so both are formed on
     first read from one private A (A+B)^+ B, of which route_reduced is a
-    copy, made from copies of the sum and B, F_A and the factors of A + B
+    copy, made from copies of the sum, A and B and the factors of A + B
     taken at the call; changing the inputs or returned matrices changes neither.
     """
 
     sum: np.ndarray
-    # a copy of sum, F_A, a copy of B and the factors of A + B
+    # copies of sum, A and B, and the factors of A + B
     _routes: tuple = field(repr=False, compare=False)
 
     @cached_property
     def _reduced(self) -> np.ndarray:
-        _, F_A, B, total = self._routes
+        _, A, B, total = self._routes
         # B = (A+B) - A lies in R(A+B) once A does: no test of its own
-        return F_A.conj().T @ _weak_solutions(total, B)[0]
+        E_B, F_A = _weak_solutions(total, B, A)
+        return F_A.conj().T @ E_B
 
     route_reduced = cached_property(lambda self: self._reduced.copy())
 
@@ -160,31 +159,23 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
 
     That SVD makes the one summability decision; raises NotSummable
     (carrying the report) when the pair is not weakly summable.  ``sum`` is
-    the doubled matrix's shorted block; its reduced-solution cross-check
-    raises ConsistencyError beyond 10 * eq_rel of the doubled matrix's
-    Frobenius norm.  A (A+B)^+ B and the gaps to it and to B - B (A+B)^+ B
-    are formed when first read.
+    the doubled matrix's shorted block, with no second route recomputed as
+    a check.  A (A+B)^+ B and the gaps to it and to B - B (A+B)^+ B are
+    formed when first read.
     """
     A, B = _same_shape(A, B)
     total = _spectrum(A + B, tol)
     if not _gate(A, A, total, tol):
         raise NotSummable(_summability_report(A, B, total, False))
-    block, F_A = _parallel_sum(A, total, tol)
-    return ParallelSumResult(sum=block, _routes=(block.copy(), F_A, B.copy(), total))
+    block = _parallel_sum(A, total)
+    return ParallelSumResult(sum=block, _routes=(block.copy(), A.copy(), B.copy(), total))
 
 
-def _parallel_sum(A, total: FundamentalSubspaces, tol: Tolerance) -> tuple:
-    """A - A (A+B)^+ A and F_A, A's reduced solution through |A+B|^(1/2),
-    from the factors of A + B, for a caller that has decided summability."""
-    # The doubled matrix's blocks in the first-copy frames are A, A, A and
-    # A + B; its Frobenius norm anchors the check without forming it (one
-    # norm per item on a stack of sums).
-    if total.stacked:
-        doubled_norm = np.sqrt(3.0 * _fro(A) ** 2 + (total.s ** 2).sum(axis=-1))
-    else:
-        doubled_norm = math.sqrt(3.0 * _fro(A) ** 2 + _fro(total.s) ** 2)
-    block, *_, F_A = _schur_complement(A, A, A, total, doubled_norm, tol)
-    return block, F_A
+def _parallel_sum(A, total: FundamentalSubspaces) -> np.ndarray:
+    """A - A (A+B)^+ A from the factors of A + B, per item on a stack of
+    sums, for a caller that has decided summability: the doubled matrix's
+    blocks in the first-copy frames are A, A, A and A + B."""
+    return _schur_complement(A, A, A, total)[0]
 
 
 def _da_factors(C: np.ndarray, A: np.ndarray, a: FundamentalSubspaces,
@@ -220,7 +211,7 @@ def parallel_subtract(C, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     d = _da_factors(C, A, _spectrum(A, tol), tol)
     if d is None:
         raise NotInDA("C - A does not have the same range/corange as A")
-    return _parallel_sum(C, d, tol)[0]
+    return _parallel_sum(C, d)
 
 
 def _positive_int(value, message: str) -> int:
@@ -265,10 +256,9 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
     A + n B are held at once.  Each slice is factored in one stacked SVD,
     which decides summability for every point; one stacked parallel sum
     covers its usable points and one singular-value call gives their
-    errors.  Leading points where the pair is not summable are skipped.
-    After the first usable point, the first error in schedule order is
-    raised: ConsistencyError from a point's route-gap check, or NotSummable,
-    with the point's report, at a later point that is not summable.
+    errors.  Leading points where the pair is not summable are skipped;
+    after the first usable point, NotSummable is raised, with the point's
+    report, at the first later point that is not summable.
     EscalationExhausted when no point is usable; ValueError, before
     anything is factored, for an entry that is not an integer of at least 1
     (a bool, a float or a string included: nothing is truncated or parsed).
@@ -289,7 +279,7 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
         first = 0 if used else next((i for i, ok in enumerate(summable) if ok), len(points))
         stop = next((i for i in range(first, len(points)) if not summable[i]), len(points))
         if first < stop:
-            block = _parallel_sum(A, total[first:stop], tol)[0]
+            block = _parallel_sum(A, total[first:stop])
             used += points[first:stop]
             errors += opnorm(block - target).tolist()
         if stop < len(points):
@@ -343,10 +333,10 @@ def recover_shorted(A, S: Subspace, T: Subspace, L, n: int,
         scaled = current * L
         total = _spectrum(A + scaled, tol)
         if _gate(A, A, total, tol):
-            blend = _parallel_sum(A, total, tol)[0]
+            blend = _parallel_sum(A, total)
             d = _da_factors(blend, scaled, FundamentalSubspaces(
                 aux.U, current * aux.s, aux.Vh, aux.rank), tol)
             if d is not None:
                 # parallel_subtract(blend, scaled) on the factors in hand
-                return _parallel_sum(blend, d, tol)[0]
+                return _parallel_sum(blend, d)
     raise EscalationExhausted(f"no usable scale found between n={n} and n={n << 20}")

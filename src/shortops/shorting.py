@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .douglas import _gate
-from .errors import DimensionMismatch, NotComplementable, ConsistencyError
+from .errors import DimensionMismatch, NotComplementable
 from .geometry import Subspace, _largest_cosine
 from .numcore import (
     DEFAULT_TOL,
@@ -23,7 +23,6 @@ from .numcore import (
     Tolerance,
     as_operator,
     opnorm,
-    opnorm_leq,
     _fro,
     _relative,
     _spectrum,
@@ -137,12 +136,13 @@ class ShortedDiagnostics:
     """Residual record for a shorted-operator computation.
 
     All entries are exact operator norms relative to max(||A||, 1).
-    route_disagreement compares the pseudoinverse formula against the
-    reduced-solution route.  Both multiply out to A12 V diag(1/s) W* A21 on
-    the corner's own factors, in two association orders, so it is a
-    conditioning check, not an independent computation.  qa_ap_gap is
-    ||Q A - A P||; qa_residual and ap_residual compare both products against
-    the shorted operator.
+    route_disagreement compares the pseudoinverse formula against
+    A11 - F_weak* E_weak from the weak reduced solutions.  Both multiply out
+    to A12 V diag(1/s) W* A21 on the corner's own factors, in two
+    association orders, so it measures conditioning, not an independent
+    computation, and decides nothing.  qa_ap_gap is ||Q A - A P||;
+    qa_residual and ap_residual compare both products against the shorted
+    operator.
     """
 
     route_disagreement: float
@@ -156,28 +156,35 @@ class ShortedResult:
     """The bilateral shorted operator plus its witnesses.
 
     E and F are the reduced solutions of the defining corner equations
-    (through the polar factor of A22); P and Q are projections satisfying
-    Q A = A P = shorted.  All fields live in the original coordinates.
-    Only ``shorted`` decides anything: E, F, P, Q and diagnostics are formed
-    on first read from parts the call holds, and diagnostics forms Q A and
-    A P anew from those parts, so changing the inputs or the returned
-    matrices afterwards changes no later read.
+    through the polar factor of A22, the paper's weak complementability
+    witnesses; P and Q are projections satisfying Q A = A P = shorted.  All
+    fields live in the original coordinates.  Only ``shorted`` decides
+    anything: E, F, P, Q and diagnostics are formed on first read from parts
+    the call holds (E, F and the route disagreement from one pair of weak
+    solutions on the corner's factors), and diagnostics forms Q A and A P
+    anew from those parts, so changing the inputs or the returned matrices
+    afterwards changes no later read.
     """
 
     shorted: np.ndarray
-    # the blocks, the route gap, A22^+ A21, A22^+, the weak solutions of the
-    # route check, a copy of A and sigma = A11 - A12 A22^+ A21
+    # the blocks, the corner's factors, A22^+ A21, A22^+, a copy of A and
+    # sigma = A11 - A12 A22^+ A21
     _parts: tuple = field(repr=False, compare=False)
 
     @cached_property
+    def _weak(self) -> tuple[np.ndarray, np.ndarray]:
+        blocks, corner, *_ = self._parts
+        return _weak_solutions(corner, blocks.A21, blocks.A12)
+
+    @cached_property
     def E(self) -> np.ndarray:
-        blocks, *_, E_weak, _, _, _ = self._parts
-        return blocks.s_perp_basis @ E_weak @ blocks.s_basis.conj().T
+        blocks = self._parts[0]
+        return blocks.s_perp_basis @ self._weak[0] @ blocks.s_basis.conj().T
 
     @cached_property
     def F(self) -> np.ndarray:
-        blocks, *_, F_weak, _, _ = self._parts
-        return blocks.s_perp_basis @ F_weak @ blocks.t_basis.conj().T
+        blocks = self._parts[0]
+        return blocks.s_perp_basis @ self._weak[1] @ blocks.t_basis.conj().T
 
     def _projections(self) -> tuple[np.ndarray, np.ndarray]:
         blocks, _, E_strong, corner_pinv, *_ = self._parts
@@ -189,7 +196,9 @@ class ShortedResult:
 
     @cached_property
     def diagnostics(self) -> ShortedDiagnostics:
-        blocks, gap, *_, A, sigma = self._parts
+        blocks, *_, A, sigma = self._parts
+        E_weak, F_weak = self._weak
+        gap = sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
         P, Q = self._projections()
         QA, AP = Q @ A, A @ P
         shorted = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
@@ -242,7 +251,9 @@ def complementability(A, S: Subspace, T: Subspace,
     singular value would count that noise as full rank.
     """
     A = as_operator(A)
-    return _complementability(A, block_decompose(A, S, T, tol), tol)
+    _check_fits(A, S, T)
+    blocks = _blocks(A, S.extended_frame, S.dim, T.extended_frame, T.dim)
+    return _complementability(A, blocks, tol)
 
 
 def _complementability(A: np.ndarray, blocks: BlockDecomposition,
@@ -288,59 +299,33 @@ def _weak_solutions(corner: FundamentalSubspaces, A21: np.ndarray, A12=None):
 
 
 def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
-                      corner: FundamentalSubspaces, anchor, tol: Tolerance):
-    """A11 - A12 A22^+ A21 from the corner's factors, with its mandatory
-    cross-check.
-
-    The caller has decided R(A21) ⊆ R(A22) and R(A12*) ⊆ R(A22*) on the
-    corner's bases.  sigma comes from the corner pseudoinverse and is
-    recomputed through the reduced solutions of the corner equations
-    (``_weak_solutions``, read from the corner's bases); a disagreement beyond
-    10 * eq_rel * max(||anchor||, 1) raises ConsistencyError.  Returns sigma,
-    the route gap, the strong corner solution E = A22^+ A21, the corner
-    pseudoinverse A22^+ and the reduced solutions.  On the factors of a
-    stack of corners every result is per item, and the check raises for
-    the first item whose routes disagree; the anchor is then one matrix or
-    norm for all items, or an array of one norm per item.
+                      corner: FundamentalSubspaces):
+    """sigma = A11 - A12 A22^+ A21 from the corner's factors, for a caller
+    that has decided R(A21) ⊆ R(A22) and R(A12*) ⊆ R(A22*) on them; returns
+    sigma, the strong corner solution E = A22^+ A21 and the corner
+    pseudoinverse A22^+, per item on the factors of a stack of corners.
+    The weak solutions (``_weak_solutions``) and the gap of A11 - F_weak*
+    E_weak to sigma are left to the reports that read them.
     """
     corner_pinv = corner.pinv()
     E_strong = corner_pinv @ A21
-    sigma = A11 - A12 @ E_strong
-
-    E_weak, F_weak = _weak_solutions(corner, A21, A12)
-    gap = sigma - (A11 - F_weak.conj().swapaxes(-1, -2) @ E_weak)
-    _check_route_gap(gap, anchor, tol)
-    return sigma, gap, E_strong, corner_pinv, E_weak, F_weak
-
-
-def _check_route_gap(gap: np.ndarray, anchor, tol: Tolerance) -> None:
-    """Raise ConsistencyError when ||gap|| exceeds 10 * eq_rel *
-    max(||anchor||, 1); a stack of gaps reports its first failing item."""
-    fits = opnorm_leq(gap, 10.0 * tol.eq_rel, anchor)
-    if gap.ndim > 2:
-        item = int(np.argmin(fits))
-        fits, gap = fits[item], gap[item]
-        anchor = anchor[item] if np.ndim(anchor) in (1, 3) else anchor
-    if not fits:
-        raise ConsistencyError(
-            f"Schur-complement routes disagree by {_relative(gap, anchor):.3e} "
-            "(relative); the corner is likely at the edge of its rank cutoff"
-        )
+    return A11 - A12 @ E_strong, E_strong, corner_pinv
 
 
 def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> ShortedResult:
     """Bilateral shorted operator of A relative to (S, T).
 
-    Computed as the re-embedded A11 - A12 A22^+ A21, with the
-    reduced-solution route (through the polar factor of A22) recomputed as a
-    mandatory cross-check; disagreement beyond 10 * eq_rel means an internal
-    inconsistency, not bad input.  Raises NotComplementable (carrying the
-    report) when the triple is not weakly complementable.
+    Computed as the re-embedded A11 - A12 A22^+ A21 on the corner's one
+    factorization.  The reduced-solution route through the polar factor of
+    A22 is not recomputed as a check: its gap to this formula is reported
+    in ``diagnostics.route_disagreement`` when read.  Raises
+    NotComplementable (carrying the report) when the triple is not weakly
+    complementable.
     """
     A, blocks, corner = _complementable(A, S, T, tol)
-    sigma, *parts = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, tol)
+    sigma, E_strong, corner_pinv = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner)
     return ShortedResult(shorted=blocks.t_basis @ sigma @ blocks.s_basis.conj().T,
-                         _parts=(blocks, *parts, A, sigma))
+                         _parts=(blocks, corner, E_strong, corner_pinv, A, sigma))
 
 
 def schur_compression(A, S: Subspace, T: Subspace,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -193,9 +194,19 @@ def test_cmd_psum_near_singular_sum(tmp_path, capsys):
     assert main(["psum", a, b]) in (0, 2)
     assert json.loads(capsys.readouterr().out).get("error") != "not-complementable"
 
-    c = write_matrix(tmp_path / "c.json", np.diag([-1 + 1e-3, -1 + 1e-9]))
-    assert main(["psum", a, c]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "ConsistencyError"
+    # 1 / sigma_min(A + B) = 1e9: the sum is printed (exit 0), right to 2 u
+    # of its own norm
+    entries = [-1 + 1e-3, -1 + 1e-9]
+    c = write_matrix(tmp_path / "c.json", np.diag(entries))
+    assert main(["psum", a, c]) == 0
+    printed = json.loads(capsys.readouterr().out)["result"]["sum"]
+    assert not printed["complex"]
+    got = np.array(printed["data"], dtype=float)
+    exact = [Fraction(x) / (1 + Fraction(x)) for x in entries]
+    norm = max(abs(x) for x in exact)
+    assert not (got - np.diag(np.diag(got))).any()
+    for value, want in zip(np.diag(got), exact):
+        assert abs(Fraction(value) - want) <= 2 * Fraction(np.finfo(float).eps / 2) * norm
 
 
 def test_cmd_psub(tmp_path, capsys):

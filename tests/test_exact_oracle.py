@@ -13,6 +13,12 @@ construction and then decided by the oracle, not by the plan:
 - pairs (C, A): D_A membership (C - A of the rank of A, or not);
 - pairs (C, B): the minus order (C a rank-additive part of B, or not).
 
+A fifth family holds ill-conditioned corners: integer A whose corner on
+S-perp, for S = T spanned by the leading coordinates, is diag(1, 2^-k, ...),
+exact in floating point, with each k in [10, 26], so kappa(A22) reaches
+2^26.  Each shorted operator must lie within LADDER_REL times the exact
+Schur complement's own Frobenius norm of it.
+
 The oracle reads ``Fraction(x)`` of the floats passed, so at scale 1 it
 judges exactly the library's input.  Every verdict must equal the exact
 one, and each returned shorted operator and parallel sum must lie within
@@ -49,6 +55,9 @@ import _exact as ex
 DRAWS_PER_FAMILY = 100   # half real, half complex
 # library value vs exact value, relative to the operands' Frobenius norm
 VALUE_REL = 1e-10
+LADDER_DRAWS = 400       # half real, half complex
+# library value vs exact Schur complement, relative to the exact one's norm
+LADDER_REL = 1e-12
 
 # Every rescaling misses exact verdicts, for two sides of one cause; gates
 # anchored at the operands of their decision turn these into passes.
@@ -145,6 +154,30 @@ def _minus(rng, k, cx):
 _FAMILIES = (_triple, _summable, _da, _minus)
 
 
+def _ladder(rng, cx):
+    """Integer A of order 3..5 whose corner on S-perp, S = T spanned by the
+    first s coordinates, is diag(1, 2^-k, ...) with k in [10, 26], and the
+    exact shorted operator, which is redrawn until it is not zero.  2^-26 is
+    above the corner's rank cutoff rank_rel * n * ||A||_F (at most 1.1e-8
+    here), so every draw is complementable at its exact rank."""
+    while True:
+        n = int(rng.integers(3, 6))
+        s = int(rng.integers(1, n - 1))
+        A = _ints(rng, n, n, cx).astype(np.complex128)
+        ks = rng.integers(10, 27, size=n - s - 1)
+        A[s:, s:] = np.diag([1.0] + [2.0 ** -int(k) for k in ks])
+        W = np.eye(n)[:, :s]
+        value = ex.Triple(ex.exact(A, cx), ex.exact(W, cx), ex.exact(W, cx)).shorted()
+        if any(value.N.flat):
+            return A, s, value.to_float()
+
+
+@cache
+def _ladder_draws() -> tuple:
+    rng = np.random.default_rng(20261)
+    return tuple(_ladder(rng, k % 2 == 1) for k in range(LADDER_DRAWS))
+
+
 @cache
 def _draws() -> tuple[Draw, ...]:
     rng = np.random.default_rng(20260)
@@ -226,3 +259,10 @@ _SCALES = [("2^30", 2.0 ** 30, LARGE_SCALE), ("2^40", 2.0 ** 40, LARGE_SCALE),
     for name, c, reason in _SCALES])
 def test_library_matches_the_exact_oracle_when_rescaled(c):
     assert _mismatches(c) == []
+
+
+def test_shorted_matches_the_exact_schur_complement_on_ill_conditioned_corners():
+    for A, s, value in _ladder_draws():
+        S = Subspace(A.shape[0], np.eye(A.shape[0])[:, :s])
+        got = shorted(A, S, S).shorted
+        assert np.linalg.norm(got - value) <= LADDER_REL * np.linalg.norm(value)

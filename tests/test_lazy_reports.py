@@ -11,7 +11,9 @@ formula right after the call, then overwrites the complex128 inputs (which
 requires every later read to give the value of the formula bit for bit.
 A report that kept a reference to a caller-owned array instead of a copy
 would read the overwritten entries.  The counting tests pin that a call
-which is read only for its answer forms none of these values.
+which is read only for its answer forms none of these values: the weak
+reduced solutions in particular wait for a read of E, F, diagnostics or
+route_reduced.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from shortops import (
     Subspace,
     complementability,
     opnorm,
+    parallel_subtract,
     parallel_sum,
     reduced_solution,
     shorted,
@@ -32,17 +35,17 @@ from shortops import (
 from shortops.geometry import _largest_cosine
 from shortops import parallel, shorting
 from shortops.douglas import _reduced_coeffs
-from shortops.numcore import FundamentalSubspaces, max_opnorm, _spectrum
-from shortops.parallel import SummabilityDefects, _parallel_sum
+from shortops.numcore import FundamentalSubspaces, max_opnorm, _relative, _spectrum
+from shortops.parallel import SummabilityDefects
 from shortops.shorting import (
     ShortedDiagnostics,
     _complementable,
-    _schur_complement,
     _witness_projections,
     block_decompose,
 )
 
 from _roots import abs_root_factors, root_factors
+from test_exact_oracle import _ladder_draws
 
 TOL = DEFAULT_TOL
 
@@ -84,9 +87,18 @@ def _non_complementable_triple(rng):
     return U @ blocks @ V.conj().T, V[:, :2].copy(), U[:, :2].copy()
 
 
-def _eager_diagnostics(A, S, T, res):
+def _eager_route_gap(A, S, T):
+    """sigma - (A11 - F_weak* E_weak), the two association orders of
+    A12 A22^+ A21 on the corner's factors, as a route check formed it."""
     _, blocks, corner = _complementable(A, S, T, TOL)
-    _, gap, *_ = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner, A, TOL)
+    sigma = blocks.A11 - blocks.A12 @ (corner.pinv() @ blocks.A21)
+    E_weak = _reduced_coeffs(root_factors(corner), blocks.A21)
+    F_weak = _reduced_coeffs(abs_root_factors(corner), blocks.A12.conj().T)
+    return sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
+
+
+def _eager_diagnostics(A, S, T, res):
+    gap = _eager_route_gap(A, S, T)
     scale = max(opnorm(A), 1.0)
     QA = res.Q @ A
     AP = A @ res.P
@@ -123,7 +135,7 @@ def _eager_witnesses(A, S, T):
 
 def _eager_route_reduced(A, B):
     total = _spectrum(A + B, TOL)
-    _, F_A = _parallel_sum(A, total, TOL)
+    F_A = _reduced_coeffs(abs_root_factors(total), A.conj().T)
     return F_A.conj().T @ _reduced_coeffs(root_factors(total), B)
 
 
@@ -261,12 +273,38 @@ def test_parallel_sum_route_reduced_formed_on_read(monkeypatch):
     A, B = _summable_pair(np.random.default_rng(12), 4, 5, 3)
     res = parallel_sum(A, B)
     assert res.sum.shape == (4, 5)
-    # the route check forms its two reduced solutions in one call
-    assert counts == {"_weak_solutions": 1}
+    assert counts == {}
+    # F_A and E_B in one call
     assert res.route_reduced.shape == (4, 5)
-    assert counts == {"_weak_solutions": 2}
+    assert counts == {"_weak_solutions": 1}
     assert res.route_reduced is res.route_reduced and res.max_route_disagreement >= 0.0
-    assert counts == {"_weak_solutions": 2}
+    assert counts == {"_weak_solutions": 1}
+
+
+@pytest.mark.parametrize("read", ["E", "F", "diagnostics"])
+def test_shorted_weak_solutions_wait_for_a_read(monkeypatch, read):
+    counts = {}
+    for module in (shorting, parallel):
+        _counting(monkeypatch, module, "_weak_solutions", counts)
+    A, Sb, Tb = _complementable_triple(np.random.default_rng(7), 5, 3)
+    res = shorted(A, Subspace(5, Sb), Subspace(5, Tb))
+    assert res.shorted.shape == (5, 5) and res.P.shape == (5, 5)
+    assert counts == {}
+    getattr(res, read)
+    assert counts == {"_weak_solutions": 1}
+    # E, F and the route disagreement share one pair of weak solutions
+    res.E, res.F, res.diagnostics
+    assert counts == {"_weak_solutions": 1}
+
+
+def test_parallel_subtract_forms_no_weak_solution(monkeypatch):
+    counts = {}
+    for module in (shorting, parallel):
+        _counting(monkeypatch, module, "_weak_solutions", counts)
+    A, _ = _summable_pair(np.random.default_rng(13), 4, 5, 3)
+    # C - A = A has the range and corange of A
+    assert parallel_subtract(2 * A, A).shape == (4, 5)
+    assert counts == {}
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 3)])
@@ -364,3 +402,28 @@ def test_reduced_solution_residuals(m, n, k):
                 opnorm(D - Vr @ (Vr.conj().T @ D)))
     _overwrite(A, B, sol.D)
     assert (sol.residual, sol.norm_sq, sol.corange_defect) == expected
+
+
+def test_route_disagreement_reports_the_gaps_a_route_check_rejected():
+    # ill-conditioned corners on which sigma and A11 - F_weak* E_weak part
+    # by more than 10 * eq_rel * max(||A||, 1): the answer is right (the
+    # exact oracle's ladder test), and the gap is still reported, bit for bit
+    rejected = 0
+    for A, s, _ in _ladder_draws():
+        S = Subspace(A.shape[0], np.eye(A.shape[0])[:, :s])
+        gap = _eager_route_gap(A, S, S)
+        if opnorm(gap) <= 10 * TOL.eq_rel * max(opnorm(A), 1.0):
+            continue
+        rejected += 1
+        res = shorted(A, S, S)
+        assert res.diagnostics.route_disagreement == _relative(gap, opnorm(A))
+        assert res.diagnostics.route_disagreement > 10 * TOL.eq_rel
+    assert rejected >= 1
+    # 1 / sigma_min(A + B) = 1e9, where the association orders of
+    # A (A+B)^+ A part by 1.2e-7 of the doubled matrix's norm; the reported
+    # routes, the sum, A (A+B)^+ B and B - B (A+B)^+ B, agree far closer
+    A, B = np.eye(2, dtype=complex), np.diag([-1 + 1e-3, -1 + 1e-9]).astype(complex)
+    res = parallel_sum(A, B)
+    expected = _eager_route_disagreement(A, B, res)
+    assert res.max_route_disagreement == expected
+    assert expected <= 10 * TOL.eq_rel * opnorm(res.sum)

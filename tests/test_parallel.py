@@ -1,10 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from shortops import (
     DEFAULT_TOL,
     BadAuxiliary,
-    ConsistencyError,
     DimensionMismatch,
     EscalationExhausted,
     NotComplementable,
@@ -91,15 +92,22 @@ def test_parallel_sum_raises_no_complementability_error():
     for A, B in pairs:
         try:
             parallel_sum(A, B)
-        except (NotSummable, ConsistencyError):
+        except NotSummable:
             pass
 
 
-def test_parallel_sum_consistency_error():
-    # summable, but 1 / sigma_min(A + B) = 1e9 puts the Schur-complement
-    # routes 1.2e-7 apart, past 10 * eq_rel of the doubled matrix's norm
-    with pytest.raises(ConsistencyError):
-        parallel_sum(np.eye(2), np.diag([-1 + 1e-3, -1 + 1e-9]))
+def test_parallel_sum_near_singular_sum_matches_the_exact_sum():
+    # 1 / sigma_min(A + B) = 1e9 puts the two association orders of
+    # A (A+B)^+ A 1.2e-7 apart relative to the doubled matrix's norm, yet
+    # the sum is right to 2 u of its own norm
+    a, b = [1.0, 1.0], [-1 + 1e-3, -1 + 1e-9]
+    res = parallel_sum(np.diag(a), np.diag(b))
+    exact = [Fraction(x) * Fraction(y) / (Fraction(x) + Fraction(y)) for x, y in zip(a, b)]
+    norm = max(abs(x) for x in exact)
+    assert not (res.sum - np.diag(np.diag(res.sum))).any()
+    for got, want in zip(np.diag(res.sum), exact):
+        assert got.imag == 0.0
+        assert abs(Fraction(got.real) - want) <= 2 * Fraction(np.finfo(float).eps / 2) * norm
 
 
 def test_parallel_sum_decides_summability_once():

@@ -8,12 +8,13 @@ schedule as such a stack; its record is compared with a per-point loop on the
 2-D core, written here.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from shortops import (
     DEFAULT_TOL,
-    ConsistencyError,
     EscalationExhausted,
     NotSummable,
     Subspace,
@@ -215,7 +216,7 @@ def _per_point_limit(A, S, T, B, schedule=parallel.DEFAULT_SCHEDULE):
                 continue
             raise NotSummable(parallel._summability_report(A, scaled, total, False))
         used.append(n)
-        errors.append(opnorm(_parallel_sum(A, total, TOL)[0] - target))
+        errors.append(opnorm(_parallel_sum(A, total) - target))
     if not used:
         raise EscalationExhausted("no schedule entry made the pair summable")
     return used, errors, _loglog_slope(used, errors)
@@ -272,27 +273,49 @@ def _diagonal_case(b):
     return np.eye(4, dtype=np.complex128), S, S, np.diag(list(b) + [0.0])
 
 
-# n = 2 brings two entries of A + n B to 1e-3 and 1e-9, where the two
-# Schur-complement routes disagree; n = 4 makes A + n B singular
+def _exact_diagonal_errors(b, schedule):
+    """The errors ||A ∥ n B - shorted|| of ``_diagonal_case(b)``, exactly, on
+    the floats passed: the shorted operator is diag(1, 1, 1, 0), and
+    1 ∥ y - 1 = -1 / (1 + y) on each of the first three entries."""
+    return [max(abs(1 / (1 + n * Fraction(x))) for x in b) for n in schedule]
+
+
+def _assert_unsummable_at_the_same_point(A, S, T, B, schedule):
+    with pytest.raises(NotSummable) as stacked:
+        shorted_via_limit(A, S, T, B, schedule=schedule)
+    with pytest.raises(NotSummable) as reference:
+        _per_point_limit(A, S, T, B, schedule)
+    assert stacked.value.report.defects == reference.value.report.defects
+
+
+def _assert_exact_errors(A, S, T, B, b, schedule):
+    """The record on ``schedule`` is the per-point loop's, and each error
+    is within 4 u of the exact one."""
+    record = shorted_via_limit(A, S, T, B, schedule=schedule)
+    _assert_same_record(record, _per_point_limit(A, S, T, B, schedule))
+    assert record.schedule == list(schedule)
+    for got, want in zip(record.errors, _exact_diagonal_errors(b, schedule)):
+        assert abs(Fraction(got) - want) <= 4 * Fraction(np.finfo(float).eps / 2) * want
+
+
+# n = 2 brings two entries of A + n B to 1e-3 and 1e-9, where 1 / sigma_min
+# of the sum is 1e9; n = 4 makes A + n B singular
 _EDGE = ((-1 + 1e-3) / 2, (-1 + 1e-9) / 2)
 
 
-def test_a_consistency_error_before_a_later_unsummable_point_wins():
-    A, S, T, B = _diagonal_case(_EDGE + (-0.25,))
-    with pytest.raises(ConsistencyError):
-        _per_point_limit(A, S, T, B, (1, 2, 4, 8))
-    with pytest.raises(ConsistencyError):
-        shorted_via_limit(A, S, T, B, schedule=(1, 2, 4, 8))
+def test_ill_conditioned_points_are_used_up_to_a_later_unsummable_point():
+    b = _EDGE + (-0.25,)
+    A, S, T, B = _diagonal_case(b)
+    _assert_unsummable_at_the_same_point(A, S, T, B, (1, 2, 4, 8))
+    _assert_exact_errors(A, S, T, B, b, (1, 2))
 
 
-def test_an_unsummable_point_before_a_later_consistency_error_wins():
+def test_an_unsummable_point_ends_the_record_before_later_ill_conditioned_points():
     # n = 2 makes A + n B singular, n = 8 brings the ill-conditioned entries
-    A, S, T, B = _diagonal_case((_EDGE[0] / 4, _EDGE[1] / 4, -0.5))
-    with pytest.raises(NotSummable) as stacked:
-        shorted_via_limit(A, S, T, B, schedule=(1, 2, 4, 8))
-    with pytest.raises(NotSummable) as reference:
-        _per_point_limit(A, S, T, B, (1, 2, 4, 8))
-    assert stacked.value.report.defects == reference.value.report.defects
+    b = (_EDGE[0] / 4, _EDGE[1] / 4, -0.5)
+    A, S, T, B = _diagonal_case(b)
+    _assert_unsummable_at_the_same_point(A, S, T, B, (1, 2, 4, 8))
+    _assert_exact_errors(A, S, T, B, b, (1,))
 
 
 def test_shorted_via_limit_errors_keep_schedule_order_across_slices():
