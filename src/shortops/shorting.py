@@ -97,10 +97,11 @@ class ComplementabilityReport:
 
     angle_check carries the Dixmier cosines of (S, closure of A*(T-perp)) and
     (T, closure of A(S-perp)); both below 1 is an equivalent criterion and is
-    reported for cross-validation.  It and ``witnesses`` (None unless the
-    triple is complementable) decide nothing, so each is formed on its first
-    read from a copy of A, the blocks and the corner's factors that the
-    report keeps.
+    reported for cross-validation.  Each image is factored at ||A||_F, the
+    corner's anchor, so an image that is rounding noise next to A has rank 0
+    and cosine 0.  It and ``witnesses`` (None unless the triple is
+    complementable) decide nothing, so each is formed on its first read from
+    a copy of A, the blocks and the corner's factors that the report keeps.
     """
 
     weakly: bool
@@ -113,7 +114,7 @@ class ComplementabilityReport:
         A, blocks, _, tol = self._operands
         pairs = ((blocks.s_basis, A.conj().T @ blocks.t_perp_basis),
                  (blocks.t_basis, A @ blocks.s_perp_basis))
-        return tuple(_largest_cosine(basis, _spectrum(image, tol).range_basis)
+        return tuple(_largest_cosine(basis, _spectrum(image, tol, _fro(A)).range_basis)
                      for basis, image in pairs)
 
     @cached_property
@@ -287,15 +288,13 @@ def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.nd
     return P_hat, Q_hat
 
 
-def _weak_solutions(corner: FundamentalSubspaces, A21: np.ndarray, A12=None):
+def _weak_solutions(corner: FundamentalSubspaces, A21: np.ndarray, A12: np.ndarray):
     """The corner equations' reduced solutions through the polar factor of
-    A22 = W s V*, from its bases: E_weak = V (W* A21) / s^(1/2) and, unless
-    A12 is None, F_weak = V (V* A12*) / s^(1/2) (else None); per item on a stack."""
+    A22 = W s V*, from its bases: E_weak = V (W* A21) / s^(1/2) and
+    F_weak = V (V* A12*) / s^(1/2); per item on a stack."""
     V, root = corner.corange_basis, np.sqrt(corner.kept)[..., :, None]
-    E_weak = V @ ((corner.range_basis.conj().swapaxes(-1, -2) @ A21) / root)
-    if A12 is None:
-        return E_weak, None
-    return E_weak, V @ ((V.conj().swapaxes(-1, -2) @ A12.conj().swapaxes(-1, -2)) / root)
+    return (V @ ((corner.range_basis.conj().swapaxes(-1, -2) @ A21) / root),
+            V @ ((V.conj().swapaxes(-1, -2) @ A12.conj().swapaxes(-1, -2)) / root))
 
 
 def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,

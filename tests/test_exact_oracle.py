@@ -17,7 +17,9 @@ A fifth family holds ill-conditioned corners: integer A whose corner on
 S-perp, for S = T spanned by the leading coordinates, is diag(1, 2^-k, ...),
 exact in floating point, with each k in [10, 26], so kappa(A22) reaches
 2^26.  Each shorted operator must lie within LADDER_REL times the exact
-Schur complement's own Frobenius norm of it.
+Schur complement's own Frobenius norm of it.  A sixth holds the same
+corners with 2^-k planted between 2 and 5 times the corner's rank cutoff,
+so a cutoff ten times too large would refuse every one of them.
 
 The oracle reads ``Fraction(x)`` of the floats passed, so at scale 1 it
 judges exactly the library's input.  Every verdict must equal the exact
@@ -34,6 +36,7 @@ read on rounded entries would see the rounding, not the draw: there the
 scale-1 answer is what a scale-covariant library returns.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -41,14 +44,17 @@ import numpy as np
 import pytest
 
 from shortops import (
+    DEFAULT_TOL,
     NotComplementable,
     NotSummable,
     Subspace,
+    complementability,
     in_da,
     minus_leq,
     parallel_sum,
     shorted,
 )
+from shortops.numcore import _cutoff, _fro
 
 import _exact as ex
 
@@ -58,6 +64,7 @@ VALUE_REL = 1e-10
 LADDER_DRAWS = 400       # half real, half complex
 # library value vs exact Schur complement, relative to the exact one's norm
 LADDER_REL = 1e-12
+CUTOFF_DRAWS = 40        # half real, half complex
 
 # Every rescaling misses exact verdicts, for two sides of one cause; gates
 # anchored at the operands of their decision turn these into passes.
@@ -178,6 +185,35 @@ def _ladder_draws() -> tuple:
     return tuple(_ladder(rng, k % 2 == 1) for k in range(LADDER_DRAWS))
 
 
+def _at_cutoff(rng, cx):
+    """Integer A of order 3..5 whose corner on S-perp, S = T spanned by the
+    first s coordinates, is diag(1, 2^-k, ...), with 2^-k in [2c, 5c] for the
+    corner's rank cutoff c = _cutoff(corner shape, ||A||_F), and the exact
+    shorted operator.  A21 has no zero row, so every 2^-k direction of the
+    corner is needed: a cutoff above 5c refuses the triple."""
+    while True:
+        n = int(rng.integers(3, 6))
+        s = int(rng.integers(1, n - 1))
+        A = _ints(rng, n, n, cx).astype(np.complex128)
+        A[s:, s:] = np.diag([1.0] + [0.0] * (n - s - 1))
+        c = _cutoff((n - s, n - s), _fro(A), DEFAULT_TOL)
+        tiny = 2.0 ** math.ceil(math.log2(2 * c))       # in [2c, 4c)
+        A[s + 1:, s + 1:] = tiny * np.eye(n - s - 1)
+        c = _cutoff((n - s, n - s), _fro(A), DEFAULT_TOL)
+        if not (2 * c <= tiny <= 5 * c and np.all(A[s + 1:, :s].any(axis=1))):
+            continue
+        W = np.eye(n)[:, :s]
+        value = ex.Triple(ex.exact(A, cx), ex.exact(W, cx), ex.exact(W, cx)).shorted()
+        if any(value.N.flat):
+            return A, s, value.to_float()
+
+
+@cache
+def _cutoff_draws() -> tuple:
+    rng = np.random.default_rng(20262)
+    return tuple(_at_cutoff(rng, k % 2 == 1) for k in range(CUTOFF_DRAWS))
+
+
 @cache
 def _draws() -> tuple[Draw, ...]:
     rng = np.random.default_rng(20260)
@@ -264,5 +300,17 @@ def test_library_matches_the_exact_oracle_when_rescaled(c):
 def test_shorted_matches_the_exact_schur_complement_on_ill_conditioned_corners():
     for A, s, value in _ladder_draws():
         S = Subspace(A.shape[0], np.eye(A.shape[0])[:, :s])
+        got = shorted(A, S, S).shorted
+        assert np.linalg.norm(got - value) <= LADDER_REL * np.linalg.norm(value)
+
+
+def test_corners_just_above_the_rank_cutoff_keep_their_rank():
+    # complementable, as the oracle decides, with the exact Schur complement
+    for A, s, value in _cutoff_draws():
+        W = np.eye(A.shape[0])[:, :s]
+        exact = ex.Triple(ex.exact(A, True), ex.exact(W, True), ex.exact(W, True))
+        S = Subspace(A.shape[0], W)
+        report = complementability(A, S, S)
+        assert (report.weakly, report.strongly) == exact.complementability() == (True, True)
         got = shorted(A, S, S).shorted
         assert np.linalg.norm(got - value) <= LADDER_REL * np.linalg.norm(value)

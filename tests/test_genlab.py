@@ -144,16 +144,14 @@ _GOLDEN_SEED_11 = {
 }
 # The factorizations the same run makes: full SVDs, singular values alone
 # and QRs.  A change that moves a count updates it and says why.
-# psd-shorted-dominated screens A on its singular values alone: 30 full
-# SVDs became norm-only ones.
-_GOLDEN_SEED_11_CALLS = {"factor": 3658, "norm": 1051, "qr": 1546}
+_GOLDEN_SEED_11_CALLS = {"svd": 3658, "svdvals": 1051, "qr": 1546}
 
 
-def test_run_suite_golden_counts(svd_calls):
+def test_run_suite_golden_counts(calls):
     report = run_suite(GenConfig(seed=11, trials=30))
     counts = {name: (o.passed, o.failed, o.skipped) for name, o in report.outcomes.items()}
     assert counts == {name: _GOLDEN_SEED_11.get(name, (30, 0, 0)) for name, _ in INVARIANTS}
-    assert svd_calls == _GOLDEN_SEED_11_CALLS
+    assert {kind: calls[kind] for kind in _GOLDEN_SEED_11_CALLS} == _GOLDEN_SEED_11_CALLS
 
 
 def test_iterated_shorting_skip_is_the_library_gate(monkeypatch):

@@ -35,7 +35,7 @@ from shortops import (
 from shortops.geometry import _largest_cosine
 from shortops import parallel, shorting
 from shortops.douglas import _reduced_coeffs
-from shortops.numcore import FundamentalSubspaces, max_opnorm, _relative, _spectrum
+from shortops.numcore import FundamentalSubspaces, max_opnorm, _fro, _relative, _spectrum
 from shortops.parallel import SummabilityDefects
 from shortops.shorting import (
     ShortedDiagnostics,
@@ -160,9 +160,10 @@ def _counting(monkeypatch, owner, name, counts):
 
 
 def _eager_angle_check(A, S, T):
+    # both images factored at ||A||_F, the corner's anchor
     blocks = block_decompose(A, S, T, TOL)
-    corange_image = _spectrum(A.conj().T @ blocks.t_perp_basis, TOL).range_basis
-    range_image = _spectrum(A @ blocks.s_perp_basis, TOL).range_basis
+    corange_image = _spectrum(A.conj().T @ blocks.t_perp_basis, TOL, _fro(A)).range_basis
+    range_image = _spectrum(A @ blocks.s_perp_basis, TOL, _fro(A)).range_basis
     return (_largest_cosine(blocks.s_basis, corange_image),
             _largest_cosine(blocks.t_basis, range_image))
 

@@ -8,8 +8,9 @@ then runs on one fixed set of draws:
   matched triples with an auxiliary B for the limit, and consistent
   systems A X = B;
 - near-singular draws: the exact oracle's ill-conditioned corners
-  diag(1, 2^-k, ...), and diagonal pairs I, diag(-1 + 1e-3, -1 + 1e-k)
-  whose sum has a singular value 1e-k;
+  diag(1, 2^-k, ...), its corners with 2^-k just above the rank cutoff,
+  and diagonal pairs I, diag(-1 + 1e-3, -1 + 1e-k) whose sum has a
+  singular value 1e-k;
 - the exact oracle's triples and pairs (``test_exact_oracle``).
 
 The columns are the checks:
@@ -32,7 +33,9 @@ A column catches a fault when it fires on a draw (or trial) where it did
 not fire on the unmutated library; an exception other than the refusal a
 call is specified to raise counts as firing, since a tier-1 test would
 fail on it.  The route gap fires on some near-singular draws unmutated,
-which are right answers: those draws are the false rejections.
+which are right answers: those draws are the false rejections.  So does
+the angle check, where the corner's least singular value 2^-k puts a
+cosine within 2^-2k of 1.
 """
 
 import sys
@@ -60,7 +63,7 @@ from shortops.genlab import GenConfig, trial_rng
 from shortops.numcore import FundamentalSubspaces, FundamentalSubspacesStack, opnorm
 
 import _exact as ex
-from test_exact_oracle import LADDER_REL, VALUE_REL, _draws, _ladder_draws
+from test_exact_oracle import LADDER_REL, VALUE_REL, _cutoff_draws, _draws, _ladder_draws
 
 pytestmark = pytest.mark.mutation
 
@@ -106,8 +109,9 @@ def _suite_draws():
 
 @cache
 def _near_singular_draws():
-    triples = [("ladder", A, np.eye(A.shape[0])[:, :s], np.eye(A.shape[0])[:, :s], value)
-               for A, s, value in _ladder_draws()[::8]]
+    triples = [(kind, A, np.eye(A.shape[0])[:, :s], np.eye(A.shape[0])[:, :s], value)
+               for kind, draws in (("ladder", _ladder_draws()[::8]), ("cutoff", _cutoff_draws()))
+               for A, s, value in draws]
     pairs = []
     for k in (6, 7, 8, 9):
         A, B = np.eye(2), np.diag([-1 + 1e-3, -1 + 10.0 ** -k])
@@ -403,14 +407,19 @@ def _baseline() -> frozenset:
         return frozenset(_firings())
 
 
+@cache
+def _newly_fired(fault) -> frozenset:
+    """(column, draw) pairs that fire under ``fault`` and not unmutated."""
+    with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
+        FAULTS[fault](monkeypatch)
+        return frozenset(_firings() - _baseline())
+
+
 def _catches(fault) -> dict:
     """The columns that fire under ``fault`` where they did not unmutated,
     each with its count of newly fired draws or trials."""
-    with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
-        FAULTS[fault](monkeypatch)
-        fired = _firings() - _baseline()
     counts = {}
-    for column, *_ in fired:
+    for column, *_ in _newly_fired(fault):
         counts[column] = counts.get(column, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -421,15 +430,22 @@ def mutation_table() -> dict:
 
 
 def test_unmutated_only_the_route_gap_and_the_angle_check_fire():
-    # the route gap on near-singular draws alone, whose answers the exact
-    # column accepts; the angle check where an image of rounding noise,
-    # factored at its own largest singular value, reads as a closed angle
+    # both on near-singular draws alone, whose answers the exact column
+    # accepts: the route gap on conditioning, the angle check where the
+    # corner's least singular value puts a cosine within 1e-13 of 1 (images
+    # factored at the corner's anchor ||A||_F: rounding noise has rank 0)
     triples, pairs, *_ = _all_draws()
     kinds = {"triple": triples, "pair": pairs}
     assert {column for column, *_ in _baseline()} == {"route-gap", "angle"}
     for column, kind, i in _baseline():
-        if column == "route-gap":
-            assert kinds[kind][i][0] in ("ladder", "near"), (kind, i)
+        assert kinds[kind][i][0] in ("ladder", "cutoff", "near"), (column, kind, i)
+
+
+def test_a_tenfold_cutoff_is_caught_on_every_draw_just_above_the_cutoff():
+    triples = _all_draws()[0]
+    planted = {i for i, (kind, *_) in enumerate(triples) if kind == "cutoff"}
+    assert planted <= {i for column, kind, i in _newly_fired("_cutoff * 10")
+                       if (column, kind) == ("exact", "triple")}
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
