@@ -14,7 +14,6 @@ from .douglas import ReducedSolution, range_leq, range_residual, reduced_solutio
 from .errors import (
     BadAuxiliary,
     BadDims,
-    ConsistencyError,
     DimensionMismatch,
     EscalationExhausted,
     NotComplementable,

@@ -3,10 +3,9 @@
 Exit codes: 0 success, 1 I/O or parse problem (including malformed or
 mismatched inputs), 2 precondition failure (not complementable / not
 summable / not in D_A / BadAuxiliary / EscalationExhausted /
-RangeNotIncluded; ConsistencyError keeps this code, though no computation
-raises it), 3 a checked predicate is cleanly false, 4 the verification
-suite reports failures.  Every report embeds the
-tool version, the full invocation and the effective tolerance.
+RangeNotIncluded), 3 a checked predicate is cleanly false, 4 the
+verification suite reports failures.  Every report embeds the tool
+version, the full invocation and the effective tolerance.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from . import __version__
 from .errors import (
     BadAuxiliary,
     BadDims,
-    ConsistencyError,
     DimensionMismatch,
     EscalationExhausted,
     NotComplementable,
@@ -35,7 +33,6 @@ from .minusorder import minus_leq
 from .numcore import Tolerance, opnorm
 from .parallel import (
     DEFAULT_SCHEDULE,
-    ParallelSumResult,
     SummabilityReport,
     parallel_subtract,
     parallel_sum,
@@ -109,9 +106,8 @@ def _envelope(argv: list[str], tol: Tolerance) -> dict:
 
 # The first-read attributes each report type writes after its public fields.
 _FIRST_READ = {
-    ComplementabilityReport: ("angle_check", "witnesses"),
+    ComplementabilityReport: ("witnesses",),
     SummabilityReport: ("defects",),
-    ParallelSumResult: ("route_reduced", "max_route_disagreement"),
     ShortedResult: ("diagnostics",),
 }
 
@@ -377,8 +373,7 @@ def main(argv=None) -> int:
         payload["error"] = "not-summable"
         payload["report"] = _payload(exc.report)
         code, message = 2, "operators are not parallel summable"
-    except (NotInDA, BadAuxiliary, EscalationExhausted,
-            RangeNotIncluded, ConsistencyError) as exc:
+    except (NotInDA, BadAuxiliary, EscalationExhausted, RangeNotIncluded) as exc:
         payload["error"] = type(exc).__name__
         code, message = 2, str(exc)
     except (OSError, ValueError, KeyError, DimensionMismatch, BadDims) as exc:

@@ -66,12 +66,3 @@ class BadAuxiliary(ShortopsError):
 
 class EscalationExhausted(ShortopsError):
     """Doubling the scale parameter never reached a usable configuration."""
-
-
-class ConsistencyError(ShortopsError):
-    """Two internal computation routes disagreed beyond tolerance.
-
-    Kept for compatibility (the CLI still maps it to exit code 2): no
-    computation raises it.  A gap between two association orders of one
-    product measures conditioning, not a fault, so it is reported
-    (``ShortedDiagnostics.route_disagreement``), not raised."""

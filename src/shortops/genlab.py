@@ -32,6 +32,7 @@ from .numcore import (
     max_opnorm,
     opnorm,
     opnorm_leq,
+    pinv,
     _fro,
     _rank_rule,
 )
@@ -795,8 +796,13 @@ def _inv_parallel_commutativity(rng, tol, A, B):
 
 @_invariant("parallel-route-agreement", draw=draw_summable)
 def _inv_parallel_route_agreement(rng, tol, A, B):
-    res = parallel_sum(A, B, tol)
-    return res.max_route_disagreement <= 10 * tol.eq_rel * max_opnorm([A, B])
+    # the sum against A (A+B)^+ B and the arguments-swapped B - B (A+B)^+ B
+    total_pinv = pinv(A + B, tol)
+    block = parallel_sum(A, B, tol).sum
+    reduced, swapped = A @ total_pinv @ B, B - B @ total_pinv @ B
+    bound = 10 * tol.eq_rel * max_opnorm([A, B])
+    return all(opnorm_leq(gap, bound) for gap in (block - reduced, block - swapped,
+                                                  reduced - swapped))
 
 
 @_invariant("parallel-rank-intersection", draw=draw_summable)

@@ -25,7 +25,6 @@ from .numcore import (
     as_operator,
     complement_basis,
     fundamental_subspaces,
-    opnorm,
     opnorm_leq,
     _cutoff,
     _fro,
@@ -221,17 +220,6 @@ def subspace_join(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> Sub
     """Span of M + N, the range basis of the stacked bases [W1 W2] in their U."""
     spectrum = _stacked(M, N, tol)
     return Subspace._framed(spectrum.U, spectrum.rank)
-
-
-def _largest_cosine(B1: np.ndarray, B2: np.ndarray) -> float:
-    """sigma_max of B1* B2 for orthonormal bases, clamped into [0, 1].
-
-    Either basis empty means the underlying sup runs over an empty set; the
-    cosine is 0 by convention.
-    """
-    if B1.shape[1] == 0 or B2.shape[1] == 0:
-        return 0.0
-    return float(min(1.0, opnorm(B1.conj().T @ B2)))
 
 
 def angles(M: Subspace, N: Subspace, tol: Tolerance = DEFAULT_TOL) -> AnglePair:

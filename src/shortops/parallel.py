@@ -31,7 +31,6 @@ from .numcore import (
     FundamentalSubspaces,
     Tolerance,
     as_operator,
-    max_opnorm,
     opnorm,
     _relative,
     _same_shape,
@@ -43,7 +42,6 @@ from .shorting import (
     _check_fits,
     _complementability,
     _schur_complement,
-    _weak_solutions,
 )
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(17))
@@ -96,37 +94,10 @@ class SummabilityReport:
 
 @dataclass(frozen=True)
 class ParallelSumResult:
-    """Parallel sum with its cross-check routes, formed on read.
-
-    ``sum`` is the shorted block of [[A, A], [A, A+B]] read by slicing,
-    A - A (A+B)^+ A.  route_reduced is A (A+B)^+ B, F_A* E_B from the weak
-    reduced solutions through the polar factor of A + B.
-    max_route_disagreement is the largest gap in operator norm among
-    ``sum``, route_reduced and the arguments-swapped B - B (A+B)^+ B, which
-    checks commutativity.  Neither decides anything, so both are formed on
-    first read from one private A (A+B)^+ B, of which route_reduced is a
-    copy, made from copies of the sum, A and B and the factors of A + B
-    taken at the call; changing the inputs or returned matrices changes neither.
-    """
+    """Parallel sum: ``sum`` is the shorted block of [[A, A], [A, A+B]]
+    read by slicing, A - A (A+B)^+ A."""
 
     sum: np.ndarray
-    # copies of sum, A and B, and the factors of A + B
-    _routes: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def _reduced(self) -> np.ndarray:
-        _, A, B, total = self._routes
-        # B = (A+B) - A lies in R(A+B) once A does: no test of its own
-        E_B, F_A = _weak_solutions(total, B, A)
-        return F_A.conj().T @ E_B
-
-    route_reduced = cached_property(lambda self: self._reduced.copy())
-
-    @cached_property
-    def max_route_disagreement(self) -> float:
-        block, _, B, total = self._routes
-        reduced, swapped = self._reduced, B - B @ total.pinv() @ B
-        return max_opnorm([block - reduced, block - swapped, reduced - swapped])
 
 
 @dataclass(frozen=True)
@@ -160,15 +131,13 @@ def parallel_sum(A, B, tol: Tolerance = DEFAULT_TOL) -> ParallelSumResult:
     That SVD makes the one summability decision; raises NotSummable
     (carrying the report) when the pair is not weakly summable.  ``sum`` is
     the doubled matrix's shorted block, with no second route recomputed as
-    a check.  A (A+B)^+ B and the gaps to it and to B - B (A+B)^+ B are
-    formed when first read.
+    a check.
     """
     A, B = _same_shape(A, B)
     total = _spectrum(A + B, tol)
     if not _gate(A, A, total, tol):
         raise NotSummable(_summability_report(A, B, total, False))
-    block = _parallel_sum(A, total)
-    return ParallelSumResult(sum=block, _routes=(block.copy(), A.copy(), B.copy(), total))
+    return ParallelSumResult(sum=_parallel_sum(A, total))
 
 
 def _parallel_sum(A, total: FundamentalSubspaces) -> np.ndarray:

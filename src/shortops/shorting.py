@@ -16,7 +16,7 @@ import numpy as np
 
 from .douglas import _gate
 from .errors import DimensionMismatch, NotComplementable
-from .geometry import Subspace, _largest_cosine
+from .geometry import Subspace
 from .numcore import (
     DEFAULT_TOL,
     FundamentalSubspaces,
@@ -95,33 +95,21 @@ class ComplementabilityWitnesses:
 class ComplementabilityReport:
     """Outcome of the weak/strong complementability tests for (A, S, T).
 
-    angle_check carries the Dixmier cosines of (S, closure of A*(T-perp)) and
-    (T, closure of A(S-perp)); both below 1 is an equivalent criterion and is
-    reported for cross-validation.  Each image is factored at ||A||_F, the
-    corner's anchor, so an image that is rounding noise next to A has rank 0
-    and cosine 0.  It and ``witnesses`` (None unless the triple is
-    complementable) decide nothing, so each is formed on its first read from
-    a copy of A, the blocks and the corner's factors that the report keeps.
+    ``witnesses`` (None unless the triple is complementable) decides
+    nothing, so it is formed on its first read from a copy of A, the blocks
+    and the corner's factors that the report keeps.
     """
 
     weakly: bool
     strongly: bool
-    # a copy of A, the blocks whose frames split it, the corner's factors, tol
+    # a copy of A, the blocks whose frames split it, the corner's factors
     _operands: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def angle_check(self) -> tuple[float, float]:
-        A, blocks, _, tol = self._operands
-        pairs = ((blocks.s_basis, A.conj().T @ blocks.t_perp_basis),
-                 (blocks.t_basis, A @ blocks.s_perp_basis))
-        return tuple(_largest_cosine(basis, _spectrum(image, tol, _fro(A)).range_basis)
-                     for basis, image in pairs)
 
     @cached_property
     def witnesses(self) -> ComplementabilityWitnesses | None:
         if not self.weakly:
             return None
-        A, blocks, corner, _ = self._operands
+        A, blocks, corner = self._operands
         corner_pinv = corner.pinv()
         E, F_adj = corner_pinv @ blocks.A21, blocks.A12 @ corner_pinv
         P_hat, Q_hat = _witness_projections(blocks, E, F_adj)
@@ -137,16 +125,10 @@ class ShortedDiagnostics:
     """Residual record for a shorted-operator computation.
 
     All entries are exact operator norms relative to max(||A||, 1).
-    route_disagreement compares the pseudoinverse formula against
-    A11 - F_weak* E_weak from the weak reduced solutions.  Both multiply out
-    to A12 V diag(1/s) W* A21 on the corner's own factors, in two
-    association orders, so it measures conditioning, not an independent
-    computation, and decides nothing.  qa_ap_gap is ||Q A - A P||;
-    qa_residual and ap_residual compare both products against the shorted
-    operator.
+    qa_ap_gap is ||Q A - A P||; qa_residual and ap_residual compare both
+    products against the shorted operator.
     """
 
-    route_disagreement: float
     qa_ap_gap: float
     qa_residual: float
     ap_residual: float
@@ -158,13 +140,13 @@ class ShortedResult:
 
     E and F are the reduced solutions of the defining corner equations
     through the polar factor of A22, the paper's weak complementability
-    witnesses; P and Q are projections satisfying Q A = A P = shorted.  All
-    fields live in the original coordinates.  Only ``shorted`` decides
-    anything: E, F, P, Q and diagnostics are formed on first read from parts
-    the call holds (E, F and the route disagreement from one pair of weak
-    solutions on the corner's factors), and diagnostics forms Q A and A P
-    anew from those parts, so changing the inputs or the returned matrices
-    afterwards changes no later read.
+    witnesses, with P_T A P_S - F* E = shorted; P and Q are projections
+    satisfying Q A = A P = shorted.  All fields live in the original
+    coordinates.  Only ``shorted`` decides anything: E, F, P, Q and
+    diagnostics are formed on first read from parts the call holds (E and F
+    from one pair of weak solutions on the corner's factors), and
+    diagnostics forms Q A and A P anew from those parts, so changing the
+    inputs or the returned matrices afterwards changes no later read.
     """
 
     shorted: np.ndarray
@@ -198,14 +180,12 @@ class ShortedResult:
     @cached_property
     def diagnostics(self) -> ShortedDiagnostics:
         blocks, *_, A, sigma = self._parts
-        E_weak, F_weak = self._weak
-        gap = sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
         P, Q = self._projections()
         QA, AP = Q @ A, A @ P
         shorted = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
         norm = opnorm(A)
         return ShortedDiagnostics(*(_relative(r, norm)
-                                    for r in (gap, QA - AP, QA - shorted, AP - shorted)))
+                                    for r in (QA - AP, QA - shorted, AP - shorted)))
 
 
 def _check_fits(A: np.ndarray, S: Subspace, T: Subspace) -> None:
@@ -264,7 +244,7 @@ def _complementability(A: np.ndarray, blocks: BlockDecomposition,
     corner = _spectrum(blocks.A22, tol, _fro(A))
     included = _gate(blocks.A12, blocks.A21, corner, tol)
     return ComplementabilityReport(weakly=included, strongly=included,
-                                   _operands=(A.copy(), blocks, corner, tol))
+                                   _operands=(A.copy(), blocks, corner))
 
 
 def _complementable(A, S: Subspace, T: Subspace, tol: Tolerance):
@@ -274,7 +254,7 @@ def _complementable(A, S: Subspace, T: Subspace, tol: Tolerance):
     report = complementability(A, S, T, tol)
     if not report.weakly:
         raise NotComplementable(report)
-    return report._operands[:3]
+    return report._operands
 
 
 def _witness_projections(blocks: BlockDecomposition, E: np.ndarray, F_adj: np.ndarray):
@@ -303,8 +283,8 @@ def _schur_complement(A11: np.ndarray, A12: np.ndarray, A21: np.ndarray,
     that has decided R(A21) ⊆ R(A22) and R(A12*) ⊆ R(A22*) on them; returns
     sigma, the strong corner solution E = A22^+ A21 and the corner
     pseudoinverse A22^+, per item on the factors of a stack of corners.
-    The weak solutions (``_weak_solutions``) and the gap of A11 - F_weak*
-    E_weak to sigma are left to the reports that read them.
+    The weak solutions (``_weak_solutions``) are left to the reports that
+    read them.
     """
     corner_pinv = corner.pinv()
     E_strong = corner_pinv @ A21
@@ -315,11 +295,8 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     """Bilateral shorted operator of A relative to (S, T).
 
     Computed as the re-embedded A11 - A12 A22^+ A21 on the corner's one
-    factorization.  The reduced-solution route through the polar factor of
-    A22 is not recomputed as a check: its gap to this formula is reported
-    in ``diagnostics.route_disagreement`` when read.  Raises
-    NotComplementable (carrying the report) when the triple is not weakly
-    complementable.
+    factorization.  Raises NotComplementable (carrying the report) when the
+    triple is not weakly complementable.
     """
     A, blocks, corner = _complementable(A, S, T, tol)
     sigma, E_strong, corner_pinv = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner)

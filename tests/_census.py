@@ -13,9 +13,7 @@ built afresh before the recorder opens; a refusal counts under its error's
 name.  The grid runs every public operator, predicate and subspace call at
 n = 2, 8 and 64 on caller-built subspaces (``framed`` when a factorization
 made them), rejected ones too; named inputs follow.  ``<call> .<field>`` is the call and two reads of a
-field formed on first read.  The route disagreement of a parallel sum is
-left out: how many exact norms its pruning skips depends on rounding.
-The JSON has one sorted line per entry, so the golden's diff names each
+field formed on first read.  The JSON has one sorted line per entry, so the golden's diff names each
 call whose cost moved.
 """
 
@@ -214,8 +212,8 @@ _GRID = [
      "residual", "norm_sq", "corange_defect"),
     ("reduced_solution rejected", lambda n: (_da(n)[0], _da(n)[4]), so.reduced_solution),
     ("block_decompose", _triple, so.block_decompose),
-    ("complementability", _triple, so.complementability, "angle_check", "witnesses"),
-    ("complementability rejected", _rejected, so.complementability, "angle_check"),
+    ("complementability", _triple, so.complementability, "witnesses"),
+    ("complementability rejected", _rejected, so.complementability),
     ("shorted", _triple, so.shorted, "E", "F", "P", "Q", "diagnostics"),
     ("shorted framed", _framed, so.shorted),
     ("shorted rejected", _rejected, so.shorted),
@@ -227,7 +225,7 @@ _GRID = [
     ("in_minus_set", lambda n: (so.shorted(*_triple(n)).shorted, *_triple(n)), so.in_minus_set),
     ("summability", _pair, so.summability, "defects"),
     ("summability rejected", _unsummable, so.summability),
-    ("parallel_sum", _pair, so.parallel_sum, "route_reduced"),
+    ("parallel_sum", _pair, so.parallel_sum),
     ("parallel_sum rejected", _unsummable, so.parallel_sum),
     ("in_da", lambda n: (_da(n)[1], _da(n)[0]), so.in_da),
     ("in_da rejected", lambda n: (_da(n)[2], _da(n)[0]), so.in_da),
@@ -304,7 +302,7 @@ def _named():
     yield ("in_da 3x3 corange outside", lambda: (np.outer([1, 0, 0], [0, 1, 1]),
                                                  np.outer([1, 0, 0], [0, 1, 0])), so.in_da)
     yield ("complementability 4x4 rejected", lambda: _not_complementable()[:3],
-           so.complementability, "angle_check")
+           so.complementability)
     yield ("recover_shorted 4x4 NotComplementable", lambda: (*_not_complementable(), 1),
            so.recover_shorted)
     yield ("recover_shorted 4x4 BadAuxiliary", lambda: (*_not_complementable()[:3], np.eye(4), 1),

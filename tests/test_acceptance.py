@@ -22,6 +22,7 @@ from shortops import (
     opnorm,
     parallel_subtract,
     parallel_sum,
+    pinv,
     rank,
     run_suite,
     shorted,
@@ -85,13 +86,9 @@ def test_criterion_2_route_agreement():
             continue
         A, B = drawn
         accepted += 1
-        res = parallel_sum(A, B)
-        routes = (res.sum, res.route_reduced)
-        scale = max(opnorm(A), opnorm(B))
-        gap = max(
-            opnorm(x - y) for i, x in enumerate(routes) for y in routes[i + 1:]
-        )
-        if gap > 1e-8 * scale:
+        # the sum A - A (A+B)^+ A against A (A+B)^+ B (Anderson & Duffin 1969)
+        gap = opnorm(parallel_sum(A, B).sum - A @ pinv(A + B) @ B)
+        if gap > 1e-8 * max(opnorm(A), opnorm(B)):
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 30.0

@@ -175,9 +175,8 @@ def test_cmd_psum(tmp_path, capsys):
     b = write_matrix(tmp_path / "b.json", [[2.0]])
     assert main(["psum", a, b]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["result"]["sum"]["data"] == [[1.0]]
-    assert report["result"]["max_route_disagreement"] <= 1e-12
-    assert set(report["result"]) == {"sum", "route_reduced", "max_route_disagreement"}
+    assert report["result"] == {"sum": {"rows": 1, "cols": 1, "complex": False,
+                                        "data": [[1.0]]}}
 
     c = write_matrix(tmp_path / "c.json", np.diag([1.0, 0.0]))
     d = write_matrix(tmp_path / "d.json", np.diag([-1.0, 0.0]))
@@ -559,7 +558,7 @@ def _key_tree(obj):
 
 _ENVELOPE = {"tool": "str", "version": "str", "invocation": "list",
              "tolerance": {"rank_rel": "float", "eq_rel": "float", "psd_slack": "float"}}
-_COMPLEMENTABILITY = {"weakly": "bool", "strongly": "bool", "angle_check": "list"}
+_COMPLEMENTABILITY = {"weakly": "bool", "strongly": "bool"}
 _SUMMABILITY = {"weakly": "bool", "strongly": "bool", "defects": dict.fromkeys(
     ("a_range", "a_corange", "b_range", "b_corange"), "float")}
 
@@ -573,8 +572,7 @@ def test_report_key_trees(worked, tmp_path, capsys):
     y = write_matrix(tmp_path / "y.json", np.diag([-1.0, 0.0]))
     b = write_matrix(tmp_path / "b.json", np.diag([0.0, 1.0]))
     witnesses = dict.fromkeys(("E", "F", "P_hat", "Q_hat", "M_r", "M_l"), "matrix")
-    diagnostics = dict.fromkeys(
-        ("route_disagreement", "qa_ap_gap", "qa_residual", "ap_residual"), "float")
+    diagnostics = dict.fromkeys(("qa_ap_gap", "qa_residual", "ap_residual"), "float")
     runs = [
         (["short", a, s, s], 0, {"result": {
             "shorted": "matrix", "diagnostics": diagnostics}}),
@@ -591,6 +589,7 @@ def test_report_key_trees(worked, tmp_path, capsys):
         (["short", bad, s, s], 2, {"error": "str", "report": {
             **_COMPLEMENTABILITY, "witnesses": "NoneType"}}),
         (["psum", x, y], 2, {"error": "str", "report": _SUMMABILITY}),
+        (["psum", x, b], 0, {"result": {"sum": "matrix"}}),
     ]
     for argv, code, tree in runs:
         assert main(argv) == code, argv

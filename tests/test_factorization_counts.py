@@ -2,18 +2,18 @@
 
 Each test checks the census entries of its call (``tests/_census.py``)
 against tests/golden/census.json.  The tests that count for themselves pin
-structure, not totals: the order of the checks, the per-object frame cache,
-and the route disagreement's exact norms, whose number depends on rounding.
+structure, not totals: the order of the checks and the per-object frame
+cache.
 """
 
 import numpy as np
 import pytest
 
 from shortops import BadAuxiliary, NotComplementable, Subspace, complementability
-from shortops import parallel_sum, recover_shorted, shorted
+from shortops import recover_shorted, shorted
 from shortops.genlab import gen_complementable
 
-from _census import _not_complementable, _pair, check, record
+from _census import _not_complementable, check, record
 
 
 def test_parallel_sum_2x2():
@@ -75,13 +75,6 @@ def test_complementability_report_4x4():
 
 def test_parallel_sum_64x64():
     check("parallel_sum 64x64")
-    # at most one exact norm per pair of the three distinct routes; how
-    # many the Frobenius pruning skips depends on rounding
-    res = parallel_sum(*_pair(64))
-    with record() as calls:
-        res.max_route_disagreement
-        res.max_route_disagreement
-    assert calls["svd"] == 0 and 1 <= calls["svdvals"] <= 3
 
 
 def test_parallel_subtract_64x64():

@@ -144,7 +144,7 @@ _GOLDEN_SEED_11 = {
 }
 # The factorizations the same run makes: full SVDs, singular values alone
 # and QRs.  A change that moves a count updates it and says why.
-_GOLDEN_SEED_11_CALLS = {"svd": 3658, "svdvals": 1051, "qr": 1546}
+_GOLDEN_SEED_11_CALLS = {"svd": 3688, "svdvals": 1013, "qr": 1546}
 
 
 def test_run_suite_golden_counts(calls):

@@ -12,8 +12,13 @@ from shortops import (
     subspace_meet,
 )
 from shortops.genlab import gen_complementable, gen_subspace
-from shortops.geometry import _largest_cosine, _split_along
-from shortops.numcore import DEFAULT_TOL, complement_basis, fundamental_subspaces
+from shortops.geometry import _split_along
+from shortops.numcore import DEFAULT_TOL, complement_basis, fundamental_subspaces, opnorm
+
+
+def largest_cosine(B1, B2):
+    """sigma_max of B1* B2 for orthonormal bases, at most 1; 0 if either is empty."""
+    return min(1.0, opnorm(B1.conj().T @ B2))
 
 
 def span(*vectors):
@@ -282,7 +287,7 @@ def test_stacked_least_singular_value_is_dixmier_gap():
         b = int(rng.integers(1, n - a + 1))
         W1, W2 = _pair_draw(rng, n, a, b)
         sigma_min = np.linalg.svd(np.hstack([W1, W2]), compute_uv=False)[-1]
-        assert abs(1.0 - sigma_min ** 2 - _largest_cosine(W1, W2)) <= 1e-12
+        assert abs(1.0 - sigma_min ** 2 - largest_cosine(W1, W2)) <= 1e-12
 
 
 def test_oblique_projection_threshold_and_excess_dimension():
@@ -345,11 +350,11 @@ def _deflate(S, K, tol=DEFAULT_TOL):
 def _reference_angles(M, N):
     """Meet dimension, Dixmier and Friedrichs cosines by separate routes: the
     largest cosine of the bases, then of the bases deflated by the meet."""
-    dixmier = _largest_cosine(M.basis, N.basis)
+    dixmier = largest_cosine(M.basis, N.basis)
     K = _complement_stack_meet(M, N)
     if K.dim == 0:
         return 0, dixmier, dixmier
-    return K.dim, dixmier, _largest_cosine(_deflate(M, K), _deflate(N, K))
+    return K.dim, dixmier, largest_cosine(_deflate(M, K), _deflate(N, K))
 
 
 def test_angles_and_meet_match_complement_stack_reference():

@@ -1,19 +1,20 @@
 """Values computed on first read equal the eager formulas exactly.
 
 shorted's witnesses E, F, P and Q and its diagnostics (with the products
-Q A and A P), the summability defects, the parallel sum's route
-A (A+B)^+ B and route disagreement (with the swapped route
-B - B (A+B)^+ B), the reduced solution's residual matrices and norms, and
-the complementability witnesses and angle check decide nothing, so each is
-computed when first read.  Each test here computes the value by its eager
-formula right after the call, then overwrites the complex128 inputs (which
-``as_operator`` does not copy) and the returned matrices in place, and
-requires every later read to give the value of the formula bit for bit.
-A report that kept a reference to a caller-owned array instead of a copy
-would read the overwritten entries.  The counting tests pin that a call
-which is read only for its answer forms none of these values: the weak
-reduced solutions in particular wait for a read of E, F, diagnostics or
-route_reduced.
+Q A and A P), the summability defects, the reduced solution's residual
+matrices and norms, and the complementability witnesses decide nothing,
+so each is computed when first read.  Each test here computes the value by
+its eager formula right after the call, then overwrites the complex128
+inputs (which ``as_operator`` does not copy) and the returned matrices in
+place, and requires every later read to give the value of the formula bit
+for bit.  A report that kept a reference to a caller-owned array instead
+of a copy would read the overwritten entries.  The counting tests pin that
+a call which is read only for its answer forms none of these values: the
+weak reduced solutions in particular wait for a read of E or F.
+
+The parallel sum carries no route beside its sum; the routes it used to
+carry, A (A+B)^+ B and B - B (A+B)^+ B, are formed here and checked
+against the sum.
 """
 
 import numpy as np
@@ -32,20 +33,18 @@ from shortops import (
     shorted,
     summability,
 )
-from shortops.geometry import _largest_cosine
-from shortops import parallel, shorting
+from shortops import shorting
 from shortops.douglas import _reduced_coeffs
-from shortops.numcore import FundamentalSubspaces, max_opnorm, _fro, _relative, _spectrum
+from shortops.numcore import FundamentalSubspaces, _spectrum
 from shortops.parallel import SummabilityDefects
 from shortops.shorting import (
     ShortedDiagnostics,
     _complementable,
     _witness_projections,
-    block_decompose,
 )
 
 from _roots import abs_root_factors, root_factors
-from test_exact_oracle import _ladder_draws
+from test_parallel import route_gap
 
 TOL = DEFAULT_TOL
 
@@ -87,23 +86,11 @@ def _non_complementable_triple(rng):
     return U @ blocks @ V.conj().T, V[:, :2].copy(), U[:, :2].copy()
 
 
-def _eager_route_gap(A, S, T):
-    """sigma - (A11 - F_weak* E_weak), the two association orders of
-    A12 A22^+ A21 on the corner's factors, as a route check formed it."""
-    _, blocks, corner = _complementable(A, S, T, TOL)
-    sigma = blocks.A11 - blocks.A12 @ (corner.pinv() @ blocks.A21)
-    E_weak = _reduced_coeffs(root_factors(corner), blocks.A21)
-    F_weak = _reduced_coeffs(abs_root_factors(corner), blocks.A12.conj().T)
-    return sigma - (blocks.A11 - F_weak.conj().T @ E_weak)
-
-
-def _eager_diagnostics(A, S, T, res):
-    gap = _eager_route_gap(A, S, T)
+def _eager_diagnostics(A, res):
     scale = max(opnorm(A), 1.0)
     QA = res.Q @ A
     AP = A @ res.P
     return ShortedDiagnostics(
-        route_disagreement=opnorm(gap) / scale,
         qa_ap_gap=opnorm(QA - AP) / scale,
         qa_residual=opnorm(QA - res.shorted) / scale,
         ap_residual=opnorm(AP - res.shorted) / scale,
@@ -133,7 +120,9 @@ def _eager_witnesses(A, S, T):
             P_hat, Q_hat, np.eye(A.shape[1]) - P_hat, np.eye(A.shape[0]) - Q_hat)
 
 
-def _eager_route_reduced(A, B):
+def _route_reduced(A, B):
+    """A (A+B)^+ B as F_A* E_B, from the weak reduced solutions through the
+    polar factor of A + B."""
     total = _spectrum(A + B, TOL)
     F_A = _reduced_coeffs(abs_root_factors(total), A.conj().T)
     return F_A.conj().T @ _reduced_coeffs(root_factors(total), B)
@@ -159,15 +148,6 @@ def _counting(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
-def _eager_angle_check(A, S, T):
-    # both images factored at ||A||_F, the corner's anchor
-    blocks = block_decompose(A, S, T, TOL)
-    corange_image = _spectrum(A.conj().T @ blocks.t_perp_basis, TOL, _fro(A)).range_basis
-    range_image = _spectrum(A @ blocks.s_perp_basis, TOL, _fro(A)).range_basis
-    return (_largest_cosine(blocks.s_basis, corange_image),
-            _largest_cosine(blocks.t_basis, range_image))
-
-
 def _eager_defects(A, B):
     total = _spectrum(A + B, TOL)
     W, V = total.range_basis, total.corange_basis
@@ -180,12 +160,6 @@ def _eager_defects(A, B):
         b_range=opnorm(B - W @ (W.conj().T @ B)) / nb,
         b_corange=opnorm(Bs - V @ (V.conj().T @ Bs)) / nb,
     )
-
-
-def _eager_route_disagreement(A, B, res):
-    swapped = B - B @ _spectrum(A + B, TOL).pinv() @ B
-    return max_opnorm([res.sum - res.route_reduced, res.sum - swapped,
-                       res.route_reduced - swapped])
 
 
 def _shorted_triples():
@@ -202,7 +176,7 @@ def test_shorted_diagnostics(triple):
     A, Sb, Tb = (x.copy() for x in triple)
     S, T = Subspace(A.shape[1], Sb), Subspace(A.shape[0], Tb)
     res = shorted(A, S, T)
-    expected = _eager_diagnostics(A, S, T, res)
+    expected = _eager_diagnostics(A, res)
     # Q A and A P come from the call's parts, not from the returned P and Q
     _overwrite(A, Sb, Tb, res.shorted, res.E, res.F, res.P, res.Q)
     assert res.diagnostics == expected
@@ -261,64 +235,34 @@ def test_complementability_verdict_forms_no_witness(monkeypatch):
 def test_parallel_sum_route_reduced(m, n, r):
     A, B = _summable_pair(np.random.default_rng(m * n + 1), m, n, r)
     res = parallel_sum(A, B)
-    expected = _bits(_eager_route_reduced(A, B))
-    _overwrite(A, B, res.sum)
-    assert _bits(res.route_reduced) == expected
-    assert res.route_reduced is res.route_reduced
-
-
-def test_parallel_sum_route_reduced_formed_on_read(monkeypatch):
-    counts = {}
-    for module in (shorting, parallel):    # each holds its own name for it
-        _counting(monkeypatch, module, "_weak_solutions", counts)
-    A, B = _summable_pair(np.random.default_rng(12), 4, 5, 3)
-    res = parallel_sum(A, B)
-    assert res.sum.shape == (4, 5)
-    assert counts == {}
-    # F_A and E_B in one call
-    assert res.route_reduced.shape == (4, 5)
-    assert counts == {"_weak_solutions": 1}
-    assert res.route_reduced is res.route_reduced and res.max_route_disagreement >= 0.0
-    assert counts == {"_weak_solutions": 1}
+    expected = _bits(res.sum)
+    assert opnorm(res.sum - _route_reduced(A, B)) <= 1e-9 * max(opnorm(A), opnorm(B))
+    _overwrite(A, B)
+    assert _bits(res.sum) == expected
 
 
 @pytest.mark.parametrize("read", ["E", "F", "diagnostics"])
 def test_shorted_weak_solutions_wait_for_a_read(monkeypatch, read):
     counts = {}
-    for module in (shorting, parallel):
-        _counting(monkeypatch, module, "_weak_solutions", counts)
+    _counting(monkeypatch, shorting, "_weak_solutions", counts)
     A, Sb, Tb = _complementable_triple(np.random.default_rng(7), 5, 3)
     res = shorted(A, Subspace(5, Sb), Subspace(5, Tb))
     assert res.shorted.shape == (5, 5) and res.P.shape == (5, 5)
     assert counts == {}
     getattr(res, read)
-    assert counts == {"_weak_solutions": 1}
-    # E, F and the route disagreement share one pair of weak solutions
+    # diagnostics reads no weak solution; E and F share one pair
+    assert counts == ({} if read == "diagnostics" else {"_weak_solutions": 1})
     res.E, res.F, res.diagnostics
     assert counts == {"_weak_solutions": 1}
 
 
 def test_parallel_subtract_forms_no_weak_solution(monkeypatch):
     counts = {}
-    for module in (shorting, parallel):
-        _counting(monkeypatch, module, "_weak_solutions", counts)
+    _counting(monkeypatch, shorting, "_weak_solutions", counts)
     A, _ = _summable_pair(np.random.default_rng(13), 4, 5, 3)
     # C - A = A has the range and corange of A
     assert parallel_subtract(2 * A, A).shape == (4, 5)
     assert counts == {}
-
-
-@pytest.mark.parametrize("n,k", [(3, 2), (5, 3)])
-def test_complementability_angle_check(n, k):
-    A, Sb, Tb = _complementable_triple(np.random.default_rng(10 + n), n, k)
-    S, T = Subspace(n, Sb), Subspace(n, Tb)
-    report = complementability(A, S, T)
-    assert report.weakly
-    expected = _eager_angle_check(A, S, T)
-    w = report.witnesses
-    _overwrite(A, Sb, Tb, w.E, w.F, w.P_hat, w.Q_hat, w.M_r, w.M_l)
-    assert report.angle_check == expected
-    assert max(expected) < 1.0
 
 
 def test_not_complementable_report():
@@ -328,40 +272,14 @@ def test_not_complementable_report():
         shorted(A, S, T)
     report = info.value.report
     assert not report.weakly and report.witnesses is None
-    expected = _eager_angle_check(A, S, T)
-    assert max(expected) == pytest.approx(1.0)
-    _overwrite(A, Sb, Tb)
-    assert report.angle_check == expected
 
 
 @pytest.mark.parametrize("m,n,r", [(2, 2, 2), (4, 6, 3), (7, 5, 5)])
 def test_parallel_sum_route_disagreement(m, n, r):
+    # the sum, A (A+B)^+ B and the arguments-swapped B - B (A+B)^+ B agree
     A, B = _summable_pair(np.random.default_rng(m * n), m, n, r)
-    res = parallel_sum(A, B)
-    expected = _eager_route_disagreement(A, B, res)
-    _overwrite(A, B, res.sum, res.route_reduced)
-    assert res.max_route_disagreement == expected
-
-
-def test_parallel_sum_swapped_route_formed_on_read(monkeypatch):
-    calls = [0]
-    real = FundamentalSubspaces.pinv
-
-    def counting(self):
-        calls[0] += 1
-        return real(self)
-
-    monkeypatch.setattr(FundamentalSubspaces, "pinv", counting)
-    A, B = _summable_pair(np.random.default_rng(9), 5, 4, 3)
-    res = parallel_sum(A, B)
-    # the Schur-complement core only; (A+B)^+ for the swapped route waits
-    assert calls == [1]
-    expected = _eager_route_disagreement(A, B, res)
-    _overwrite(B)
-    calls[0] = 0
-    assert res.max_route_disagreement == expected
-    assert res.max_route_disagreement == expected
-    assert calls == [1]
+    gap = route_gap(A, B, parallel_sum(A, B).sum)
+    assert gap <= 10 * TOL.eq_rel * max(opnorm(A), opnorm(B))
 
 
 @pytest.mark.parametrize("m,n,r", [(2, 2, 1), (4, 6, 2), (6, 6, 6)])
@@ -404,27 +322,3 @@ def test_reduced_solution_residuals(m, n, k):
     _overwrite(A, B, sol.D)
     assert (sol.residual, sol.norm_sq, sol.corange_defect) == expected
 
-
-def test_route_disagreement_reports_the_gaps_a_route_check_rejected():
-    # ill-conditioned corners on which sigma and A11 - F_weak* E_weak part
-    # by more than 10 * eq_rel * max(||A||, 1): the answer is right (the
-    # exact oracle's ladder test), and the gap is still reported, bit for bit
-    rejected = 0
-    for A, s, _ in _ladder_draws():
-        S = Subspace(A.shape[0], np.eye(A.shape[0])[:, :s])
-        gap = _eager_route_gap(A, S, S)
-        if opnorm(gap) <= 10 * TOL.eq_rel * max(opnorm(A), 1.0):
-            continue
-        rejected += 1
-        res = shorted(A, S, S)
-        assert res.diagnostics.route_disagreement == _relative(gap, opnorm(A))
-        assert res.diagnostics.route_disagreement > 10 * TOL.eq_rel
-    assert rejected >= 1
-    # 1 / sigma_min(A + B) = 1e9, where the association orders of
-    # A (A+B)^+ A part by 1.2e-7 of the doubled matrix's norm; the reported
-    # routes, the sum, A (A+B)^+ B and B - B (A+B)^+ B, agree far closer
-    A, B = np.eye(2, dtype=complex), np.diag([-1 + 1e-3, -1 + 1e-9]).astype(complex)
-    res = parallel_sum(A, B)
-    expected = _eager_route_disagreement(A, B, res)
-    assert res.max_route_disagreement == expected
-    assert expected <= 10 * TOL.eq_rel * opnorm(res.sum)

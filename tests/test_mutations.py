@@ -20,10 +20,8 @@ The columns are the checks:
   10 * eq_rel * max(||anchor||, 1) (the anchor A for a triple, the doubled
   matrix's Frobenius norm for a sum), computed here;
 - ``qa-ap``: the residuals of Q A = A P = shorted in ``diagnostics``;
-- ``angle``: the Dixmier-cosine verdict against the gate's, where the
-  cosines decide;
 - ``exact``: verdicts and values against the exact oracle;
-- ``criterion-2``: A (A+B)^+ B against the parallel sum;
+- ``criterion-2``: A (A+B)^+ B, formed here, against the parallel sum;
 - ``limit-per-point``: ``shorted_via_limit``'s stacked errors against
   parallel sums taken one schedule point at a time;
 - ``reduced-residual``: the residual of A D = B for the reduced solution;
@@ -33,13 +31,18 @@ A column catches a fault when it fires on a draw (or trial) where it did
 not fire on the unmutated library; an exception other than the refusal a
 call is specified to raise counts as firing, since a tier-1 test would
 fail on it.  The route gap fires on some near-singular draws unmutated,
-which are right answers: those draws are the false rejections.  So does
-the angle check, where the corner's least singular value 2^-k puts a
-cosine within 2^-2k of 1.
+which are right answers: those draws are the false rejections.
+
+Run as a script, ``python tests/test_mutations.py`` prints the table,
+fault -> {column: count}, as sorted JSON with one fault per line.
 """
 
 import sys
 from functools import cache
+from pathlib import Path
+
+if __name__ == "__main__":    # run as a script: the package is not installed
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 import pytest
@@ -51,9 +54,9 @@ from shortops import (
     RangeNotIncluded,
     ShortopsError,
     Subspace,
-    complementability,
     genlab,
     parallel_sum,
+    pinv,
     reduced_solution,
     shorted,
     shorted_via_limit,
@@ -63,6 +66,7 @@ from shortops.genlab import GenConfig, trial_rng
 from shortops.numcore import FundamentalSubspaces, FundamentalSubspacesStack, opnorm
 
 import _exact as ex
+from _census import dumps
 from test_exact_oracle import LADDER_REL, VALUE_REL, _cutoff_draws, _draws, _ladder_draws
 
 pytestmark = pytest.mark.mutation
@@ -73,9 +77,6 @@ SEED = 424242
 GENLAB_TRIALS = 3
 SUITE_DRAWS = 12
 LIMIT_POINTS = 8          # the first points of the default schedule
-# angle verdicts: a cosine below 1 - ANGLE_OPEN is an open angle, above
-# 1 - ANGLE_SHUT a closed one; between, rounding decides and the draw is skipped
-ANGLE_OPEN, ANGLE_SHUT = 1e-9, 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +173,6 @@ def _triple_qa_ap(A, S, T, ref):
     return max(d.qa_ap_gap, d.qa_residual, d.ap_residual) > TOL.eq_rel
 
 
-def _triple_angle(A, S, T, ref):
-    report = complementability(A, S, T, TOL)
-    cos = max(report.angle_check, default=0.0)
-    if 1.0 - ANGLE_OPEN <= cos <= 1.0 - ANGLE_SHUT:
-        return False
-    return (cos < 1.0 - ANGLE_OPEN) != report.weakly
-
-
 def _triple_exact(A, S, T, ref):
     if ref is None:
         return False
@@ -206,11 +199,11 @@ def _pair_route_gap(A, B, ref):
 
 def _pair_criterion_2(A, B, ref):
     try:
-        res = parallel_sum(A, B, TOL)
+        block = parallel_sum(A, B, TOL).sum
     except NotSummable:
         return False
     scale = max(opnorm(A), opnorm(B))
-    return opnorm(res.sum - res.route_reduced) > 1e-8 * scale
+    return opnorm(block - A @ pinv(A + B, TOL) @ B) > 1e-8 * scale
 
 
 def _pair_exact(A, B, ref):
@@ -254,7 +247,7 @@ def _reduced_residual(A, B):
 
 
 _TRIPLE_CHECKS = {"route-gap": _triple_route_gap, "qa-ap": _triple_qa_ap,
-                  "angle": _triple_angle, "exact": _triple_exact}
+                  "exact": _triple_exact}
 _PAIR_CHECKS = {"route-gap": _pair_route_gap, "criterion-2": _pair_criterion_2,
                 "exact": _pair_exact}
 _LIMIT_CHECKS = {"route-gap": _limit_route_gap, "limit-per-point": _limit_per_point}
@@ -387,6 +380,32 @@ def _tenfold_cutoff(monkeypatch):
     _patch(monkeypatch, "_cutoff", lambda real: lambda shape, scale, tol: 10 * real(shape, scale, tol))
 
 
+def _weak_solutions_over_s(monkeypatch):
+    def make(real):
+        def weak_solutions(corner, A21, A12):
+            # s where the polar factor needs s^(1/2)
+            root = np.sqrt(corner.kept)[..., :, None]
+            return tuple(X / root for X in real(corner, A21, A12))
+        return weak_solutions
+    _patch(monkeypatch, "_weak_solutions", make)
+
+
+def _corner_at_its_own_scale(monkeypatch):
+    def make(real):
+        def complementability(A, blocks, tol):
+            corner = shorting._spectrum(blocks.A22, tol)    # sigma_max(A22), not ||A||_F
+            included = shorting._gate(blocks.A12, blocks.A21, corner, tol)
+            return shorting.ComplementabilityReport(
+                weakly=included, strongly=included, _operands=(A.copy(), blocks, corner))
+        return complementability
+    _patch(monkeypatch, "_complementability", make)
+
+
+def _negated_witness_solutions(monkeypatch):
+    _patch(monkeypatch, "_witness_projections",
+           lambda real: lambda blocks, E, F_adj: real(blocks, -E, -F_adj))
+
+
 FAULTS = {
     "rank +1": _rank_shift(+1),
     "rank -1": _rank_shift(-1),
@@ -398,7 +417,13 @@ FAULTS = {
     "pinv * (1 + 1e-6)": _scaled_pinv,
     "stack mask off by one": _wide_stack_mask,
     "_cutoff * 10": _tenfold_cutoff,
+    "_weak_solutions: s for s^(1/2)": _weak_solutions_over_s,
+    "_complementability: corner at sigma_max(A22)": _corner_at_its_own_scale,
+    "_witness_projections: -E and -F_adj": _negated_witness_solutions,
 }
+# the weak witnesses E and F feed one check, the route gap
+# (P_T A P_S - F* E = shorted)
+_ROUTE_GAP_ONLY = {"_weak_solutions: s for s^(1/2)"}
 
 
 @cache
@@ -409,10 +434,12 @@ def _baseline() -> frozenset:
 
 @cache
 def _newly_fired(fault) -> frozenset:
-    """(column, draw) pairs that fire under ``fault`` and not unmutated."""
+    """(column, draw) pairs that fire under ``fault`` and not unmutated.
+    The baseline, and with it the cached draws, is taken before the patch."""
+    baseline = _baseline()
     with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(all="ignore"):
         FAULTS[fault](monkeypatch)
-        return frozenset(_firings() - _baseline())
+        return frozenset(_firings() - baseline)
 
 
 def _catches(fault) -> dict:
@@ -429,16 +456,23 @@ def mutation_table() -> dict:
     return {fault: _catches(fault) for fault in FAULTS}
 
 
-def test_unmutated_only_the_route_gap_and_the_angle_check_fire():
-    # both on near-singular draws alone, whose answers the exact column
-    # accepts: the route gap on conditioning, the angle check where the
-    # corner's least singular value puts a cosine within 1e-13 of 1 (images
-    # factored at the corner's anchor ||A||_F: rounding noise has rank 0)
+def test_unmutated_only_the_route_gap_fires():
+    # on near-singular draws alone, whose answers the exact column accepts:
+    # the route gap measures conditioning
     triples, pairs, *_ = _all_draws()
     kinds = {"triple": triples, "pair": pairs}
-    assert {column for column, *_ in _baseline()} == {"route-gap", "angle"}
+    assert {column for column, *_ in _baseline()} == {"route-gap"}
     for column, kind, i in _baseline():
         assert kinds[kind][i][0] in ("ladder", "cutoff", "near"), (column, kind, i)
+
+
+def test_a_fault_read_first_gets_the_same_row():
+    fault = "pinv * (1 + 1e-6)"
+    _baseline()
+    row = _catches(fault)
+    for cached in (_suite_draws, _near_singular_draws, _exact_draws, _baseline, _newly_fired):
+        cached.cache_clear()
+    assert _catches(fault) == row
 
 
 def test_a_tenfold_cutoff_is_caught_on_every_draw_just_above_the_cutoff():
@@ -449,6 +483,15 @@ def test_a_tenfold_cutoff_is_caught_on_every_draw_just_above_the_cutoff():
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
+def test_every_fault_is_caught(fault):
+    assert _catches(fault)
+
+
+@pytest.mark.parametrize("fault", [fault for fault in FAULTS if fault not in _ROUTE_GAP_ONLY])
 def test_every_fault_is_caught_without_the_route_gap(fault):
     caught = _catches(fault)
     assert set(caught) - {"route-gap"}, caught
+
+
+if __name__ == "__main__":
+    print(dumps(mutation_table()), end="")

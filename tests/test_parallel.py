@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from shortops import (
     opnorm,
     parallel_subtract,
     parallel_sum,
+    pinv,
     recover_shorted,
     shorted,
     shorted_via_limit,
@@ -40,6 +42,13 @@ def e1_subspace(n):
     return Subspace(n, np.eye(n, dtype=np.complex128)[:, :1])
 
 
+def route_gap(A, B, block):
+    """The largest gap among the sum, A (A+B)^+ B and B - B (A+B)^+ B."""
+    total_pinv = pinv(A + B)
+    reduced, swapped = A @ total_pinv @ B, B - B @ total_pinv @ B
+    return max(opnorm(block - reduced), opnorm(block - swapped), opnorm(reduced - swapped))
+
+
 def test_summability_examples():
     assert summability([[1.0]], [[1.0]]).strongly
     report = summability(np.diag([1.0, 0.0]), np.diag([-1.0, 0.0]))
@@ -55,7 +64,6 @@ def test_summability_examples():
 def test_parallel_sum_examples():
     res = parallel_sum([[2.0]], [[2.0]])
     assert np.allclose(res.sum, [[1.0]])
-    assert res.max_route_disagreement <= 1e-12
 
     res = parallel_sum(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert np.allclose(res.sum, 0.0)
@@ -70,9 +78,9 @@ def test_parallel_sum_routes_exposed():
     A = np.array([[2.0, 1.0], [1.0, 1.0]])
     B = np.diag([3.0, 1.0])
     res = parallel_sum(A, B)
-    assert opnorm(res.route_reduced - res.sum) <= 1e-9 * max(opnorm(A), opnorm(B))
-    # the sum is the one A - A(A+B)^+A route; no field repeats it
-    assert not hasattr(res, "route_pinv") and not hasattr(res, "route_block")
+    assert route_gap(A, B, res.sum) <= 1e-9 * max(opnorm(A), opnorm(B))
+    # the sum is the one A - A(A+B)^+A route; the others are formed by the caller
+    assert [field.name for field in dataclasses.fields(res)] == ["sum"]
 
 
 def test_parallel_sum_not_summable():
@@ -122,7 +130,7 @@ def test_parallel_sum_decides_summability_once():
         assert summability(A, B).strongly
         res = parallel_sum(A, B)
         assert opnorm(res.sum) <= 1e-12
-        assert res.max_route_disagreement <= 10 * b
+        assert route_gap(A, B, res.sum) <= 10 * b
 
 
 def test_in_da_examples():
