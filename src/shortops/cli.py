@@ -30,7 +30,7 @@ from .errors import (
     RangeNotIncluded,
 )
 from .minusorder import minus_leq
-from .numcore import Tolerance, opnorm
+from .numcore import Tolerance
 from .parallel import (
     DEFAULT_SCHEDULE,
     SummabilityReport,
@@ -45,7 +45,7 @@ from .serialize import (
     load_subspace,
     matrix_to_payload,
 )
-from .shorting import ComplementabilityReport, ShortedResult, complementability, shorted
+from .shorting import ComplementabilityReport, complementability, shorted
 
 TOLERANCE_ENV = "SHORTOPS_TOL"
 
@@ -108,7 +108,6 @@ def _envelope(argv: list[str], tol: Tolerance) -> dict:
 _FIRST_READ = {
     ComplementabilityReport: ("witnesses",),
     SummabilityReport: ("defects",),
-    ShortedResult: ("diagnostics",),
 }
 
 
@@ -169,12 +168,7 @@ def _cmd_psum(args, tol, payload):
 def _cmd_psub(args, tol, payload):
     C = _load("matrix", "minuend", args.minuend, tol)
     A = _load("matrix", "subtrahend", args.subtrahend, tol)
-    X = parallel_subtract(C, A, tol)
-    round_trip = opnorm(parallel_sum(A, X, tol).sum - C)
-    payload["result"] = {
-        "difference": matrix_to_payload(X),
-        "round_trip_residual": round_trip,
-    }
+    payload["result"] = {"difference": matrix_to_payload(parallel_subtract(C, A, tol))}
     return 0
 
 

@@ -29,32 +29,26 @@ from .numcore import (
 
 @dataclass(frozen=True)
 class ReducedSolution:
-    """The minimal solution D of A X = B, with residual diagnostics.
+    """The minimal solution D of A X = B, with its residual.
 
-    residual is ||A D - B|| / max(||B||, 1); corange_defect measures how far
-    the columns of D stray from N(A)-perp.  norm_sq is ||D||^2, which equals
-    the least lambda with B B* ≤ lambda A A*.  The three norms decide
-    nothing and are each computed on first read, residual matrices
-    included, from copies of A, B and D and the corange basis of A.
+    residual is ||A D - B|| / max(||B||, 1); norm_sq is ||D||^2, which
+    equals the least lambda with B B* ≤ lambda A A*.  The two norms decide
+    nothing and are each computed on first read, the residual matrix
+    included, from copies of A, B and D.
     """
 
     D: np.ndarray
-    # copies of A, B and D, and an orthonormal basis of N(A)-perp
+    # copies of A, B and D
     _operands: tuple = field(repr=False, compare=False)
 
     @cached_property
     def residual(self) -> float:
-        A, B, D, _ = self._operands
+        A, B, D = self._operands
         return _relative(A @ D - B, B)
 
     @cached_property
     def norm_sq(self) -> float:
         return opnorm(self._operands[2]) ** 2
-
-    @cached_property
-    def corange_defect(self) -> float:
-        *_, D, Vr = self._operands
-        return opnorm(D - Vr @ (Vr.conj().T @ D))
 
 
 def _checked_pair(B, A):
@@ -130,5 +124,4 @@ def reduced_solution(A, B, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
         resid = _relative(spectrum.conull_basis.conj().T @ B, B)
         raise RangeNotIncluded(resid, borderline=resid <= 10.0 * tol.eq_rel)
     D = _reduced_coeffs(spectrum, B)
-    return ReducedSolution(D=D, _operands=(A.copy(), B.copy(), D.copy(),
-                                           spectrum.corange_basis))
+    return ReducedSolution(D=D, _operands=(A.copy(), B.copy(), D.copy()))

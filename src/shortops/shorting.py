@@ -22,9 +22,7 @@ from .numcore import (
     FundamentalSubspaces,
     Tolerance,
     as_operator,
-    opnorm,
     _fro,
-    _relative,
     _spectrum,
 )
 
@@ -121,20 +119,6 @@ class ComplementabilityReport:
 
 
 @dataclass(frozen=True)
-class ShortedDiagnostics:
-    """Residual record for a shorted-operator computation.
-
-    All entries are exact operator norms relative to max(||A||, 1).
-    qa_ap_gap is ||Q A - A P||; qa_residual and ap_residual compare both
-    products against the shorted operator.
-    """
-
-    qa_ap_gap: float
-    qa_residual: float
-    ap_residual: float
-
-
-@dataclass(frozen=True)
 class ShortedResult:
     """The bilateral shorted operator plus its witnesses.
 
@@ -142,16 +126,14 @@ class ShortedResult:
     through the polar factor of A22, the paper's weak complementability
     witnesses, with P_T A P_S - F* E = shorted; P and Q are projections
     satisfying Q A = A P = shorted.  All fields live in the original
-    coordinates.  Only ``shorted`` decides anything: E, F, P, Q and
-    diagnostics are formed on first read from parts the call holds (E and F
-    from one pair of weak solutions on the corner's factors), and
-    diagnostics forms Q A and A P anew from those parts, so changing the
-    inputs or the returned matrices afterwards changes no later read.
+    coordinates.  Only ``shorted`` decides anything: E, F, P and Q are
+    formed on first read from parts the call holds (E and F from one pair of
+    weak solutions on the corner's factors), so changing the inputs or the
+    returned matrices afterwards changes no later read.
     """
 
     shorted: np.ndarray
-    # the blocks, the corner's factors, A22^+ A21, A22^+, a copy of A and
-    # sigma = A11 - A12 A22^+ A21
+    # the blocks, the corner's factors, A22^+ A21 and A22^+
     _parts: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -169,23 +151,13 @@ class ShortedResult:
         blocks = self._parts[0]
         return blocks.s_perp_basis @ self._weak[1] @ blocks.t_basis.conj().T
 
-    def _projections(self) -> tuple[np.ndarray, np.ndarray]:
-        blocks, _, E_strong, corner_pinv, *_ = self._parts
+    @cached_property
+    def _pq(self) -> tuple[np.ndarray, np.ndarray]:
+        blocks, _, E_strong, corner_pinv = self._parts
         return _witness_projections(blocks, E_strong, blocks.A12 @ corner_pinv)
 
-    _pq = cached_property(_projections)
     P = property(lambda self: self._pq[0])
     Q = property(lambda self: self._pq[1])
-
-    @cached_property
-    def diagnostics(self) -> ShortedDiagnostics:
-        blocks, *_, A, sigma = self._parts
-        P, Q = self._projections()
-        QA, AP = Q @ A, A @ P
-        shorted = blocks.t_basis @ sigma @ blocks.s_basis.conj().T
-        norm = opnorm(A)
-        return ShortedDiagnostics(*(_relative(r, norm)
-                                    for r in (QA - AP, QA - shorted, AP - shorted)))
 
 
 def _check_fits(A: np.ndarray, S: Subspace, T: Subspace) -> None:
@@ -298,10 +270,10 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     factorization.  Raises NotComplementable (carrying the report) when the
     triple is not weakly complementable.
     """
-    A, blocks, corner = _complementable(A, S, T, tol)
+    _, blocks, corner = _complementable(A, S, T, tol)
     sigma, E_strong, corner_pinv = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner)
     return ShortedResult(shorted=blocks.t_basis @ sigma @ blocks.s_basis.conj().T,
-                         _parts=(blocks, corner, E_strong, corner_pinv, A, sigma))
+                         _parts=(blocks, corner, E_strong, corner_pinv))
 
 
 def schur_compression(A, S: Subspace, T: Subspace,

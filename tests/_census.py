@@ -209,12 +209,12 @@ _GRID = [
     ("range_leq outside", lambda n: (_da(n)[4], _da(n)[0]), so.range_leq),
     ("range_residual", lambda n: (_da(n)[4], _da(n)[0]), so.range_residual),
     ("reduced_solution", lambda n: (_da(n)[0], _da(n)[3]), so.reduced_solution,
-     "residual", "norm_sq", "corange_defect"),
+     "residual", "norm_sq"),
     ("reduced_solution rejected", lambda n: (_da(n)[0], _da(n)[4]), so.reduced_solution),
     ("block_decompose", _triple, so.block_decompose),
     ("complementability", _triple, so.complementability, "witnesses"),
     ("complementability rejected", _rejected, so.complementability),
-    ("shorted", _triple, so.shorted, "E", "F", "P", "Q", "diagnostics"),
+    ("shorted", _triple, so.shorted, "E", "F", "P", "Q"),
     ("shorted framed", _framed, so.shorted),
     ("shorted rejected", _rejected, so.shorted),
     ("schur_compression", _triple, so.schur_compression),
@@ -294,7 +294,7 @@ def _range_nullspace():
 
 def _named():
     yield ("shorted 2x2 README", lambda: (np.array([[2.0, 1.0], [1.0, 1.0]]), *_e1_twice()),
-           so.shorted, "diagnostics")
+           so.shorted)
     yield "minus_leq 3x3 singular-triple subset", _singular_triple_subset, so.minus_leq
     yield "angles 4x4 planes sharing a line", _planes_sharing_a_line, so.angles
     yield "subspace_meet 4x4 planes sharing a line", _planes_sharing_a_line, so.subspace_meet

@@ -47,7 +47,8 @@ def test_reduced_solution_examples():
     assert np.allclose(A @ sol.D, B)
     assert abs(np.vdot([1.0, -1.0], sol.D[:, 0])) <= 1e-12
     assert sol.residual <= 1e-9
-    assert sol.corange_defect <= 1e-9
+    null = fundamental_subspaces(A).null_basis
+    assert opnorm(null.conj().T @ sol.D) <= 1e-9
 
 
 def test_reduced_solution_raises_with_residual():

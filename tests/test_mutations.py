@@ -19,7 +19,8 @@ The columns are the checks:
   A11 - F_weak* E_weak on the same corner factors, judged against
   10 * eq_rel * max(||anchor||, 1) (the anchor A for a triple, the doubled
   matrix's Frobenius norm for a sum), computed here;
-- ``qa-ap``: the residuals of Q A = A P = shorted in ``diagnostics``;
+- ``qa-ap``: the residuals of Q A = A P = shorted, formed from the public
+  fields of ``shorted``'s result (``genlab.shorted_qa_ap``);
 - ``exact``: verdicts and values against the exact oracle;
 - ``criterion-2``: A (A+B)^+ B, formed here, against the parallel sum;
 - ``limit-per-point``: ``shorted_via_limit``'s stacked errors against
@@ -61,7 +62,7 @@ from shortops import (
     shorted,
     shorted_via_limit,
 )
-from shortops import douglas, numcore, parallel, shorting
+from shortops import douglas, minusorder, numcore, parallel, shorting
 from shortops.genlab import GenConfig, trial_rng
 from shortops.numcore import FundamentalSubspaces, FundamentalSubspacesStack, opnorm
 
@@ -167,10 +168,10 @@ def _triple_route_gap(A, S, T, ref):
 
 def _triple_qa_ap(A, S, T, ref):
     try:
-        d = shorted(A, S, T, TOL).diagnostics
+        res = shorted(A, S, T, TOL)
     except NotComplementable:
         return False
-    return max(d.qa_ap_gap, d.qa_residual, d.ap_residual) > TOL.eq_rel
+    return genlab.shorted_qa_ap(A, res) > TOL.eq_rel
 
 
 def _triple_exact(A, S, T, ref):
@@ -308,8 +309,8 @@ def _firings() -> set:
 def _patch(monkeypatch, name, make):
     """Replace every binding of the library function ``name`` with
     ``make(original)``."""
-    original = getattr(numcore, name, None) or getattr(douglas, name, None) \
-        or getattr(shorting, name)
+    original = next(getattr(module, name) for module in (numcore, douglas, shorting, minusorder)
+                    if hasattr(module, name))
     faulty = make(original)
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("shortops") and getattr(module, name, None) is original:
@@ -406,6 +407,28 @@ def _negated_witness_solutions(monkeypatch):
            lambda real: lambda blocks, E, F_adj: real(blocks, -E, -F_adj))
 
 
+def _transposed_minus_split(monkeypatch):
+    def make(real):
+        def minus_leq(C, B, b, c, d, tol):
+            scale = float(max(b.s[0], c.s[0])) if len(b.s) else 0.0
+            c, d = c.at_scale(scale, tol), d.at_scale(scale, tol)
+            rank_route = c.rank + d.rank == b.at_scale(scale, tol).rank
+            Q = minusorder._split_along(c.range_basis, d.conull_basis, tol)
+            # P = Padj where the split needs Padj*
+            P = None if Q is None else minusorder._split_along(c.corange_basis, d.null_basis, tol)
+            projection_route = (P is not None
+                                and minusorder.opnorm_leq(Q @ B - C, tol.eq_rel * scale)
+                                and minusorder.opnorm_leq(B @ P - C, tol.eq_rel * scale)
+                                and minusorder._gate(C, C, b, tol))
+            if not projection_route:
+                Q = P = None
+            return minusorder.MinusVerdict(holds=rank_route and projection_route,
+                                           rank_route=rank_route,
+                                           projection_route=projection_route, Q=Q, P=P)
+        return minus_leq
+    _patch(monkeypatch, "_minus_leq", make)
+
+
 FAULTS = {
     "rank +1": _rank_shift(+1),
     "rank -1": _rank_shift(-1),
@@ -420,6 +443,7 @@ FAULTS = {
     "_weak_solutions: s for s^(1/2)": _weak_solutions_over_s,
     "_complementability: corner at sigma_max(A22)": _corner_at_its_own_scale,
     "_witness_projections: -E and -F_adj": _negated_witness_solutions,
+    "_minus_leq: P transposed": _transposed_minus_split,
 }
 # the weak witnesses E and F feed one check, the route gap
 # (P_T A P_S - F* E = shorted)

@@ -99,8 +99,22 @@ def test_shorted_worked_example():
     assert np.allclose(res.P, [[1.0, 0.0], [-1.0, 0.0]])
     assert np.allclose(A @ res.P, [[1.0, 0.0], [0.0, 0.0]])
     assert np.allclose(res.Q @ A, res.shorted)
-    assert res.diagnostics.qa_ap_gap <= 1e-9
+    assert opnorm(res.Q @ A - A @ res.P) <= 1e-9
     # the weak witnesses: P_T A P_S - F* E = shorted
+    assert np.allclose(T.projection @ A @ S.projection - res.F.conj().T @ res.E, res.shorted)
+
+
+def test_shorted_worked_example_with_corner_4():
+    # the corner s = 4 has s^(1/2) = 2 != s: the weak solutions A21 / s^(1/2)
+    # and A12* / s^(1/2) are 1, so E = F = e2 e1* (dividing by s gives 1/2)
+    A = np.array([[3.0, 2.0], [2.0, 4.0]])
+    S = T = e1_subspace(2)
+    res = shorted(A, S, T)
+    assert np.allclose(res.shorted, [[2.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(res.E, [[0.0, 0.0], [1.0, 0.0]])
+    assert np.allclose(res.F, [[0.0, 0.0], [1.0, 0.0]])
+    assert np.allclose(res.P, [[1.0, 0.0], [-0.5, 0.0]])
+    assert np.allclose(A @ res.P, res.shorted) and np.allclose(res.Q @ A, res.shorted)
     assert np.allclose(T.projection @ A @ S.projection - res.F.conj().T @ res.E, res.shorted)
 
 
