@@ -87,11 +87,13 @@ class Subspace:
 
     @classmethod
     def _framed(cls, frame: np.ndarray, dim: int) -> "Subspace":
-        """The span of the leading ``dim`` columns of the unitary ``frame`` of
-        a complete factorization, validated as any basis is, with ``frame``
-        kept as its ``extended_frame``."""
-        subspace = cls(frame.shape[0], frame[:, :dim])
-        subspace.__dict__["extended_frame"] = as_operator(frame)
+        """The span of the leading ``dim`` columns of ``frame``, kept as its
+        ``extended_frame``, with no check.  Precondition: ``frame`` is a
+        unitary complex128 square array, the complete factor of a QR or an
+        SVD, the identity, or such a frame with its column blocks swapped."""
+        subspace = object.__new__(cls)
+        subspace.__dict__.update(ambient_dim=frame.shape[0], basis=frame[:, :dim],
+                                 extended_frame=frame)
         return subspace
 
     @property
@@ -117,8 +119,8 @@ class Subspace:
                                 self.ambient_dim - self.dim)
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement (cached), validated as a Subspace: framed by
-        ``extended_frame`` with its two column blocks swapped, so no QR."""
+        """Orthogonal complement (cached), framed by ``extended_frame`` with
+        its two column blocks swapped, so no QR."""
         return self._complement
 
     def contains(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -164,7 +166,7 @@ def oblique_projection(range_sub: Subspace, nullsp: Subspace,
         raise DimensionMismatch("subspaces live in different ambient spaces")
     if range_sub.dim + nullsp.dim != range_sub.ambient_dim:
         raise NotComplementary("dimensions do not sum to the ambient dimension")
-    # the complement's columns of the cached frame, without validating a new Subspace
+    # the complement's columns of the cached frame, without building a new Subspace
     Q = _split_along(range_sub.basis, nullsp.extended_frame[:, nullsp.dim:], tol)
     if Q is None:
         raise NotComplementary("subspaces intersect nontrivially")

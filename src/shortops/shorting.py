@@ -94,20 +94,20 @@ class ComplementabilityReport:
     """Outcome of the weak/strong complementability tests for (A, S, T).
 
     ``witnesses`` (None unless the triple is complementable) decides
-    nothing, so it is formed on its first read from a copy of A, the blocks
-    and the corner's factors that the report keeps.
+    nothing, so it is formed on its first read from the blocks and the
+    corner's factors that the report keeps.
     """
 
     weakly: bool
     strongly: bool
-    # a copy of A, the blocks whose frames split it, the corner's factors
+    # the blocks of A with the frames that split it, the corner's factors
     _operands: tuple = field(repr=False, compare=False)
 
     @cached_property
     def witnesses(self) -> ComplementabilityWitnesses | None:
         if not self.weakly:
             return None
-        A, blocks, corner = self._operands
+        blocks, corner = self._operands
         corner_pinv = corner.pinv()
         E, F_adj = corner_pinv @ blocks.A21, blocks.A12 @ corner_pinv
         P_hat, Q_hat = _witness_projections(blocks, E, F_adj)
@@ -115,7 +115,7 @@ class ComplementabilityReport:
             E=blocks.s_perp_basis @ E @ blocks.s_basis.conj().T,
             F=blocks.t_perp_basis @ F_adj.conj().T @ blocks.t_basis.conj().T,
             P_hat=P_hat, Q_hat=Q_hat,
-            M_r=np.eye(A.shape[1]) - P_hat, M_l=np.eye(A.shape[0]) - Q_hat)
+            M_r=np.eye(len(blocks.s_frame)) - P_hat, M_l=np.eye(len(blocks.t_frame)) - Q_hat)
 
 
 @dataclass(frozen=True)
@@ -216,13 +216,12 @@ def _complementability(A: np.ndarray, blocks: BlockDecomposition,
     corner = _spectrum(blocks.A22, tol, _fro(A))
     included = _gate(blocks.A12, blocks.A21, corner, tol)
     return ComplementabilityReport(weakly=included, strongly=included,
-                                   _operands=(A.copy(), blocks, corner))
+                                   _operands=(blocks, corner))
 
 
 def _complementable(A, S: Subspace, T: Subspace, tol: Tolerance):
-    """The report's copy of A, the blocks and the corner's factors of a
-    weakly complementable triple; raises NotComplementable with the report
-    otherwise."""
+    """The blocks and the corner's factors of a weakly complementable
+    triple; raises NotComplementable with the report otherwise."""
     report = complementability(A, S, T, tol)
     if not report.weakly:
         raise NotComplementable(report)
@@ -270,7 +269,7 @@ def shorted(A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -> Shorte
     factorization.  Raises NotComplementable (carrying the report) when the
     triple is not weakly complementable.
     """
-    _, blocks, corner = _complementable(A, S, T, tol)
+    blocks, corner = _complementable(A, S, T, tol)
     sigma, E_strong, corner_pinv = _schur_complement(blocks.A11, blocks.A12, blocks.A21, corner)
     return ShortedResult(shorted=blocks.t_basis @ sigma @ blocks.s_basis.conj().T,
                          _parts=(blocks, corner, E_strong, corner_pinv))
@@ -298,6 +297,6 @@ def solve_shorting_direction(A, S: Subspace, T: Subspace, x,
         raise DimensionMismatch("x length differs from the ambient dimension of S")
     if not S.contains(x[:, None], tol):
         raise ValueError("x does not lie in S")
-    _, blocks, corner = _complementable(A, S, T, tol)
+    blocks, corner = _complementable(A, S, T, tol)
     E_strong = corner.pinv() @ blocks.A21
     return -blocks.s_perp_basis @ (E_strong @ (blocks.s_basis.conj().T @ x))

@@ -11,7 +11,7 @@ from shortops import (
     subspace_join,
     subspace_meet,
 )
-from shortops.genlab import gen_complementable, gen_subspace
+from shortops.genlab import gauss, gen_complementable, gen_subspace
 from shortops.geometry import _split_along
 from shortops.numcore import DEFAULT_TOL, complement_basis, fundamental_subspaces, opnorm
 
@@ -113,10 +113,12 @@ def test_qr_complement_matches_svd_complement(n):
 def _framed_subspaces(n, rng):
     """Subspaces of C^n that keep the frame of the factorization that made
     them, and one built from a caller's basis, by how each was made."""
-    W = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2)
+    k = min(n, 2)
+    W = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
     M = Subspace.from_spanning(W)
-    A, S, T = gen_complementable(n, n, 2, 1, 1, rng)
-    return {
+    # dim S = 2, dim T = 1 and a rank-1 corner, as far as n allows
+    A, S, T = gen_complementable(n, n, k, min(n - 1, 1), max(min(n - 2, 1), 0), rng)
+    subspaces = {
         "from_spanning": M,
         "range_of": Subspace.range_of(A),
         "from_projection": Subspace.from_projection(M.projection),
@@ -125,30 +127,32 @@ def _framed_subspaces(n, rng):
         "subspace_join": subspace_join(M, T),
         "complement": M.complement(),
         "complement of a caller's basis": Subspace(n, M.basis).complement(),
-        "gen_subspace": gen_subspace(n, 2, rng),
+        "gen_subspace": gen_subspace(n, k, rng),
         "gen_complementable S": S,
         "gen_complementable T": T,
         "caller's basis": Subspace(n, M.basis),
     }
+    # rank-one spanning columns, more of them than the rank
+    deficient = W[:, :1] @ gauss(rng, 1, 3)
+    subspaces["from_spanning, rank-deficient"] = Subspace.from_spanning(deficient)
+    subspaces["range_of, rank-deficient"] = Subspace.range_of(deficient @ gauss(rng, 3, n))
+    return subspaces
 
 
-@pytest.mark.parametrize("n", [3, 8, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
 def test_extended_frame_is_unitary_and_leads_with_the_basis(n):
-    for how, S in _framed_subspaces(n, np.random.default_rng(n)).items():
+    subspaces = _framed_subspaces(n, np.random.default_rng(n))
+    assert subspaces["from_spanning, rank-deficient"].dim == 1
+    assert subspaces["range_of, rank-deficient"].dim == 1
+    for how, S in subspaces.items():
         frame = S.extended_frame
-        assert frame.shape == (n, n), how
+        assert frame.shape == (n, n) and frame.dtype == np.complex128, how
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(n), 2) <= 1e-12, how
         assert np.array_equal(frame[:, :S.dim], S.basis), how
         # the complement's frame is the same columns, blocks swapped
         swapped = S.complement().extended_frame
         assert np.array_equal(swapped[:, :n - S.dim], frame[:, S.dim:]), how
         assert np.array_equal(swapped[:, n - S.dim:], frame[:, :S.dim]), how
-
-
-def test_framed_basis_is_validated():
-    with pytest.raises(ValueError, match="not orthonormal"):
-        Subspace._framed(2.0 * np.eye(3, dtype=np.complex128), 1)
-    assert Subspace._framed(np.eye(3, dtype=np.complex128), 3).dim == 3
 
 
 def test_angle_examples():

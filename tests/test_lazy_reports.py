@@ -84,7 +84,7 @@ def _non_complementable_triple(rng):
 
 def _eager_shorted_witnesses(A, S, T):
     """E, F, P and Q as ``shorted`` formed them eagerly."""
-    _, blocks, corner = _complementable(A, S, T, TOL)
+    blocks, corner = _complementable(A, S, T, TOL)
     corner_pinv = corner.pinv()
     E_weak = _reduced_coeffs(root_factors(corner), blocks.A21)
     F_weak = _reduced_coeffs(abs_root_factors(corner), blocks.A12.conj().T)
@@ -96,7 +96,7 @@ def _eager_shorted_witnesses(A, S, T):
 
 def _eager_witnesses(A, S, T):
     """The six complementability witnesses as the report formed them eagerly."""
-    _, blocks, corner = _complementable(A, S, T, TOL)
+    blocks, corner = _complementable(A, S, T, TOL)
     corner_pinv = corner.pinv()
     E, F_adj = corner_pinv @ blocks.A21, blocks.A12 @ corner_pinv
     P_hat, Q_hat = _witness_projections(blocks, E, F_adj)

@@ -5,8 +5,10 @@ faulty name in the library's modules (or on its class), and every check
 then runs on one fixed set of draws:
 
 - suite draws: genlab's complementable triples, summable pairs,
-  matched triples with an auxiliary B for the limit, and consistent
-  systems A X = B;
+  matched triples with an auxiliary B for the limit, consistent
+  systems A X = B, and oblique minus-order splits C = E B of a square
+  full-rank B by an idempotent E that is not Hermitian, with ||E|| <= 1e2
+  (E drawn as genlab's mitra-maximality draws it);
 - near-singular draws: the exact oracle's ill-conditioned corners
   diag(1, 2^-k, ...), its corners with 2^-k just above the rank cutoff,
   and diagonal pairs I, diag(-1 + 1e-3, -1 + 1e-k) whose sum has a
@@ -26,6 +28,9 @@ The columns are the checks:
 - ``limit-per-point``: ``shorted_via_limit``'s stacked errors against
   parallel sums taken one schedule point at a time;
 - ``reduced-residual``: the residual of A D = B for the reduced solution;
+- ``minus-split``: C ≤⁻ B on an oblique split, and the residuals of
+  Q B = C and B P = C for its witnesses against eq_rel * ||B||, formed
+  here;
 - ``genlab:<name>``: each suite invariant on a few trials of seed SEED.
 
 A column catches a fault when it fires on a draw (or trial) where it did
@@ -56,6 +61,7 @@ from shortops import (
     ShortopsError,
     Subspace,
     genlab,
+    minus_leq,
     parallel_sum,
     pinv,
     reduced_solution,
@@ -77,6 +83,7 @@ CFG = GenConfig()
 SEED = 424242
 GENLAB_TRIALS = 3
 SUITE_DRAWS = 12
+SPLIT_NORM_CAP = 1e2      # ||E|| of an oblique minus-order split
 LIMIT_POINTS = 8          # the first points of the default schedule
 
 
@@ -106,7 +113,23 @@ def _suite_draws():
         r = int(rng.integers(1, min(m, n) + 1))
         A = genlab.gauss(rng, m, r) @ genlab.gauss(rng, r, n)
         systems.append((A, A @ genlab.gauss(rng, n, k)))
-    return triples, pairs, limits, systems
+    return triples, pairs, limits, systems, _oblique_splits()
+
+
+def _oblique_splits():
+    """(C, B) with C = E B ≤⁻ B: B - C = (I - E) B, so the ranks add up,
+    and the witness P = B^-1 E B is not Hermitian."""
+    splits = []
+    for t in range(4 * SUITE_DRAWS):
+        rng = trial_rng(SEED, 904, t)
+        n = int(rng.integers(2, 9))
+        # 0 < rank E < n: a random oblique projection, not Hermitian
+        E = genlab._random_idempotent(rng, n, int(rng.integers(1, n)), TOL)
+        B = genlab.gauss(rng, n, n)
+        if (E is not None and opnorm(E) <= SPLIT_NORM_CAP
+                and genlab.cond_ok(B, CFG.condition_cap, TOL) and len(splits) < SUITE_DRAWS):
+            splits.append((E @ B, B))
+    return splits
 
 
 @cache
@@ -131,8 +154,7 @@ def _exact_draws():
 
 def _all_draws():
     suite, near, exact = _suite_draws(), _near_singular_draws(), _exact_draws()
-    return (suite[0] + near[0] + exact[0], suite[1] + near[1] + exact[1],
-            suite[2], suite[3])
+    return (suite[0] + near[0] + exact[0], suite[1] + near[1] + exact[1], *suite[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +182,11 @@ def _subspaces(WS, WT):
 
 def _triple_route_gap(A, S, T, ref):
     try:
-        A, blocks, corner = shorting._complementable(A, S, T, TOL)
+        blocks, corner = shorting._complementable(A, S, T, TOL)
     except NotComplementable:
         return False
-    return _route_gap_fires(blocks.A11, blocks.A12, blocks.A21, corner, opnorm(A))
+    anchor = opnorm(numcore.as_operator(A))
+    return _route_gap_fires(blocks.A11, blocks.A12, blocks.A21, corner, anchor)
 
 
 def _triple_qa_ap(A, S, T, ref):
@@ -247,6 +270,14 @@ def _reduced_residual(A, B):
     return reduced_solution(A, B, TOL).residual > TOL.eq_rel
 
 
+def _minus_split(C, B):
+    verdict = minus_leq(C, B, TOL)
+    if not verdict.holds:
+        return True
+    bound = TOL.eq_rel * opnorm(B)
+    return opnorm(verdict.Q @ B - C) > bound or opnorm(B @ verdict.P - C) > bound
+
+
 _TRIPLE_CHECKS = {"route-gap": _triple_route_gap, "qa-ap": _triple_qa_ap,
                   "exact": _triple_exact}
 _PAIR_CHECKS = {"route-gap": _pair_route_gap, "criterion-2": _pair_criterion_2,
@@ -279,7 +310,7 @@ def _genlab_verdict(fn, index, trial):
 def _firings() -> set:
     """(column, draw) pairs on which each check fires on the library as it
     is patched now."""
-    triples, pairs, limits, systems = _all_draws()
+    triples, pairs, limits, systems, splits = _all_draws()
     fired = set()
     for i, (_, A, WS, WT, ref) in enumerate(triples):
         try:    # every triple check reads S and T built by the library
@@ -296,6 +327,8 @@ def _firings() -> set:
               for i, operands in enumerate(limits) if _fires(check, *operands)}
     fired |= {("reduced-residual", "system", i) for i, operands in enumerate(systems)
               if _fires(_reduced_residual, *operands)}
+    fired |= {("minus-split", "split", i) for i, operands in enumerate(splits)
+              if _fires(_minus_split, *operands)}
     for index, (name, fn) in enumerate(genlab.INVARIANTS):
         fired |= {(f"genlab:{name}", "trial", t) for t in range(GENLAB_TRIALS)
                   if _genlab_verdict(fn, index, t) is False}
@@ -397,9 +430,15 @@ def _corner_at_its_own_scale(monkeypatch):
             corner = shorting._spectrum(blocks.A22, tol)    # sigma_max(A22), not ||A||_F
             included = shorting._gate(blocks.A12, blocks.A21, corner, tol)
             return shorting.ComplementabilityReport(
-                weakly=included, strongly=included, _operands=(A.copy(), blocks, corner))
+                weakly=included, strongly=included, _operands=(blocks, corner))
         return complementability
     _patch(monkeypatch, "_complementability", make)
+
+
+def _scaled_frame(monkeypatch):
+    real = Subspace._framed.__func__
+    monkeypatch.setattr(Subspace, "_framed", classmethod(
+        lambda cls, frame, dim: real(cls, frame * (1 + 1e-6), dim)))
 
 
 def _negated_witness_solutions(monkeypatch):
@@ -444,6 +483,7 @@ FAULTS = {
     "_complementability: corner at sigma_max(A22)": _corner_at_its_own_scale,
     "_witness_projections: -E and -F_adj": _negated_witness_solutions,
     "_minus_leq: P transposed": _transposed_minus_split,
+    "Subspace._framed: frame scaled by 1 + 1e-6": _scaled_frame,
 }
 # the weak witnesses E and F feed one check, the route gap
 # (P_T A P_S - F* E = shorted)
@@ -504,6 +544,13 @@ def test_a_tenfold_cutoff_is_caught_on_every_draw_just_above_the_cutoff():
     planted = {i for i, (kind, *_) in enumerate(triples) if kind == "cutoff"}
     assert planted <= {i for column, kind, i in _newly_fired("_cutoff * 10")
                        if (column, kind) == ("exact", "triple")}
+
+
+def test_a_transposed_minus_split_is_caught_on_every_oblique_split():
+    splits = _all_draws()[4]
+    assert len(splits) == SUITE_DRAWS
+    assert {i for column, _, i in _newly_fired("_minus_leq: P transposed")
+            if column == "minus-split"} == set(range(SUITE_DRAWS))
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
