@@ -27,7 +27,7 @@ from .numcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedSolution:
     """The minimal solution D of A X = B, with its residual.
 

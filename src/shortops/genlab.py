@@ -771,7 +771,7 @@ def _inv_mitra_maximality(rng, tol, A, S, T):
     # A and the shorted matrix are factored once for every comparison
     a = fundamental_subspaces(A, tol)
     fs = fundamental_subspaces(sig, tol)
-    if not _in_minus_set(sig, A, S, T, a, fs, tol):
+    if not _in_minus_set(sig, A, S, T, (a, fs), tol):
         return False
     r = fs.at_scale(max(a.s[0], fs.s[0]), tol).rank
     if r == 0:
@@ -786,7 +786,7 @@ def _inv_mitra_maximality(rng, tol, A, S, T):
                 continue
         C = E @ sig
         c = fundamental_subspaces(C, tol)
-        if not _in_minus_set(C, A, S, T, a, c, tol):
+        if not _in_minus_set(C, A, S, T, (a, c), tol):
             continue  # rejection sampling: candidate outside the set
         v = _minus_leq(C, sig, fs, c, fundamental_subspaces(sig - C, tol), tol)
         if not (v.holds and v.rank_route and v.projection_route):

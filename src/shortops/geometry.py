@@ -32,12 +32,13 @@ from .numcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A closed subspace of C^n given by an orthonormal column basis."""
 
     ambient_dim: int
     basis: np.ndarray = field(repr=False)
+    __hash__ = object.__hash__    # by identity, since == raises
 
     def __post_init__(self):
         basis = as_operator(self.basis)
@@ -52,6 +53,9 @@ class Subspace:
         if _fro(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq_rel:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        raise TypeError("Subspace does not support ==; compare with Subspace.equals")
 
     @classmethod
     def from_spanning(cls, columns, tol: Tolerance = DEFAULT_TOL) -> "Subspace":

@@ -14,7 +14,8 @@ One full SVD per operand serves its rank, its four subspaces and the range
 tests on B.  One SVD of K = N* W, for C's range basis W and the basis N of
 R(B - C)⊥, tests their overlap and gives Q = W K^+ N*, and one on the
 corange side does the same for P* (``geometry._split_along``): five SVDs
-per comparison (three when C has rank 0) and no inverse.
+per comparison (three when C has rank 0) and no inverse.  The operand SVDs
+overlap on two CPUs by ``numcore._spectra``'s rule (every side 32 to 95).
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .numcore import (
     Tolerance,
     opnorm_leq,
     _same_shape,
-    _spectrum,
+    _spectra,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinusVerdict:
     """Verdict of a minus-order comparison, with both routes recorded.
 
@@ -55,7 +56,7 @@ class MinusVerdict:
 def minus_leq(C, B, tol: Tolerance = DEFAULT_TOL) -> MinusVerdict:
     """Decide C ≤⁻ B by rank additivity and by projection factorization."""
     C, B = _same_shape(C, B)
-    return _minus_leq(C, B, _spectrum(B, tol), _spectrum(C, tol), _spectrum(B - C, tol), tol)
+    return _minus_leq(C, B, *_spectra([B, C, B - C], tol), tol)
 
 
 def _minus_leq(C: np.ndarray, B: np.ndarray, b: FundamentalSubspaces,
@@ -100,17 +101,16 @@ def in_minus_set(C, A, S: Subspace, T: Subspace, tol: Tolerance = DEFAULT_TOL) -
     C, A = _same_shape(C, A)
     if T.ambient_dim != C.shape[0] or S.ambient_dim != C.shape[1]:
         raise DimensionMismatch("subspace ambient dimensions do not match C")
-    return _in_minus_set(C, A, S, T, None, None, tol)
+    return _in_minus_set(C, A, S, T, None, tol)
 
 
 def _in_minus_set(C: np.ndarray, A: np.ndarray, S: Subspace, T: Subspace,
-                  a: FundamentalSubspaces | None, c: FundamentalSubspaces | None,
+                  ac: tuple[FundamentalSubspaces, FundamentalSubspaces] | None,
                   tol: Tolerance) -> bool:
-    """``in_minus_set`` on the SVDs a of A, as ``_spectrum`` returns it, and
-    c of C, at any scale; either is made here, once C's range and corange
-    pass, when the caller does not hold it."""
+    """``in_minus_set`` on the SVDs (a, c) of A and C, as ``_spectrum``
+    returns them, at any scale; made here, once C's range and corange pass,
+    when the caller does not hold them (ac None)."""
     if not (T.contains(C, tol) and S.contains(C.conj().T, tol)):
         return False
-    a = _spectrum(A, tol) if a is None else a
-    c = _spectrum(C, tol) if c is None else c
-    return _minus_leq(C, A, a, c, _spectrum(A - C, tol), tol).holds
+    a, c, d = _spectra([A, C, A - C], tol) if ac is None else (*ac, *_spectra([A - C], tol))
+    return _minus_leq(C, A, a, c, d, tol).holds

@@ -17,11 +17,17 @@ call, and ``opnorm_leq`` K verdicts.  The formulas on the factors (and the
 range tests, reduced solutions and Schur complements written on them)
 broadcast over the stack unchanged, so each exists once; 2-D operands take
 the same path as before, with no masks.
+
+``_spectra`` factors matrices of one shape as ``_spectrum`` does, bit for
+bit, but the last on a helper thread meanwhile when the process may run on 2
+CPUs and every side is from 32 to 95: below, the hand-off costs more than it
+saves; above, two factorizations on unpinned BLAS threads contend for cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,7 +67,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalSubspaces:
     """Full SVD ``A = U diag(s) Vh`` and the numerical rank, with orthonormal
     bases of the four fundamental subspaces and the formulas built on them.
@@ -349,6 +355,34 @@ def _spectrum(A: np.ndarray, tol: Tolerance,
     if scale is None:
         scale = s[:, 0] if s.shape[-1] else 0.0
     return FundamentalSubspacesStack(U, s, Vh, _rank_rule(s, (m, n), scale, tol))
+
+
+# whether this process may run on a second CPU, read once
+_HOST_OVERLAPS = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+_helpers: dict = {}    # 0: a one-thread executor, started on first use
+if hasattr(os, "register_at_fork"):    # a forked child starts its own
+    os.register_at_fork(after_in_child=_helpers.clear)
+
+
+def _spectra(mats: list, tol: Tolerance) -> list:
+    """``[_spectrum(M, tol) for M in mats]`` for ``mats`` of one shape, the
+    last factored on the helper thread by the module docstring's rule; an
+    error on either side is raised once both are done, the caller's first."""
+    shape = mats[0].shape
+    if not (_HOST_OVERLAPS and len(mats) > 1 and 32 <= min(shape) and max(shape) < 96):
+        return [_spectrum(M, tol) for M in mats]
+    if not _helpers:    # of two threads racing here, both use the executor stored first
+        from concurrent.futures import ThreadPoolExecutor
+        _helpers.setdefault(0, ThreadPoolExecutor(1, "shortops-spectra"))
+    try:
+        last = _helpers[0].submit(_spectrum, mats[-1], tol)
+    except RuntimeError:    # the interpreter is shutting down and starts no threads
+        return [_spectrum(M, tol) for M in mats]
+    try:
+        head = [_spectrum(M, tol) for M in mats[:-1]]
+    finally:
+        last.exception()    # waits for the helper without raising its error
+    return head + [last.result()]
 
 
 def complement_basis(basis: np.ndarray) -> np.ndarray:

@@ -92,7 +92,7 @@ class SummabilityReport:
                                   off(B, W, nb), off(B.conj().T, V, nb))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParallelSumResult:
     """Parallel sum: ``sum`` is the shorted block of [[A, A], [A, A+B]]
     read by slicing, A - A (A+B)^+ A."""

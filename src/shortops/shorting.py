@@ -27,7 +27,7 @@ from .numcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """The four blocks of A relative to (S, T), plus the coordinate frames.
 
@@ -71,7 +71,7 @@ class BlockDecomposition:
         return self.assemble(self.A11, self.A12, self.A21, self.A22)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplementabilityWitnesses:
     """Witness operators certifying complementability, in ambient coordinates.
 
@@ -118,7 +118,7 @@ class ComplementabilityReport:
             M_r=np.eye(len(blocks.s_frame)) - P_hat, M_l=np.eye(len(blocks.t_frame)) - Q_hat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShortedResult:
     """The bilateral shorted operator plus its witnesses.
 

@@ -2,7 +2,7 @@
 
     python tests/_census.py > tests/golden/census.json
 
-``record()`` counts, while open, full SVDs (``svd``, each one's shape in
+``record()`` counts, while open and from any thread, full SVDs (``svd``, each one's shape in
 ``svd_shapes``), singular values alone (``svdvals``), ``qr``, ``eigh``,
 ``eigvalsh``, ``inv``, ``lstsq``, exact spectral norms (``opnorm``, at every
 module's binding), inclusion gates (``gate.<module>``, at each binding of
@@ -20,6 +20,7 @@ call whose cost moved.
 import json
 import re
 import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
@@ -55,14 +56,15 @@ class Calls(Counter):
 @contextmanager
 def record():
     """Count the library's work while open; yields the ``Calls``."""
-    calls, saved = Calls(), []
+    calls, saved, lock = Calls(), [], threading.Lock()
 
     def patch(owner, name, key, real):
         def counted(*args, **kwargs):
             kind = key(args, kwargs) if callable(key) else key
-            calls[kind] += 1
-            if kind == "svd":
-                calls.svd_shapes.append("x".join(map(str, np.shape(args[0]))))
+            with lock:    # the minus order factors on a helper thread too
+                calls[kind] += 1
+                if kind == "svd":
+                    calls.svd_shapes.append("x".join(map(str, np.shape(args[0]))))
             return real(*args, **kwargs)
         saved.append((owner, name, getattr(owner, name)))
         setattr(owner, name, counted)
@@ -336,10 +338,13 @@ def _grid():
                    call, *fields)
 
 
-def census() -> dict:
-    """Entry name -> nonzero counts, each entry on fresh operands."""
+def census(pattern: str = "") -> dict:
+    """Entry name -> nonzero counts, each entry on fresh operands, of the
+    entries whose name ``pattern`` matches at its start."""
     out = {}
     for name, operands, call, *fields in chain(_grid(), _named()):
+        if not re.match(pattern, name):
+            continue
         for field in (None, *fields):
             args = operands()
             with record() as calls:

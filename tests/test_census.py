@@ -2,12 +2,15 @@
 tests/golden/census.json; a change that moves a count regenerates the golden
 with ``python tests/_census.py > tests/golden/census.json``."""
 
+import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import _census
+from shortops import numcore
 
 pytestmark = pytest.mark.census
 
@@ -23,3 +26,15 @@ def test_census_repeats_byte_for_byte():
     fresh = subprocess.run([sys.executable, _census.__file__], capture_output=True,
                            text=True, check=True)
     assert fresh.stdout == first
+
+
+def test_overlapped_minus_order_counts_as_the_golden(monkeypatch):
+    # the operand SVDs factored two at a time, as on a host with 2 CPUs
+    monkeypatch.setattr(numcore, "_HOST_OVERLAPS", True)
+    threads, real = set(), numcore._spectrum
+    monkeypatch.setattr(numcore, "_spectrum",
+                        lambda *args: threads.add(threading.current_thread()) or real(*args))
+    pattern = r"(minus_leq|in_minus_set) 64x64"
+    got = _census.census(pattern)
+    assert len(got) == 3 and len(threads) == 2
+    assert not _census.moved(json.loads(_census.GOLDEN.read_text()), got, pattern)

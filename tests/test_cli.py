@@ -531,12 +531,14 @@ def test_every_report_kind_written_as_json_dumps(tmp_path, capsys, emitted):
 
 
 def test_import_leaves_suite_unloaded():
-    """Importing the CLI does not load genlab; the package serves genlab and
+    """Importing the CLI does not load genlab, nor the thread pool that the
+    minus order's overlap starts on first use; the package serves genlab and
     its re-exports on first access."""
     program = textwrap.dedent("""
         import sys
         import shortops.cli
         assert "shortops.genlab" not in sys.modules
+        assert "concurrent.futures" not in sys.modules
         import shortops
         assert len(shortops.genlab.INVARIANTS) == 34
         assert shortops.run_suite is shortops.genlab.run_suite

@@ -37,6 +37,15 @@ def test_subspace_validation():
         Subspace.from_projection(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_subspace_equality_is_refused_and_hash_is_by_identity():
+    S, same = Subspace.full(3), Subspace.full(3)
+    for compare in (S.__eq__, S.__ne__):
+        with pytest.raises(TypeError, match="Subspace.equals"):
+            compare(same)
+    assert S.equals(same)
+    assert hash(S) == hash(S) and len({S, same, S}) == 2
+
+
 def test_ortho_projection_examples():
     P = ortho_projection(span([1, 1]))
     assert np.allclose(P, [[0.5, 0.5], [0.5, 0.5]])

@@ -25,7 +25,10 @@ from shortops import (
     NotComplementable,
     NotSummable,
     Subspace,
+    block_decompose,
     complementability,
+    fundamental_subspaces,
+    minus_leq,
     opnorm,
     parallel_subtract,
     parallel_sum,
@@ -288,3 +291,20 @@ def test_reduced_solution_residuals(m, n, k):
     _overwrite(A, B, sol.D)
     assert (sol.residual, sol.norm_sq) == expected
 
+
+@pytest.mark.parametrize("make", [
+    lambda A, WS, WT: fundamental_subspaces(A),
+    lambda A, WS, WT: reduced_solution(A, A @ WS),
+    lambda A, WS, WT: parallel_sum(A, A),
+    lambda A, WS, WT: block_decompose(A, Subspace(6, WS), Subspace(6, WT)),
+    lambda A, WS, WT: complementability(A, Subspace(6, WS), Subspace(6, WT)).witnesses,
+    lambda A, WS, WT: shorted(A, Subspace(6, WS), Subspace(6, WT)),
+    lambda A, WS, WT: minus_leq(A, A),
+], ids=["FundamentalSubspaces", "ReducedSolution", "ParallelSumResult", "BlockDecomposition",
+        "ComplementabilityWitnesses", "ShortedResult", "MinusVerdict"])
+def test_result_types_compare_and_hash_by_identity(make):
+    # two results of one call hold equal arrays; comparing those would be ambiguous
+    operands = _complementable_triple(np.random.default_rng(34), 6, 3)
+    first, second = make(*operands), make(*operands)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2

@@ -468,6 +468,17 @@ def _transposed_minus_split(monkeypatch):
     _patch(monkeypatch, "_minus_leq", make)
 
 
+def _swapped_helper_slot(monkeypatch):
+    def make(real):
+        def spectra(mats, tol):
+            out = real(mats, tol)
+            if len(out) > 1:    # the helper's factors, last, trade places with those before
+                out[-2], out[-1] = out[-1], out[-2]
+            return out
+        return spectra
+    _patch(monkeypatch, "_spectra", make)
+
+
 FAULTS = {
     "rank +1": _rank_shift(+1),
     "rank -1": _rank_shift(-1),
@@ -484,6 +495,7 @@ FAULTS = {
     "_witness_projections: -E and -F_adj": _negated_witness_solutions,
     "_minus_leq: P transposed": _transposed_minus_split,
     "Subspace._framed: frame scaled by 1 + 1e-6": _scaled_frame,
+    "_spectra: the helper's factors swapped with the slot before": _swapped_helper_slot,
 }
 # the weak witnesses E and F feed one check, the route gap
 # (P_T A P_S - F* E = shorted)
