@@ -72,31 +72,23 @@ def _in_span(B: np.ndarray, N: np.ndarray, tol: Tolerance) -> bool:
     """Do the columns of B lie in R(N)⊥, for an orthonormal basis N of the
     complement that the caller's full SVD holds (``conull_basis`` or
     ``null_basis``)?  ||N* B|| is B's residual off R(N)⊥, with no
-    subtraction.  An empty N (full rank) gives True, on 2-D operands with
-    nothing formed.  A stack of N or of B gives per-item verdicts."""
-    if N.shape[-1] == 0 and N.ndim == B.ndim == 2:
+    subtraction.  An empty N (full rank) gives True, with nothing formed."""
+    if N.shape[1] == 0:
         return True
-    return opnorm_leq(N.conj().swapaxes(-1, -2) @ B, tol.eq_rel, B)
+    return opnorm_leq(N.conj().T @ B, tol.eq_rel, B)
 
 
 def _gate(left: np.ndarray, right: np.ndarray, factors: FundamentalSubspaces,
           tol: Tolerance) -> bool:
     """The one inclusion gate, R(right) ⊆ R(M) and R(left*) ⊆ R(M*) on the
-    factors of M, which make left M^- right one matrix for every generalized
-    inverse M^-: complementability, summability, D_A both ways and the minus
-    order decide through it.  Stops at a failing inclusion, except on a
-    stack's factors, where both are tested and the verdicts are per item.
-    A side where ``rank`` is its length (on a stack, for every item) has an
-    empty complement: it is True, with no basis read and no operand touched."""
-    stacked, rank = factors.stacked, factors.rank
-    least, verdict = (rank.min(), np.ones(rank.shape, dtype=bool)) if stacked else (rank, True)
-    if least < factors.U.shape[-1]:
-        verdict = verdict & _in_span(right, factors.conull_basis, tol)
-        if not (stacked or verdict):
-            return False
-    if least < factors.Vh.shape[-1]:
-        verdict = verdict & _in_span(left.conj().swapaxes(-1, -2), factors.null_basis, tol)
-    return verdict
+    2-D factors of M, which make left M^- right one matrix for every
+    generalized inverse M^-: complementability, summability, D_A both ways
+    and the minus order decide through it.  Stops at a failing inclusion.
+    A side where ``rank`` is its length has an empty complement: it is
+    True, with no basis read and no operand touched."""
+    if factors.rank < len(factors.U) and not _in_span(right, factors.conull_basis, tol):
+        return False
+    return factors.rank == len(factors.Vh) or _in_span(left.conj().T, factors.null_basis, tol)
 
 
 def range_leq(B, A, tol: Tolerance = DEFAULT_TOL) -> bool:

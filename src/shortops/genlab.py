@@ -882,8 +882,8 @@ def _inv_strong_sum_direction(rng, tol, A, B):
     # one verdict per column
     rhs = np.vstack([res - A, -res])
     y, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    columns = (stacked @ y - rhs).T[:, :, None]
-    return bool(opnorm_leq(columns, tol.eq_rel, max_opnorm([A, B])).all())
+    anchor = max_opnorm([A, B])
+    return all(opnorm_leq(c, tol.eq_rel, anchor) for c in (stacked @ y - rhs).T)
 
 
 @_invariant("collapse-summability")

@@ -12,11 +12,12 @@ range test: the inclusion gate decides it from ``rank`` alone.
 
 The factorization core also takes a stack of K matrices of one shape, as a
 (K, m, n) array: ``_spectrum`` factors it in one SVD call and truncates each
-item at its own rank, ``opnorm`` returns K norms from one singular-value
-call, and ``opnorm_leq`` K verdicts.  The formulas on the factors (and the
-range tests, reduced solutions and Schur complements written on them)
-broadcast over the stack unchanged, so each exists once; 2-D operands take
-the same path as before, with no masks.
+item at its own rank, and ``opnorm`` returns K norms from one singular-value
+call.  The formulas on the factors (the reduced solutions and Schur
+complements written on them) broadcast over the stack unchanged, so each
+exists once; 2-D operands take the same path, with no masks.  Every
+decision is made on one matrix: ``opnorm_leq`` refuses a stack, and a
+stack's item gives its 2-D factors by indexing.
 
 ``_spectra`` factors matrices of one shape as ``_spectrum`` does, bit for
 bit, but the last on a helper thread meanwhile when the process may run on 2
@@ -84,8 +85,6 @@ class FundamentalSubspaces:
     Vh: np.ndarray
     rank: int | np.ndarray
 
-    stacked = False
-
     @property
     def range_basis(self) -> np.ndarray:
         return self.U[:, :self.rank]
@@ -133,17 +132,15 @@ class FundamentalSubspacesStack(FundamentalSubspaces):
     """The factors of a stack of K matrices of one shape: U, s and Vh carry
     a leading axis and ``rank`` is an array of K ranks.
 
-    The bases keep full width, with the columns past each item's rank
-    zeroed, and ``kept`` holds each item's full row of singular values with
-    1 where those zero columns are scaled, so every formula of
-    ``FundamentalSubspaces`` broadcasts over the stack as written; the
-    range and corange bases and ``kept`` are cached, since their masks cost
-    more than the slices of the 2-D case.  Indexing gives one item's 2-D
-    factors, as ``_spectrum`` of that item returns them, or a sub-stack for
-    a slice.
+    The range and corange bases keep full width, with the columns past each
+    item's rank zeroed, and ``kept`` holds each item's full row of singular
+    values with 1 where those zero columns are scaled, so every formula of
+    ``FundamentalSubspaces`` broadcasts over the stack as written; they are
+    cached, since their masks cost more than the slices of the 2-D case.
+    A stack has no complement bases (reading one raises TypeError): a
+    decision reads them from one item's 2-D factors, which indexing gives
+    as ``_spectrum`` of that item returns them (a slice gives a sub-stack).
     """
-
-    stacked = True
 
     def _within_rank(self, width: int) -> np.ndarray:
         """(K, 1, width) mask of the columns before each item's rank."""
@@ -160,18 +157,10 @@ class FundamentalSubspacesStack(FundamentalSubspaces):
         p = self.s.shape[-1]
         return self.U[..., :p] * self._within_rank(p)
 
-    @property
-    def null_basis(self) -> np.ndarray:
-        return self.Vh.conj().swapaxes(-1, -2) * ~self._within_rank(self.Vh.shape[-1])
-
     @cached_property
     def corange_basis(self) -> np.ndarray:
         p = self.s.shape[-1]
         return self.Vh[:, :p].conj().swapaxes(-1, -2) * self._within_rank(p)
-
-    @property
-    def conull_basis(self) -> np.ndarray:
-        return self.U * ~self._within_rank(self.U.shape[-1])
 
     @cached_property
     def kept(self) -> np.ndarray:
@@ -245,21 +234,17 @@ def _short_side(a: np.ndarray) -> int:
 def opnorm_leq(X, rel: float, anchor=None) -> bool:
     """Decide ``opnorm(X) <= rel * max(opnorm(anchor), 1)``.
 
+    X is one matrix (or a vector); a stack raises ValueError, since the
+    Frobenius norm of the whole stack would give one plausible verdict.
     ``anchor`` is a matrix, a norm the caller already knows, or None (norm
     0).  With k the smaller side, ||Y||_2 <= ||Y||_F <= sqrt(k) ||Y||_2
     (Golub & Van Loan, Matrix Computations, 2.3) settles the comparison from
     Frobenius norms; only inside the band between the two bounds are the
     exact spectral norms computed, so the verdict is that of the exact test.
-
-    On a stack X of K matrices the verdicts are per item, as a bool array:
-    the same band, with the same slack, settles what it can for every item
-    at once, and each item inside it gets the exact test above.  The anchor
-    is then one matrix or norm for all items, a stack of K matrices, or an
-    array of K norms.
     """
     X = np.asarray(X)
     if X.ndim > 2:
-        return _opnorm_leq_items(X, rel, anchor)
+        raise ValueError(f"opnorm_leq decides on one matrix, got shape {X.shape}")
     x_hi = _fro(X) * (1.0 + _BOUND_SLACK)
     if isinstance(anchor, np.ndarray):
         a_hi = _fro(anchor)
@@ -278,25 +263,6 @@ def opnorm_leq(X, rel: float, anchor=None) -> bool:
     if isinstance(anchor, np.ndarray):
         a_lo = opnorm(anchor)
     return x <= rel * max(a_lo, 1.0)
-
-
-def _opnorm_leq_items(X: np.ndarray, rel: float, anchor) -> np.ndarray:
-    """``opnorm_leq`` per item of the stack X."""
-    per_item = isinstance(anchor, np.ndarray) and anchor.ndim in (1, 3)
-    if isinstance(anchor, np.ndarray) and anchor.ndim >= 2:
-        a_hi = np.linalg.norm(anchor, axis=(-2, -1)) if per_item else _fro(anchor)
-        a_lo = a_hi / math.sqrt(max(min(anchor.shape[-2:]), 1))
-    else:
-        a_lo = a_hi = 0.0 if anchor is None else anchor
-    low = rel * np.maximum(a_lo * (1.0 - _BOUND_SLACK), 1.0)
-    high = rel * np.maximum(a_hi * (1.0 + _BOUND_SLACK), 1.0)
-    x_hi = np.linalg.norm(X, axis=(-2, -1)) * (1.0 + _BOUND_SLACK)
-    verdicts = x_hi <= low
-    in_band = ~verdicts & (x_hi * (1.0 - 2.0 * _BOUND_SLACK)
-                           / math.sqrt(max(min(X.shape[-2:]), 1)) <= high)
-    for i in np.flatnonzero(in_band):
-        verdicts[i] = opnorm_leq(X[i], rel, anchor[i] if per_item else anchor)
-    return verdicts
 
 
 def _relative(X, anchor) -> float:

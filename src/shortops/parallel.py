@@ -222,15 +222,16 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
 
     The sorted schedule is taken in slices of at most 17 points (the length
     of the default schedule), so at most that many factorizations of
-    A + n B are held at once.  Each slice is factored in one stacked SVD,
-    which decides summability for every point; one stacked parallel sum
-    covers its usable points and one singular-value call gives their
-    errors.  Leading points where the pair is not summable are skipped;
-    after the first usable point, NotSummable is raised, with the point's
-    report, at the first later point that is not summable.
-    EscalationExhausted when no point is usable; ValueError, before
-    anything is factored, for an entry that is not an integer of at least 1
-    (a bool, a float or a string included: nothing is truncated or parsed).
+    A + n B are held at once.  Each slice is factored in one stacked SVD;
+    each point's summability is decided on its own 2-D factors, one
+    stacked parallel sum covers the slice's usable points and one
+    singular-value call gives their errors.  Leading points where the pair
+    is not summable are skipped; after the first usable point, NotSummable
+    is raised, with the point's report, at the first later point that is
+    not summable.  EscalationExhausted when no point is usable; ValueError,
+    before anything is factored, for an entry that is not an integer of at
+    least 1 (a bool, a float or a string included: nothing is truncated or
+    parsed).
     """
     A, B = _same_shape(A, B)
     ns = sorted(_positive_int(k, "schedule entries must be positive integers")
@@ -244,7 +245,7 @@ def shorted_via_limit(A, S: Subspace, T: Subspace, B, schedule=DEFAULT_SCHEDULE,
         points = ns[start:start + _SLICE_POINTS]
         scaled = np.array(points, dtype=np.complex128)[:, None, None] * B
         total = _spectrum(A + scaled, tol)
-        summable = _gate(A, A, total, tol).tolist()
+        summable = [_gate(A, A, total[k], tol) for k in range(len(points))]
         first = 0 if used else next((i for i, ok in enumerate(summable) if ok), len(points))
         stop = next((i for i in range(first, len(points)) if not summable[i]), len(points))
         if first < stop:

@@ -169,12 +169,8 @@ def test_gate_keeps_its_verdict_when_a_complement_is_empty():
     assert empties > 500
 
 
-def test_in_span_on_an_empty_basis_is_per_item_on_a_stack():
-    stack, empty = np.ones((3, 4, 2)), np.zeros((4, 0))
-    assert _in_span(np.ones((4, 2)), empty, DEFAULT_TOL) is True
-    for got in (_in_span(stack, empty, DEFAULT_TOL),
-                _in_span(np.ones((4, 2)), np.zeros((3, 4, 0)), DEFAULT_TOL)):
-        assert got.dtype == bool and got.tolist() == [True] * 3
+def test_in_span_on_an_empty_basis_is_true():
+    assert _in_span(np.ones((4, 2)), np.zeros((4, 0)), DEFAULT_TOL) is True
 
 
 def test_full_rank_parallel_sum_decides_no_norm_in_the_gate(monkeypatch):
@@ -205,6 +201,7 @@ def test_stacked_gate_gives_one_verdict_per_schedule_point(monkeypatch):
     S = Subspace(2, np.eye(2)[:, :1])
     record = shorted_via_limit(np.array([[2.0, 1.0], [1.0, 1.0]]), S, S,
                                np.diag([1.0, 0.0]), schedule=(1, 2, 4))
+    # the schedule is factored as one stack; each point is decided on its
+    # own 2-D factors
     assert record.schedule == [1, 2, 4]
-    assert len(verdicts) == 1
-    assert verdicts[0].dtype == bool and verdicts[0].tolist() == [True] * 3
+    assert verdicts == [True] * 3 and all(type(v) is bool for v in verdicts)

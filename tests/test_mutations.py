@@ -25,8 +25,9 @@ The columns are the checks:
   fields of ``shorted``'s result (``genlab.shorted_qa_ap``);
 - ``exact``: verdicts and values against the exact oracle;
 - ``criterion-2``: A (A+B)^+ B, formed here, against the parallel sum;
-- ``limit-per-point``: ``shorted_via_limit``'s stacked errors against
-  parallel sums taken one schedule point at a time;
+- ``limit-per-point``: ``shorted_via_limit``'s record on n = 1, 2, ...
+  over two slices against parallel sums taken at every schedule point: the
+  same summable points, with the same errors;
 - ``reduced-residual``: the residual of A D = B for the reduced solution;
 - ``minus-split``: C ≤⁻ B on an oblique split, and the residuals of
   Q B = C and B P = C for its witnesses against eq_rel * ||B||, formed
@@ -43,7 +44,9 @@ Run as a script, ``python tests/test_mutations.py`` prints the table,
 fault -> {column: count}, as sorted JSON with one fault per line.
 """
 
+import inspect
 import sys
+import textwrap
 from functools import cache
 from pathlib import Path
 
@@ -66,7 +69,6 @@ from shortops import (
     pinv,
     reduced_solution,
     shorted,
-    shorted_via_limit,
 )
 from shortops import douglas, minusorder, numcore, parallel, shorting
 from shortops.genlab import GenConfig, trial_rng
@@ -85,6 +87,8 @@ GENLAB_TRIALS = 3
 SUITE_DRAWS = 12
 SPLIT_NORM_CAP = 1e2      # ||E|| of an oblique minus-order split
 LIMIT_POINTS = 8          # the first points of the default schedule
+# n = 1, 2, ...: one full slice of shorted_via_limit and LIMIT_POINTS more
+LIMIT_SCHEDULE = tuple(range(1, parallel._SLICE_POINTS + LIMIT_POINTS + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +250,12 @@ def _pair_exact(A, B, ref):
 
 
 def _limit_route_gap(A, WS, WT, B):
-    """The route gap of every summable point of the schedule's stacked sums."""
+    """The route gap of every summable point of the schedule's stacked sums,
+    each point decided on its own 2-D factors."""
     ns = np.array(parallel.DEFAULT_SCHEDULE[:LIMIT_POINTS], dtype=float)
     sums = A + ns[:, None, None] * B
     total = parallel._spectrum(sums, TOL)
-    summable = np.asarray(parallel._gate(A, A, total, TOL))
+    summable = np.array([parallel._gate(A, A, total[k], TOL) for k in range(len(ns))])
     if not summable.any():
         return False
     total = parallel._spectrum(sums[summable], TOL)
@@ -258,12 +263,19 @@ def _limit_route_gap(A, WS, WT, B):
 
 
 def _limit_per_point(A, WS, WT, B):
+    """The record against parallel sums taken at every point of a schedule
+    of two slices: the points where the pair is summable, with their errors."""
     S, T = _subspaces(WS, WT)
-    schedule = parallel.DEFAULT_SCHEDULE[:LIMIT_POINTS]
-    record = shorted_via_limit(A, S, T, B, schedule=schedule, tol=TOL)
+    record = parallel.shorted_via_limit(A, S, T, B, schedule=LIMIT_SCHEDULE, tol=TOL)
     target = shorted(A, S, T, TOL).shorted
-    return any(not abs(got - opnorm(parallel_sum(A, n * B, TOL).sum - target)) <= 1e-12 * got
-               for n, got in zip(record.schedule, record.errors))
+    errors = {}
+    for n in LIMIT_SCHEDULE:
+        try:
+            errors[n] = opnorm(parallel_sum(A, n * B, TOL).sum - target)
+        except NotSummable:
+            pass
+    return record.schedule != list(errors) or any(
+        not abs(got - errors[n]) <= 1e-12 * got for n, got in zip(record.schedule, record.errors))
 
 
 def _reduced_residual(A, B):
@@ -342,7 +354,8 @@ def _firings() -> set:
 def _patch(monkeypatch, name, make):
     """Replace every binding of the library function ``name`` with
     ``make(original)``."""
-    original = next(getattr(module, name) for module in (numcore, douglas, shorting, minusorder)
+    original = next(getattr(module, name)
+                    for module in (numcore, douglas, shorting, minusorder, parallel)
                     if hasattr(module, name))
     faulty = make(original)
     for module_name, module in list(sys.modules.items()):
@@ -468,6 +481,18 @@ def _transposed_minus_split(monkeypatch):
     _patch(monkeypatch, "_minus_leq", make)
 
 
+def _late_second_slice(monkeypatch):
+    # shorted_via_limit rebuilt from its source with every slice after the
+    # first starting one point late
+    source = textwrap.dedent(inspect.getsource(parallel.shorted_via_limit))
+    sound = "points = ns[start:start + _SLICE_POINTS]"
+    assert sound in source
+    namespace = dict(vars(parallel))
+    exec(source.replace(sound, "points = ns[start + (start > 0):start + _SLICE_POINTS]"),
+         namespace)
+    _patch(monkeypatch, "shorted_via_limit", lambda real: namespace["shorted_via_limit"])
+
+
 def _swapped_helper_slot(monkeypatch):
     def make(real):
         def spectra(mats, tol):
@@ -496,6 +521,7 @@ FAULTS = {
     "_minus_leq: P transposed": _transposed_minus_split,
     "Subspace._framed: frame scaled by 1 + 1e-6": _scaled_frame,
     "_spectra: the helper's factors swapped with the slot before": _swapped_helper_slot,
+    "shorted_via_limit: second slice starts one point late": _late_second_slice,
 }
 # the weak witnesses E and F feed one check, the route gap
 # (P_T A P_S - F* E = shorted)

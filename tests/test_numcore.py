@@ -283,6 +283,14 @@ def test_rank_rule_lives_in_numcore():
     assert "np.block(" not in inspect.getsource(parallel)
 
 
+def test_inclusion_decisions_take_one_matrix():
+    # a stack's items are decided one at a time, on their 2-D factors
+    for helper in (douglas._gate, douglas._in_span):
+        source = inspect.getsource(helper)
+        for banned in ("stacked", "swapaxes"):
+            assert banned not in source, f"{helper.__name__} uses {banned}"
+
+
 def test_geometry_reads_pairs_from_the_stacked_bases():
     # one anchor, sigma_max of [W1 W2], for every subspace-pair question:
     # no re-truncation and no stacked projection complements [I - P_M; I - P_N]

@@ -1,11 +1,11 @@
-"""The factorization core on a stack of matrices gives the verdicts and values
-of its 2-D calls, item by item.
+"""The factorization core on a stack of matrices gives the values of its 2-D
+calls, item by item, and decides nothing on a stack.
 
 A (K, m, n) stack is factored in one SVD call, with per-item ranks and full
-width bases whose columns past each item's rank are zero; opnorm_leq and the
-range test return one verdict per item.  shorted_via_limit factors its whole
-schedule as such a stack; its record is compared with a per-point loop on the
-2-D core, written here.
+width range and corange bases whose columns past each item's rank are zero;
+every verdict is taken on one item's 2-D factors, and opnorm_leq refuses a
+stack.  shorted_via_limit factors its schedule as such stacks; its record is
+compared with a per-point loop on the 2-D core, written here.
 """
 
 from fractions import Fraction
@@ -22,8 +22,8 @@ from shortops import (
     shorted,
     shorted_via_limit,
 )
-from shortops import douglas, parallel
-from shortops.douglas import _gate, _in_span, _reduced_coeffs
+from shortops import parallel
+from shortops.douglas import _gate, _reduced_coeffs
 from shortops.genlab import (
     INVARIANTS,
     GenConfig,
@@ -32,7 +32,7 @@ from shortops.genlab import (
     gen_with_ranges,
     trial_rng,
 )
-from shortops.numcore import _fro, _spectrum, complement_basis, opnorm_leq
+from shortops.numcore import _spectrum, opnorm_leq
 from shortops.parallel import _loglog_slope, _parallel_sum
 from shortops.shorting import _weak_solutions
 
@@ -62,13 +62,13 @@ def _mixed_stack(rng, m, n):
 def test_spectrum_of_a_stack_matches_each_item(m, n):
     stack = _mixed_stack(np.random.default_rng(10 * m + n), m, n)
     total = _spectrum(stack, TOL)
-    assert total.stacked and total.rank.shape == (len(stack),)
+    assert total.rank.shape == (len(stack),)
     for i, item in enumerate(stack):
         alone = _spectrum(item, TOL)
         assert np.array_equal(total.s[i], alone.s)
         assert total.rank[i] == alone.rank
         one = total[i]
-        assert not one.stacked and one.rank == alone.rank
+        assert one.rank == alone.rank
         assert np.array_equal(one.s, alone.s)
         # full width bases: the item's own columns, then zeros
         r = alone.rank
@@ -76,17 +76,18 @@ def test_spectrum_of_a_stack_matches_each_item(m, n):
                                      (total.corange_basis[i], alone.corange_basis)):
             assert np.array_equal(stacked_basis[:, :r], basis)
             assert not stacked_basis[:, r:].any()
-        assert np.array_equal(total.null_basis[i][:, r:], alone.null_basis)
-        assert np.array_equal(total.conull_basis[i][:, r:], alone.conull_basis)
         scale = max(np.abs(alone.pinv()).max(), 1.0)
         assert np.allclose(total.pinv()[i], alone.pinv(), rtol=0, atol=1e-12 * scale)
+    # a decision reads an item's complements, never the stack's
+    for name in ("null_basis", "conull_basis"):
+        with pytest.raises(TypeError):
+            getattr(total, name)
 
 
 def test_spectrum_of_a_stack_of_empty_matrices():
     total = _spectrum(np.zeros((3, 0, 4), dtype=np.complex128), TOL)
     assert total.rank.tolist() == [0, 0, 0]
     assert total.range_basis.shape == (3, 0, 0)
-    assert total.null_basis.shape == (3, 4, 4)
     assert opnorm(np.zeros((3, 0, 4))).tolist() == [0.0, 0.0, 0.0]
 
 
@@ -126,79 +127,16 @@ def test_weak_solutions_are_the_reduced_solutions_on_the_root_factors(m, n):
         assert np.array_equal(_weak_solutions(factors, A21, np.zeros_like(A12))[0], E_weak)
 
 
-# spectral norms relative to the threshold: inside the Frobenius band for
-# three equal singular values, then far on either side, then zero
-_FACTORS = (1.0 - 1e-6, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 0.7, 1.5, 1e-3, 1e3, 0.0)
-
-
-def _at_norm(rng, m, n, norm):
-    """An m x n matrix with three singular values equal to ``norm``: its
-    Frobenius norm is sqrt(3) times the spectral one, so near the threshold
-    only the exact norm decides."""
-    U = np.linalg.qr(_gauss(rng, m, 3))[0]
-    V = np.linalg.qr(_gauss(rng, n, 3))[0]
-    return norm * U @ V.conj().T
-
-
-def _threshold(rel, anchor):
-    norm = 0.0 if anchor is None else anchor if np.ndim(anchor) == 0 else opnorm(anchor)
-    return rel * max(norm, 1.0)
-
-
-@pytest.mark.parametrize("kind", ["none", "norm", "matrix", "norms", "matrices"])
-def test_opnorm_leq_on_a_stack_gives_the_scalar_verdict_per_item(kind):
-    rng = np.random.default_rng(["none", "norm", "matrix", "norms", "matrices"].index(kind))
-    rel, m, n, K = 1e-3, 5, 4, len(_FACTORS)
-    anchor = {
-        "none": None,
-        "norm": 3e3,
-        "matrix": 1e3 * _gauss(rng, 4, 6),
-        "norms": 10.0 ** rng.uniform(-2, 5, size=K),
-        "matrices": np.stack([10.0 ** rng.uniform(-2, 5) * _gauss(rng, 3, 3) for _ in range(K)]),
-    }[kind]
-    anchors = list(anchor) if kind in ("norms", "matrices") else [anchor] * K
-    X = np.stack([_at_norm(rng, m, n, f * _threshold(rel, a)) for f, a in zip(_FACTORS, anchors)])
-    got = opnorm_leq(X, rel, anchor)
-    assert got.dtype == bool and got.shape == (K,)
-    assert got.tolist() == [opnorm_leq(x, rel, a) for x, a in zip(X, anchors)]
-    # the exact per-item test was exercised
-    assert sum(_fro(x) / np.sqrt(min(m, n)) <= _threshold(rel, a) < _fro(x)
-               for x, a in zip(X, anchors)) >= 2
-
-
-def test_opnorm_leq_on_a_stack_of_band_items_with_a_shared_anchor():
+def test_opnorm_leq_refuses_a_stack():
+    # the Frobenius norm of a whole stack would give one plausible verdict
     rng = np.random.default_rng(7)
-    rel, anchor = 1e-9, 2e4
-    X = np.stack([_at_norm(rng, 6, 6, f * rel * anchor) for f in _FACTORS])
-    got = opnorm_leq(X, rel, anchor)
-    assert got.tolist() == [opnorm_leq(x, rel, anchor) for x in X]
-    assert got.tolist() == [True, True, False, False, True, False, True, False, True]
-
-
-def test_in_span_on_a_stack_gives_the_scalar_verdict_per_item():
-    rng = np.random.default_rng(12)
-    m, n = 6, 5
-    W = np.linalg.qr(_gauss(rng, m, 3))[0]
-    leak = np.linalg.qr(np.hstack([W, _gauss(rng, m, 1)]))[0][:, 3:]
-    inside = W @ _gauss(rng, 3, n)
-    outside = inside + leak @ _gauss(rng, 1, n)
-    # totals with range R(W) plus a leak direction of relative size around
-    # the rank cutoff and eq_rel, and a zero total
-    sizes = (0.0, 1e-12, 0.5e-9, 0.9e-9, 1.1e-9, 1e-6, 1.0)
-    stack = np.stack([W @ _gauss(rng, 3, n) + size * leak @ _gauss(rng, 1, n)
-                      for size in sizes] + [np.zeros((m, n))])
-    complements = _spectrum(stack, TOL).conull_basis
-    for operand in (inside, outside):
-        got = _in_span(operand, complements, TOL)
-        assert got.tolist() == [_in_span(operand, _spectrum(G, TOL).conull_basis, TOL)
-                                for G in stack]
-    # a stack of operands, each its own anchor, against one basis
-    operands = np.stack([inside + size * opnorm(inside) * leak @ _gauss(rng, 1, n)
-                         for size in (0.0, 0.9e-9, 1e-9, 1.1e-9, 1e-3)])
-    W_perp = complement_basis(W)
-    got = _in_span(operands, W_perp, TOL)
-    assert got.tolist() == [_in_span(b, W_perp, TOL) for b in operands]
-    assert got[0] and not got[-1]
+    for stack in (np.zeros((3, 2, 2)), _gauss(rng, 4, 5)[None], np.zeros((2, 0, 3))):
+        with pytest.raises(ValueError):
+            opnorm_leq(stack, 1e-3)
+    # one matrix, and a vector such as sqrt_psd's least eigenvalue, decide
+    assert opnorm_leq(np.array([-1e-12]), 1e-10, 1.0)
+    assert not opnorm_leq(np.array([-1e-9]), 1e-10, 1.0)
+    assert opnorm_leq(np.zeros((2, 0)), 1e-3)
 
 
 def _per_point_limit(A, S, T, B, schedule=parallel.DEFAULT_SCHEDULE):
@@ -350,33 +288,3 @@ def test_shorted_via_limit_factors_the_schedule_in_bounded_slices(monkeypatch):
     # norm call for each
     assert stacks == [17, 17, 17, 17, 6, 6]
     assert parallel._SLICE_POINTS == len(parallel.DEFAULT_SCHEDULE)
-
-
-def test_stacked_gate_gives_the_2d_verdict_per_item(monkeypatch):
-    # mixed stacks test both sides per item; a stack of full rank on a side
-    # decides it True for every item with no product formed
-    rng = np.random.default_rng(26)
-    products = []
-    real = douglas.opnorm_leq
-
-    def counting(X, *args):
-        products.append(X.shape)
-        return real(X, *args)
-
-    for m, n in ((3, 3), (2, 5), (5, 2), (4, 4)):
-        mixed = _mixed_stack(rng, m, n)
-        full = np.stack([_gauss(rng, m, n) for _ in range(4)])
-        for stack in (mixed, full):
-            total = _spectrum(stack, TOL)
-            for left, right in ((_gauss(rng, 2, n), _gauss(rng, m, 3)),
-                                (_gauss(rng, 2, m) @ stack[0], stack[0] @ _gauss(rng, n, 3))):
-                products.clear()
-                monkeypatch.setattr(douglas, "opnorm_leq", counting)
-                got = _gate(left, right, total, TOL)
-                monkeypatch.setattr(douglas, "opnorm_leq", real)
-                assert got.dtype == bool and got.tolist() == [
-                    _gate(left, right, _spectrum(item, TOL), TOL) for item in stack]
-                # a side is tested only when some item's rank falls short of it
-                assert len(products) == int((total.rank < m).any()) + int((total.rank < n).any())
-                if stack is full:
-                    assert len(products) == (m > n) + (n > m)
